@@ -7,14 +7,26 @@ R-runs.  The distribution polynomial of this weight over all words of
 half-length n coincides with the value polynomial of index n + 1; the
 verifier at the bottom checks that coincidence against two independent
 computations of the distribution.
+
+The two computations share no code.  The dynamic program walks prefixes by
+(height, last letter).  The brute-force oracle visits each of the Catalan(n)
+uncoloured paths once and colours it in all 2**n ways at once: one letter
+array per path, with a column per colouring whose down-steps are B or R by
+the bits of the column index.  It counts run starts literally, by comparing
+every letter with the one before it.  The string-level definition
+(``enumerate_dyck`` with ``word_weight``) is kept as the oracle's own
+reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .exact import IntPoly
@@ -26,9 +38,21 @@ DP_CAP = 200
 _ALPHABET = "UBR"  # also the lexicographic order of enumeration
 
 
-def catalan(n: int) -> int:
+def _half_length(n, name: str = "half-length") -> int:
+    """Return n as a non-negative int; refuse bools, non-integers and negatives."""
+    if isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, not a bool")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {type(n).__name__}") from None
     if n < 0:
-        raise DomainError("Catalan index must be non-negative")
+        raise DomainError(f"{name} must be non-negative")
+    return n
+
+
+def catalan(n: int) -> int:
+    n = _half_length(n, "Catalan index")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -124,8 +148,7 @@ def _word_strings(n: int) -> Iterator[str]:
 
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """All 2-coloured Dyck words of half-length n, lexicographic in U < B < R."""
-    if n < 0:
-        raise DomainError("half-length must be non-negative")
+    n = _half_length(n)
     if n > ENUM_CAP:
         raise DomainError(
             f"exhaustive enumeration is capped at n = {ENUM_CAP}; "
@@ -135,11 +158,54 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
         yield DyckWord(s)
 
 
+_U, _B, _R = 0, 1, 2  # letter codes of the colouring array
+
+
+def _up_masks(n: int) -> Iterator[list]:
+    """Uncoloured Dyck paths of half-length n, as up-step masks."""
+
+    def rec(mask: list, height: int, ups: int) -> Iterator[list]:
+        if len(mask) == 2 * n:
+            yield mask
+            return
+        if ups < n:
+            mask.append(True)
+            yield from rec(mask, height + 1, ups + 1)
+            mask.pop()
+        if height > 0:
+            mask.append(False)
+            yield from rec(mask, height - 1, ups)
+            mask.pop()
+
+    return rec([], 0, 0)
+
+
 def _weight_poly_bruteforce(n: int) -> IntPoly:
-    coeffs = [0] * (2 * n + 1)
-    for s in _word_strings(n):
-        coeffs[word_weight(s)] += 1
-    return IntPoly(coeffs)
+    """Weight distribution by exhausting every coloured word, one path at a time.
+
+    For each uncoloured path the 2**n colourings form one int8 letter array,
+    stored letter-major as (2n, 2**n) so that each letter position is a
+    contiguous row and the per-word sums run over rows.  The U rows are
+    constant, and down-step j of colouring k is B or R as bit j of k is 0 or
+    1.  A letter starts a run when it differs from the letter before it (the
+    first letter always does), and each word weighs
+    n + (B-run starts) - (R-run starts).  The weights of a path are tallied
+    with ``np.bincount``, so no more than 2**n words are held at once.
+    """
+    cols = 1 << n
+    downs = _B + ((np.arange(cols) >> np.arange(n)[:, None]) & 1).astype(np.int8)
+    letters = np.empty((2 * n, cols), dtype=np.int8)
+    starts = np.ones((2 * n, cols), dtype=bool)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for mask in _up_masks(n):
+        up = np.array(mask, dtype=bool)
+        letters[up] = _U
+        letters[~up] = downs
+        np.not_equal(letters[1:], letters[:-1], out=starts[1:])
+        b_runs = np.count_nonzero(starts & (letters == _B), axis=0)
+        r_runs = np.count_nonzero(starts & (letters == _R), axis=0)
+        counts += np.bincount(n + b_runs - r_runs, minlength=2 * n + 1)
+    return IntPoly([int(c) for c in counts])
 
 
 _START = "^"
@@ -198,8 +264,7 @@ WEIGHT_POLY_METHODS = ("dp", "bruteforce")
 
 def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
     """Distribution polynomial of the block weight over words of half-length n."""
-    if n < 0:
-        raise DomainError("half-length must be non-negative")
+    n = _half_length(n)
     if method == "dp":
         if n > DP_CAP:
             raise DomainError(f"dp route is capped at n = {DP_CAP}")
@@ -261,8 +326,8 @@ def verify_weight_value_identity(
     A value-polynomial table may be injected, so corrupted data is reported
     rather than trusted; failures land in the report, never in an exception.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    n_max = _half_length(n_max, "n_max")
+    brute_max = _half_length(brute_max, "brute_max")
     if n_max > DP_CAP:
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
     if value_polys is None:

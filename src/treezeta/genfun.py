@@ -138,9 +138,15 @@ def _pos_raw(q: int, z: complex) -> complex:
     return 0.5 * ((q + 1) * s + z * (q - 1) - (q * q - 1)) / gap
 
 
+def _check_finite(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise DomainError(f"evaluation point must be finite, got {z}")
+
+
 def neg_value_genfun(q: int, w: complex) -> complex:
     """Analytic continuation of sum zeta(-m) w^m off the reciprocal cut."""
     _check_q(q)
+    _check_finite(w)
     reciprocal_cut(q).refuse_near(w)
     return _neg_raw(q, w)
 
@@ -148,6 +154,7 @@ def neg_value_genfun(q: int, w: complex) -> complex:
 def pos_value_genfun(q: int, z: complex) -> complex:
     """Analytic continuation of sum zeta(n) z^n (n >= 1) off the spectral cut."""
     _check_q(q)
+    _check_finite(z)
     spectrum_cut(q).refuse_near(z)
     return _pos_raw(q, z)
 

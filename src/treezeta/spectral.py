@@ -46,8 +46,9 @@ class QuadratureSpec:
     nodes_per_panel: int = NODES_PER_PANEL
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise DomainError("tolerances must be positive and finite")
         if self.nodes_per_panel < 2:
             raise DomainError("need at least two nodes per panel")
         n = self.max_nodes
@@ -142,6 +143,8 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     _check_q(q)
     spec = spec or QuadratureSpec()
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta needs a finite point, got {s}")
 
     def f(theta: np.ndarray) -> np.ndarray:
         return np.exp(-s * np.log(_angle_base(q, theta))) * _angle_weight(q, theta)
@@ -188,8 +191,8 @@ def xi_defect(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> comp
 def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float:
     """Return-probability-weighted heat kernel trace per vertex at time t."""
     _check_q(q)
-    if t < 0:
-        raise DomainError("heat time must be non-negative")
+    if not t >= 0:  # also refuses NaN
+        raise DomainError(f"heat time must be non-negative, got {t}")
     spec = spec or QuadratureSpec()
 
     def f(theta: np.ndarray) -> np.ndarray:
@@ -338,6 +341,6 @@ def xi_sato_tate_defect(s: complex) -> complex:
 def heat_decay_bound(q: int, t: float) -> float:
     """Envelope 2 exp(-t r) with r the bottom of the spectrum."""
     _check_q(q)
-    if t < 0:
-        raise DomainError("heat time must be non-negative")
+    if not t >= 0:  # also refuses NaN
+        raise DomainError(f"heat time must be non-negative, got {t}")
     return 2.0 * math.exp(-t * spectral_edges(q)[0])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treezeta import spectral
 from treezeta.cli import latex_poly, main
 
 
@@ -123,6 +124,16 @@ class TestZeta:
         assert "best" in payload["results"]
         assert payload["results"]["est_error"] > 0
 
+    def test_nan_point_is_input_error(self, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran on a NaN point")
+
+        monkeypatch.setattr(spectral, "_composite_gl", no_quadrature)
+        code, out, err = run_cli(capsys, "zeta", "--q", "2", "--s", "nan")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_malformed_point_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeta", "--q", "2", "--s", "fish"])
@@ -138,6 +149,11 @@ class TestHeat:
     def test_negative_time_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "heat", "--q", "3", "--t", "-1")
         assert code == 2
+
+    def test_nan_time_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "heat", "--q", "3", "--t", "nan")
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestDyck:

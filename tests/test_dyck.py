@@ -1,5 +1,8 @@
 """Coloured Dyck words, block weights, and the identity with value polynomials."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from treezeta.dyck import (
@@ -25,6 +28,10 @@ class TestCatalan:
     def test_negative(self):
         with pytest.raises(DomainError):
             catalan(-1)
+
+    def test_bool_rejected(self):
+        with pytest.raises(DomainError):
+            catalan(True)
 
 
 class TestDyckWord:
@@ -56,6 +63,11 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(DomainError):
             list(enumerate_dyck(10))
+
+    @pytest.mark.parametrize("bad", [True, 2.0, -1])
+    def test_bad_half_length(self, bad):
+        with pytest.raises(DomainError):
+            list(enumerate_dyck(bad))
 
 
 class TestWeight:
@@ -92,9 +104,26 @@ class TestWeightPolynomial:
     def test_frozen(self, n):
         assert weight_polynomial(n) == IntPoly(self.FROZEN[n])
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(10))
     def test_dp_equals_bruteforce(self, n):
         assert weight_polynomial(n, "dp") == weight_polynomial(n, "bruteforce")
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_bruteforce_matches_string_definition(self, n):
+        # the per-path colouring arrays against one word_weight call per word
+        tally = Counter(word_weight(w) for w in enumerate_dyck(n))
+        want = [tally[k] for k in range(2 * n + 1)]
+        assert list(weight_polynomial(n, "bruteforce").coeffs) == want
+
+    @pytest.mark.parametrize("method", ["dp", "bruteforce"])
+    @pytest.mark.parametrize("bad", [True, 3.0])
+    def test_non_integer_half_length_rejected(self, bad, method):
+        with pytest.raises(DomainError):
+            weight_polynomial(bad, method)
+
+    def test_numpy_integer_accepted(self):
+        assert weight_polynomial(np.int64(4)) == IntPoly(self.FROZEN[4])
+        assert weight_polynomial(np.int64(4), "bruteforce") == IntPoly(self.FROZEN[4])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_shape(self, n):
@@ -154,6 +183,14 @@ class TestIdentity:
         assert not report.ok
         assert "weight polynomial 2" in report.mismatches[0]
         assert "coefficient 1" in report.mismatches[0]
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_max": True}, {"n_max": 4.0}, {"n_max": 4, "brute_max": -1},
+                   {"n_max": 4, "brute_max": 2.5}]
+    )
+    def test_bad_depths_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            verify_weight_value_identity(**kwargs)
 
     def test_short_table_rejected(self):
         with pytest.raises(DomainError):

@@ -173,6 +173,13 @@ class TestValueGenfuns:
                     continue
                 assert abs(symmetry_defect(q, z)) < 1e-12
 
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_non_finite_points_refused(self, z):
+        with pytest.raises(DomainError):
+            pos_value_genfun(2, z)
+        with pytest.raises(DomainError):
+            neg_value_genfun(2, z)
+
     def test_symmetry_defect_needs_nonzero(self):
         with pytest.raises(DomainError):
             symmetry_defect(2, 0)

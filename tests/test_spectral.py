@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treezeta import spectral
 from treezeta.errors import (
     CutViolationError,
     DomainError,
@@ -50,6 +51,9 @@ class TestQuadratureSpec:
             {"max_nodes": 1000},  # not a power of two
             {"max_nodes": 8},  # below one panel
             {"nodes_per_panel": 1},
+            {"abs_tol": math.nan},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -100,6 +104,15 @@ class TestZetaNumeric:
     def test_rejects_bad_q(self):
         with pytest.raises(DomainError):
             zeta_numeric(1, 2)
+
+    @pytest.mark.parametrize("s", [math.nan, complex(1, math.nan), complex(math.inf, 0)])
+    def test_rejects_non_finite_point(self, s, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran on a non-finite point")
+
+        monkeypatch.setattr(spectral, "_composite_gl", no_quadrature)
+        with pytest.raises(DomainError):
+            zeta_numeric(2, s)
 
     def test_normalised_measure_invariant(self):
         # pulling the measure back to the unit-normalised spectrum leaves
@@ -162,6 +175,12 @@ class TestHeatTrace:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             heat_trace(2, -0.1)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(DomainError):
+            heat_trace(2, math.nan)
+        with pytest.raises(DomainError):
+            heat_decay_bound(2, math.nan)
 
 
 class TestResolvent:
