@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
+import numpy as np
+
 from . import dyck as dyck_mod
 from .errors import DomainError, NonConvergedError
 from .special_values import value_polynomials, zeta_integer, zeta_pos
@@ -462,18 +464,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         config = _load_config(args.config) if args.config else {}
-        if args.command == "poly":
-            report = _cmd_poly(args, config)
-        elif args.command == "values":
-            report = _cmd_values(args, config)
-        elif args.command == "zeta":
-            report = _cmd_zeta(args, config)
-        elif args.command == "heat":
-            report = _cmd_heat(args, config)
-        elif args.command == "dyck":
-            report = _cmd_dyck(args, config)
-        else:
-            report = _cmd_verify(args, config, color)
+        # an overflowing integrand ends in OutOfRangeError; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "poly":
+                report = _cmd_poly(args, config)
+            elif args.command == "values":
+                report = _cmd_values(args, config)
+            elif args.command == "zeta":
+                report = _cmd_zeta(args, config)
+            elif args.command == "heat":
+                report = _cmd_heat(args, config)
+            elif args.command == "dyck":
+                report = _cmd_dyck(args, config)
+            else:
+                report = _cmd_verify(args, config, color)
     except NonConvergedError as exc:
         results: dict[str, Any] = {"error": str(exc)}
         if exc.best is not None:

@@ -21,7 +21,6 @@ reference.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
@@ -31,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .exact import IntPoly
 from .special_values import value_polynomials
+from .validate import integer_at_least
 
 ENUM_CAP = 9
 DP_CAP = 200
@@ -38,21 +38,8 @@ DP_CAP = 200
 _ALPHABET = "UBR"  # also the lexicographic order of enumeration
 
 
-def _half_length(n, name: str = "half-length") -> int:
-    """Return n as a non-negative int; refuse bools, non-integers and negatives."""
-    if isinstance(n, bool):
-        raise DomainError(f"{name} must be an integer, not a bool")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {type(n).__name__}") from None
-    if n < 0:
-        raise DomainError(f"{name} must be non-negative")
-    return n
-
-
 def catalan(n: int) -> int:
-    n = _half_length(n, "Catalan index")
+    n = integer_at_least(n, 0, "Catalan index")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -148,7 +135,7 @@ def _word_strings(n: int) -> Iterator[str]:
 
 def enumerate_dyck(n: int) -> Iterator[DyckWord]:
     """All 2-coloured Dyck words of half-length n, lexicographic in U < B < R."""
-    n = _half_length(n)
+    n = integer_at_least(n, 0, "half-length")
     if n > ENUM_CAP:
         raise DomainError(
             f"exhaustive enumeration is capped at n = {ENUM_CAP}; "
@@ -264,7 +251,7 @@ WEIGHT_POLY_METHODS = ("dp", "bruteforce")
 
 def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
     """Distribution polynomial of the block weight over words of half-length n."""
-    n = _half_length(n)
+    n = integer_at_least(n, 0, "half-length")
     if method == "dp":
         if n > DP_CAP:
             raise DomainError(f"dp route is capped at n = {DP_CAP}")
@@ -326,8 +313,8 @@ def verify_weight_value_identity(
     A value-polynomial table may be injected, so corrupted data is reported
     rather than trusted; failures land in the report, never in an exception.
     """
-    n_max = _half_length(n_max, "n_max")
-    brute_max = _half_length(brute_max, "brute_max")
+    n_max = integer_at_least(n_max, 0, "n_max")
+    brute_max = integer_at_least(brute_max, 0, "brute_max")
     if n_max > DP_CAP:
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
     if value_polys is None:

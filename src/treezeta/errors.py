@@ -27,3 +27,7 @@ class NonConvergedError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal exactness invariant failed; signals an implementation bug."""
+
+
+class OutOfRangeError(DomainError):
+    """A result, or an intermediate it needs, lies outside the double-precision range."""

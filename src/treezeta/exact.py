@@ -139,6 +139,33 @@ class IntPoly:
             n >>= 1
         return result
 
+    def divexact(self, d) -> "IntPoly":
+        """Quotient by a nonzero int or IntPoly known to divide this one.
+
+        Long division over the integers; a remainder, or a leading
+        coefficient that does not divide, means an exactness invariant broke
+        upstream and raises ConsistencyError.
+        """
+        if isinstance(d, int):
+            d = IntPoly.constant(d)
+        if not d:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        lead = d.coeffs[-1]
+        k = len(d.coeffs) - 1
+        out = [0] * max(len(rem) - k, 0)
+        for i in range(len(out) - 1, -1, -1):
+            quo, r = divmod(rem[i + k], lead)
+            if r:
+                raise ConsistencyError(f"inexact division by {d!r}")
+            out[i] = quo
+            if quo:
+                for j, dj in enumerate(d.coeffs):
+                    rem[i + j] -= quo * dj
+        if any(rem[:k]):
+            raise ConsistencyError(f"nonzero remainder on division by {d!r}")
+        return IntPoly(out)
+
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
         acc = 0

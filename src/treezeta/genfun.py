@@ -23,20 +23,16 @@ from typing import Optional, Sequence
 from .errors import CutViolationError, DomainError, PoleError
 from .exact import IntPoly, Series
 from .special_values import value_polynomials
+from .validate import branching_number, finite_point, integer_at_least
 
 EPS_CUT = 1e-3
 EPS_POLE = 1e-8
 EPS_REMOVABLE = 1e-3
 
 
-def _check_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise DomainError("branching number must be an integer >= 2")
-
-
 def spectral_edges(q: int) -> tuple[float, float]:
     """Endpoints of the Laplacian spectrum of the (q+1)-regular tree."""
-    _check_q(q)
+    q = branching_number(q)
     rq = math.sqrt(q)
     return ((rq - 1) ** 2, (rq + 1) ** 2)
 
@@ -87,7 +83,7 @@ def cut_sqrt(q: int, z: complex) -> complex:
     the segment itself get the upper-edge limit.
     """
     lo, hi = spectral_edges(q)
-    z = complex(z)
+    z = finite_point(z)
     return (q - 1) * _psqrt(1 - z / lo) * _psqrt(1 - z / hi)
 
 
@@ -105,8 +101,8 @@ def moment_genfun(q: int, z: complex) -> complex:
     The two candidate poles on the way are in fact removable, but evaluation
     this close to them cancels catastrophically, so they are refused outright.
     """
-    _check_q(q)
-    z = complex(z)
+    q = branching_number(q)
+    z = finite_point(z)
     half_radius = 1.0 / (2.0 * math.sqrt(q))
     # branch rays of sqrt(1 - 4 q z^2): the real axis beyond +-1/(2 sqrt q)
     for ray in (SpectrumCut(half_radius, math.inf), SpectrumCut(-math.inf, -half_radius)):
@@ -138,23 +134,18 @@ def _pos_raw(q: int, z: complex) -> complex:
     return 0.5 * ((q + 1) * s + z * (q - 1) - (q * q - 1)) / gap
 
 
-def _check_finite(z: complex) -> None:
-    if not cmath.isfinite(z):
-        raise DomainError(f"evaluation point must be finite, got {z}")
-
-
 def neg_value_genfun(q: int, w: complex) -> complex:
     """Analytic continuation of sum zeta(-m) w^m off the reciprocal cut."""
-    _check_q(q)
-    _check_finite(w)
+    q = branching_number(q)
+    w = finite_point(w)
     reciprocal_cut(q).refuse_near(w)
     return _neg_raw(q, w)
 
 
 def pos_value_genfun(q: int, z: complex) -> complex:
     """Analytic continuation of sum zeta(n) z^n (n >= 1) off the spectral cut."""
-    _check_q(q)
-    _check_finite(z)
+    q = branching_number(q)
+    z = finite_point(z)
     spectrum_cut(q).refuse_near(z)
     return _pos_raw(q, z)
 
@@ -165,8 +156,8 @@ def symmetry_defect(q: int, z: complex) -> complex:
     The positive series at z plus the negative series at 1/z is identically
     zero off the cuts; anything visibly nonzero is a branch inconsistency.
     """
-    _check_q(q)
-    z = complex(z)
+    q = branching_number(q)
+    z = finite_point(z)
     if z == 0:
         raise DomainError("reflection needs a nonzero point")
     return pos_value_genfun(q, z) + neg_value_genfun(q, 1 / z)
@@ -182,8 +173,8 @@ def entire_combination(q: int, z: complex) -> complex:
     the same principal factors), evaluation here bypasses the cut refusal of
     the public evaluators.
     """
-    _check_q(q)
-    z = complex(z)
+    q = branching_number(q)
+    z = finite_point(z)
     k = (q + 1) / (q - 1)
     return _neg_raw(q, z / (q - 1)) * (1 - 2 * k * z) + _pos_raw(q, (q - 1) * z) * (2 * k - z)
 
@@ -200,8 +191,7 @@ def quadratic_residual_series(
     leaves a nonzero residual, which is what makes this a detector.  A table
     may be injected to point the detector at foreign data.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
         polys = value_polynomials(n_max)
     if len(polys) < n_max:

@@ -1,11 +1,33 @@
 """Exact special values of the spectral zeta function of a (q+1)-regular tree.
 
 The Laplacian spectrum of the infinite (q+1)-regular tree induces a spectral
-zeta function whose values at negative integers are integer polynomials in the
-branching number q, and whose values at positive integers are rationals built
-from a family of monic palindromic integer polynomials.  Everything in this
-module is computed with exact integer and rational arithmetic; three
-independent routes to the negative values cross-check each other.
+zeta function whose values at negative integers are integer polynomials N_m in
+the branching number q, and whose values at positive integers are rationals
+built from a family of monic palindromic integer polynomials P_n.  Everything
+here runs on integer recurrences over Z[q], and every division in them is
+checked to be exact: a remainder raises ``ConsistencyError``.
+
+Negative values come by three independent routes that cross-check each other:
+
+* ``closed_form`` sums products of binomials and shares no code with the others;
+* ``moments`` binomially transforms the closed-walk counts, the coefficients of
+  ((q+1) sqrt(1 - 4 q z^2) - (q-1)) / (2 (1 - (q+1)^2 z^2));
+* ``series`` reads them off ((q+1) sqrt(1 - 2(q+1) z + (q-1)^2 z^2) + z (q^2-1)
+  - (q-1)) / (2 (1 - 2(q+1) z)).
+
+Both radicals are D-finite, so their coefficients follow a three-term
+recurrence, and the divisions by the denominators are two-term recurrences.
+
+The value polynomials come by two routes.  ``value_polynomials`` rearranges
+the two-step functional relation between the values at n and at -n into
+
+    2q(q+1) P_n = q(q-1)^2(q+1) P_{n-1} - (q+1)^n (N_n - 2(q+1) N_{n-1}),
+
+one exact division per polynomial, fed by the closed-form N_m.  The internal
+quadratic route keeps the convolution recursion of the quadratic functional
+equation of their generating series, O(n^4) to depth n, as the oracle that
+the checks hold the two-step table to.  Each route keeps one table that only
+ever grows.
 """
 
 from __future__ import annotations
@@ -16,20 +38,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import Fraction as _Fraction  # noqa: F401  (re-export convenience)
-from .exact import IntPoly, RatPoly, Series, poly_eval, series_sqrt
+from .exact import IntPoly, poly_eval
+from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
 
-_Q = RatPoly.variable()
-_HALF = Fraction(1, 2)
-
-
-def _poly_series(polys, order):
-    """Series over RatPoly coefficients, zero-padded to the requested order."""
-    cs = list(polys)[:order]
-    cs += [RatPoly()] * (order - len(cs))
-    return Series(cs)
+_ONE = IntPoly.constant(1)
+_QP1 = IntPoly((1, 1))  # q + 1
+_QM1 = IntPoly((-1, 1))  # q - 1
+_QM1_SQ = _QM1 * _QM1
 
 
 def count_closed_walks(q: int, n: int) -> int:
@@ -40,10 +57,8 @@ def count_closed_walks(q: int, n: int) -> int:
     inward.  Serves as the independent oracle for the generating-function
     route.
     """
-    if q < 1:
-        raise DomainError("branching number must be at least 1")
-    if n < 0:
-        raise DomainError("walk length must be non-negative")
+    q = integer_at_least(q, 1, "branching number")
+    n = integer_at_least(n, 0, "walk length")
     if n > MAX_WALK_LENGTH:
         raise DomainError(f"walk length capped at {MAX_WALK_LENGTH}")
     ways = {0: 1}
@@ -58,37 +73,65 @@ def count_closed_walks(q: int, n: int) -> int:
     return ways.get(0, 0)
 
 
-@lru_cache(maxsize=None)
+def _radical_coefficients(b: IntPoly, c: IntPoly, order: int) -> list[IntPoly]:
+    """The first ``order`` coefficients of sqrt(1 + b z + c z^2) over Z[q].
+
+    The root f is D-finite: 2 (1 + b z + c z^2) f' = (b + 2 c z) f, which
+    gives 2 (n+1) a_{n+1} = b (1 - 2n) a_n + 2 c (2 - n) a_{n-1} with a_0 = 1.
+    """
+    a = [_ONE]
+    before = IntPoly()
+    for n in range(order - 1):
+        step = b * a[n] * (1 - 2 * n) + c * before * (2 * (2 - n))
+        before = a[n]
+        a.append(step.divexact(2 * (n + 1)))
+    return a
+
+
+def _series_quotient(num: list[IntPoly], den: tuple[IntPoly, ...]) -> list[IntPoly]:
+    """Coefficients of num / den for a polynomial den in z with constant term 1."""
+    out: list[IntPoly] = []
+    for n, c in enumerate(num):
+        for k in range(1, min(n, len(den) - 1) + 1):
+            c = c - den[k] * out[n - k]
+        out.append(c)
+    return out
+
+
+@lru_cache(maxsize=None, typed=True)
 def moment_polynomials(n_max: int) -> tuple[IntPoly, ...]:
     """Closed-walk counts at the root as polynomials in q, for lengths 0..n_max.
 
     Expands the closed form of the walk generating function
     ((q+1) sqrt(1 - 4 q z^2) - (q - 1)) / (2 (1 - (q+1)^2 z^2)).
     """
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    order = n_max + 1
-    radicand = _poly_series([RatPoly.constant(1), RatPoly(), _Q * (-4)], order)
-    radical = series_sqrt(radicand)
-    numerator = radical * (_Q + 1) - _poly_series([_Q - 1], order)
-    denominator = _poly_series([RatPoly.constant(1), RatPoly(), -((_Q + 1) ** 2)], order)
-    f = (numerator * _HALF) / denominator
-    return tuple(c.to_intpoly() for c in f.coeffs)
+    n_max = integer_at_least(n_max, 0, "n_max")
+    radical = _radical_coefficients(IntPoly(), IntPoly((0, -4)), n_max + 1)
+    num = [_QP1 * r for r in radical]
+    num[0] = num[0] - _QM1
+    half = [c.divexact(2) for c in num]
+    return tuple(_series_quotient(half, (_ONE, IntPoly(), -(_QP1 * _QP1))))
 
 
 NEG_VALUE_METHODS = ("closed_form", "moments", "series")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPoly, ...]:
-    """Zeta values at 0, -1, ..., -m_max as integer polynomials in q."""
-    if m_max < 0:
-        raise DomainError("m_max must be non-negative")
+    """Zeta values at 0, -1, ..., -m_max as integer polynomials in q.
+
+    ``method`` picks one of the three independent routes in
+    ``NEG_VALUE_METHODS``: the binomial closed form (the default), the
+    binomial transform of the closed-walk counts, or the coefficients of the
+    closed generating function.  Each table is cached on (m_max, method).
+    """
+    m_max = integer_at_least(m_max, 0, "m_max")
     if method == "closed_form":
         return tuple(_neg_value_closed_form(m) for m in range(m_max + 1))
     if method == "moments":
         walks = moment_polynomials(m_max)
-        return tuple(_neg_value_from_moments(m, walks) for m in range(m_max + 1))
+        lifts = [_QP1**k for k in range(m_max + 1)]
+        return tuple(_neg_value_from_moments(m, walks, lifts) for m in range(m_max + 1))
     if method == "series":
         return _neg_values_series(m_max)
     raise DomainError(f"unknown method {method!r}; choose from {NEG_VALUE_METHODS}")
@@ -96,8 +139,7 @@ def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPo
 
 def zeta_neg(m: int, method: str = "closed_form") -> IntPoly:
     """Zeta value at -m as an integer polynomial in the branching number."""
-    if m < 0:
-        raise DomainError("m must be non-negative")
+    m = integer_at_least(m, 0, "m")
     return negative_value_table(m, method)[m]
 
 
@@ -115,12 +157,11 @@ def _neg_value_closed_form(m: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _neg_value_from_moments(m: int, walks) -> IntPoly:
-    # binomial transform of the walk counts against powers of q+1
-    qp1 = IntPoly((1, 1))
+def _neg_value_from_moments(m: int, walks, lifts) -> IntPoly:
+    # binomial transform of the walk counts against the powers lifts[k] = (q+1)^k
     acc = IntPoly()
     for j in range(m + 1):
-        term = walks[j] * (qp1 ** (m - j)) * math.comb(m, j)
+        term = walks[j] * lifts[m - j] * math.comb(m, j)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
 
@@ -128,78 +169,83 @@ def _neg_value_from_moments(m: int, walks) -> IntPoly:
 def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
     # coefficient extraction from the closed generating function
     # ((q+1) sqrt(1 - 2(q+1) z + (q-1)^2 z^2) + z (q^2-1) - (q-1)) / (2 (1 - 2(q+1) z))
-    order = m_max + 1
-    radicand = _poly_series(
-        [RatPoly.constant(1), (_Q + 1) * (-2), (_Q - 1) ** 2], order
-    )
-    radical = series_sqrt(radicand)
-    numerator = radical * (_Q + 1) + _poly_series([-(_Q - 1), _Q * _Q - 1], order)
-    denominator = _poly_series([RatPoly.constant(1), (_Q + 1) * (-2)], order)
-    g = (numerator * _HALF) / denominator
-    return tuple(c.to_intpoly() for c in g.coeffs)
+    radical = _radical_coefficients(_QP1 * -2, _QM1_SQ, m_max + 1)
+    num = [_QP1 * r for r in radical]
+    num[0] = num[0] - _QM1
+    if m_max >= 1:
+        num[1] = num[1] + _QP1 * _QM1
+    half = [c.divexact(2) for c in num]
+    return tuple(_series_quotient(half, (_ONE, _QP1 * -2)))
 
 
-def _list_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+# P_1, P_2, ... as far as the quadratic route has been asked for; only ever grown
+_quadratic_polys: list[IntPoly] = [_ONE]
 
 
-def _list_add_into(acc: list[int], term: list[int]) -> list[int]:
-    if len(term) > len(acc):
-        acc, term = term, acc
-    for i, t in enumerate(term):
-        acc[i] += t
-    return acc
+def _quadratic_table(n_max: int) -> list[IntPoly]:
+    """The live quadratic-route table, grown first to hold at least n_max polynomials.
+
+    The quadratic functional equation of the generating series gives
+    P_{n+1} = 2q sum_{j=1}^{n} P_j P_{n+1-j} - q (q-1)^2 sum_{j=1}^{n-1} P_j P_{n-j}
+    + (q-1)^2 P_n, O(n^4) integer work to depth n.
+    """
+    p = _quadratic_polys
+    while len(p) < n_max:
+        n = len(p)  # p[i] is P_{i+1}; this step appends P_{n+1}
+        conv_a = sum((p[j] * p[n - 1 - j] for j in range(n)), IntPoly())
+        conv_b = sum((p[j] * p[n - 2 - j] for j in range(n - 1)), IntPoly())
+        p.append((conv_a * 2 - _QM1_SQ * conv_b).shifted(1) + _QM1_SQ * p[n - 1])
+    return p
 
 
-@lru_cache(maxsize=None)
-def _value_poly_lists(n_max: int) -> tuple[tuple[int, ...], ...]:
-    # recursion over raw coefficient lists; IntPoly wrapping happens once at the end
-    qm1sq = [1, -2, 1]
-    p: list[list[int]] = [[1], [1]]  # index 0 unused by the sums
-    for n in range(1, n_max):
-        conv_a: list[int] = [0]
-        for j in range(1, n + 1):
-            conv_a = _list_add_into(conv_a, _list_mul(p[j], p[n + 1 - j]))
-        conv_b: list[int] = [0]
-        for j in range(1, n):
-            conv_b = _list_add_into(conv_b, _list_mul(p[j], p[n - j]))
-        term_a = [0] + [2 * c for c in conv_a]  # 2 q * conv_a
-        term_b = [0] + [-c for c in _list_mul(qm1sq, conv_b)]  # -q (q-1)^2 * conv_b
-        nxt = _list_add_into(term_a, term_b)
-        nxt = _list_add_into(nxt, _list_mul(qm1sq, p[n]))
-        p.append(nxt)
-    return tuple(tuple(c) for c in p[1:])
+# P_1, P_2, ... as far as the two-step route has been asked for; only ever grown
+_value_polys: list[IntPoly] = [_ONE]
+
+_TWO_STEP_CARRY = (_QM1_SQ * _QP1).shifted(1)  # q (q-1)^2 (q+1)
+_TWO_STEP_DIVISOR = IntPoly((0, 2, 2))  # 2 q (q+1)
+
+
+def _two_step_table(n_max: int) -> list[IntPoly]:
+    """The live two-step table, grown first to hold at least n_max polynomials."""
+    polys = _value_polys
+    n = len(polys)
+    if n < n_max:
+        before = _neg_value_closed_form(n)
+        lift = _QP1**n
+        while n < n_max:
+            n += 1
+            lift = lift * _QP1
+            neg = _neg_value_closed_form(n)
+            rhs = _TWO_STEP_CARRY * polys[-1] - lift * (neg - _QP1 * before * 2)
+            polys.append(rhs.divexact(_TWO_STEP_DIVISOR))
+            before = neg
+    return polys
 
 
 def value_polynomials(n_max: int) -> tuple[IntPoly, ...]:
-    """The monic palindromic polynomials carrying the positive special values.
+    """The monic palindromic polynomials P_1..P_n_max carrying the positive values.
 
-    Index k of the returned tuple holds the polynomial for the value at k+1;
-    the quadratic functional equation of their generating series yields the
-    recursion used here, seeded by the constant first polynomial.
+    Index k of the returned tuple holds the polynomial for the value at k+1.
+    Each polynomial is built from the one before and two closed-form negative
+    values by the two-step relation (the ``quadratic`` route stays internal,
+    as the oracle of the checks).  The table only grows, exactly as deep as
+    the deepest call so far; a call returns a prefix of it, each polynomial
+    built and wrapped once.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    # round the table size up so repeated calls share a handful of cached builds
-    size = max(8, n_max)
-    if size & (size - 1):
-        size = 1 << size.bit_length()
-    return tuple(IntPoly(c) for c in _value_poly_lists(size)[:n_max])
+    n_max = integer_at_least(n_max, 1, "n_max")
+    return tuple(_two_step_table(n_max)[:n_max])
+
+
+def _pos_value(q: int, n: int, poly: IntPoly) -> Fraction:
+    # zeta(n) = q P_n(q) / ((q-1)^(2n-1) (q+1)^n)
+    return Fraction(q * poly.evaluate(q), (q - 1) ** (2 * n - 1) * (q + 1) ** n)
 
 
 def zeta_pos(q: int, n: int) -> Fraction:
-    """Zeta value at the positive integer n, exactly."""
-    if not isinstance(q, int) or q < 2:
-        raise DomainError("branching number must be an integer >= 2 (q = 1 has its own line function)")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    p = value_polynomials(n)[n - 1]
-    return Fraction(q * p.evaluate(q), (q - 1) ** (2 * n - 1) * (q + 1) ** n)
+    """Zeta value at the positive integer n, exactly (q = 1 has its own line function)."""
+    q = branching_number(q)
+    n = integer_at_least(n, 1, "n")
+    return _pos_value(q, n, _two_step_table(n)[n - 1])
 
 
 def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
@@ -208,10 +254,8 @@ def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     Independent of the value-polynomial route: only the closed-walk quadratic
     feeds this recursion, so it cross-checks ``zeta_pos``.
     """
-    if not isinstance(q, int) or q < 2:
-        raise DomainError("branching number must be an integer >= 2")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    q = branching_number(q)
+    n_max = integer_at_least(n_max, 0, "n_max")
     a = [Fraction(1)]
     if n_max >= 1:
         a.append(Fraction(q, q * q - 1))
@@ -228,7 +272,13 @@ def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
 
 
 def zeta_integer(q: int, k: int) -> Fraction:
-    """Zeta value at any integer: polynomial evaluation for k <= 0, exact rational for k >= 1."""
+    """Zeta value at any integer: polynomial evaluation for k <= 0, exact rational for k >= 1.
+
+    For k <= 0 any q >= 1 is taken (q = 1 gives the line's values C(2m, m));
+    ``zeta_pos`` asks q >= 2 for k >= 1.
+    """
+    q = integer_at_least(q, 1, "branching number")
+    k = integer(k, "k")
     if k >= 1:
         return zeta_pos(q, k)
     return poly_eval(zeta_neg(-k), q)
@@ -238,14 +288,22 @@ def two_step_defect(q: int, n: int) -> Fraction:
     """Residual of the exact two-step functional relation at integer offset n.
 
     Zero for every integer n; computed with exact rationals on both sides so
-    a nonzero result is a genuine counterexample, not round-off.
+    a nonzero result is a genuine counterexample, not round-off.  The
+    positive values come from the quadratic route and the negative ones from
+    the closed form: the default value-polynomial table is built from this
+    very relation, so reading it here would check the identity with itself.
     """
-    if not isinstance(q, int) or q < 2:
-        raise DomainError("branching number must be an integer >= 2")
-    lhs = zeta_integer(q, -n) - 2 * (q + 1) * zeta_integer(q, 1 - n)
-    rhs = Fraction(q - 1) ** (2 * n - 1) * (
-        zeta_integer(q, n - 1) - 2 * (q + 1) * zeta_integer(q, n)
-    )
+    q = branching_number(q)
+    n = integer(n, "n")
+    polys = _quadratic_table(max(n, 1 - n))
+
+    def value(k: int) -> Fraction:
+        if k >= 1:
+            return _pos_value(q, k, polys[k - 1])
+        return poly_eval(zeta_neg(-k), q)
+
+    lhs = value(-n) - 2 * (q + 1) * value(1 - n)
+    rhs = Fraction(q - 1) ** (2 * n - 1) * (value(n - 1) - 2 * (q + 1) * value(n))
     return lhs - rhs
 
 
@@ -267,13 +325,11 @@ class SpecialValueTable:
 
     @classmethod
     def build(cls, q: int, depth: int = DEFAULT_TABLE_DEPTH) -> "SpecialValueTable":
-        if not isinstance(q, int) or q < 2:
-            raise DomainError("branching number must be an integer >= 2")
-        if depth < 1:
-            raise DomainError("depth must be positive")
+        q = branching_number(q)
+        depth = integer_at_least(depth, 1, "depth")
         polys = value_polynomials(depth)
         neg = tuple(int(poly_eval(p, q)) for p in negative_value_table(depth))
-        pos = tuple(zeta_pos(q, n) for n in range(1, depth + 1))
+        pos = tuple(_pos_value(q, n, p) for n, p in enumerate(polys, start=1))
         return cls(q=q, neg_values=neg, pos_values=pos, value_polys=polys)
 
 
@@ -291,5 +347,6 @@ def value_poly_small_rational_roots(n: int) -> list[Fraction]:
     confines candidates to ±1; a few more candidates are checked for free.
     Expected to be empty for every n.
     """
-    p = value_polynomials(n)[n - 1]
+    n = integer_at_least(n, 1, "n")
+    p = _two_step_table(n)[n - 1]
     return [x for x in SMALL_ROOT_CANDIDATES if p.evaluate(x) == 0]

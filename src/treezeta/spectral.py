@@ -19,6 +19,7 @@ functional equations the verification battery exercises.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonConvergedError, PoleError
+from .errors import DomainError, NonConvergedError, OutOfRangeError, PoleError
 from .genfun import spectral_edges, spectrum_cut
+from .validate import branching_number, finite_point
 
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
@@ -92,7 +94,8 @@ def _composite_gl(
 
     Convergence means two extra doublings have happened and the last doubling
     moved the value by no more than the tolerance; the last move is reported
-    as the error estimate either way.
+    as the error estimate either way.  A level whose value overflows double
+    precision raises OutOfRangeError at once: no finer level can repair it.
     """
     x, w = _gl_rule(spec.nodes_per_panel)
     prev: Optional[complex] = None
@@ -107,11 +110,18 @@ def _composite_gl(
         pts = (mids[:, None] + half * x[None, :]).ravel()
         vals = np.asarray(f(pts)).reshape(panels, spec.nodes_per_panel)
         integral = complex(half * np.sum(vals @ w))
+        try:
+            size = abs(integral)
+        except OverflowError:
+            size = math.inf
+        if not size < math.inf:  # also refuses NaN
+            raise OutOfRangeError(f"integral out of floating-point range (|value| = {size})")
         if prev is not None:
-            est = abs(integral - prev)
-            if level >= MIN_CONVERGED_LEVEL and est <= max(
-                spec.abs_tol, spec.rel_tol * abs(integral)
-            ):
+            try:
+                est = abs(integral - prev)
+            except OverflowError:  # two representable levels too far apart to subtract
+                est = math.inf
+            if level >= MIN_CONVERGED_LEVEL and est <= max(spec.abs_tol, spec.rel_tol * size):
                 return ZetaEval(integral, est, nodes_total, True)
         if 2 * nodes_total > spec.max_nodes:
             return ZetaEval(integral, est, nodes_total, False)
@@ -129,9 +139,21 @@ def _angle_base(q: int, theta: np.ndarray) -> np.ndarray:
     return (q + 1) - 2.0 * math.sqrt(q) * np.cos(theta)
 
 
-def _check_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise DomainError("branching number must be an integer >= 2")
+def _finite_result(fn: Callable) -> Callable:
+    """Turn a float overflow inside fn, or a non-finite value, into OutOfRangeError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not cmath.isfinite(value):
+            at = ", ".join(str(a) for a in args)
+            raise OutOfRangeError(f"{fn.__name__} at {at} is out of floating-point range")
+        return value
+
+    return checked
 
 
 def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> ZetaEval:
@@ -140,11 +162,9 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     Entire in s; the integrand's base stays inside the positive spectral
     interval, so complex powers need no branch care.
     """
-    _check_q(q)
+    q = branching_number(q)
+    s = finite_point(s)
     spec = spec or QuadratureSpec()
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"zeta needs a finite point, got {s}")
 
     def f(theta: np.ndarray) -> np.ndarray:
         return np.exp(-s * np.log(_angle_base(q, theta))) * _angle_weight(q, theta)
@@ -156,7 +176,7 @@ def _panel_doubling_trace(
     q: int, s: complex, levels: int, spec: Optional[QuadratureSpec] = None
 ) -> list[complex]:
     """Successive composite values for the zeta integrand, one per level."""
-    _check_q(q)
+    q = branching_number(q)
     if levels < 1:
         raise DomainError("need at least one level")
     spec = spec or QuadratureSpec()
@@ -174,15 +194,17 @@ def _panel_doubling_trace(
     return out
 
 
+@_finite_result
 def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> complex:
     """The completed two-term combination satisfying s -> 1 - s symmetry."""
-    _check_q(q)
-    s = complex(s)
+    q = branching_number(q)
+    s = finite_point(s)
     za = zeta_numeric(q, s, spec).require(f"zeta at {s}")
     zb = zeta_numeric(q, s - 1, spec).require(f"zeta at {s - 1}")
     return cmath.exp(s * math.log(q - 1)) * (2 * (q + 1) * za - zb)
 
 
+@_finite_result
 def xi_defect(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> complex:
     """Residual of the reflection s -> 1 - s of the completed combination."""
     return xi_value(q, s, spec) - xi_value(q, 1 - s, spec)
@@ -190,7 +212,7 @@ def xi_defect(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> comp
 
 def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float:
     """Return-probability-weighted heat kernel trace per vertex at time t."""
-    _check_q(q)
+    q = branching_number(q)
     if not t >= 0:  # also refuses NaN
         raise DomainError(f"heat time must be non-negative, got {t}")
     spec = spec or QuadratureSpec()
@@ -203,8 +225,8 @@ def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float
 
 def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = None) -> complex:
     """Stieltjes transform of the spectral measure at a point off the spectrum."""
-    _check_q(q)
-    z = complex(z)
+    q = branching_number(q)
+    z = finite_point(z)
     spectrum_cut(q).refuse_near(z)
     spec = spec or QuadratureSpec()
 
@@ -237,9 +259,10 @@ def _near_nonpositive_integer(s: complex) -> bool:
     return n <= 0 and abs(s - n) < POLE_NEIGHBOURHOOD
 
 
+@_finite_result
 def complex_gamma(s: complex) -> complex:
     """Gamma function on the complex plane, poles reported rather than inf."""
-    s = complex(s)
+    s = finite_point(s)
     if _near_nonpositive_integer(s):
         raise PoleError(f"gamma pole at {s}")
     if s.real < 0.5:
@@ -252,13 +275,14 @@ def complex_gamma(s: complex) -> complex:
     return math.sqrt(2 * math.pi) * t ** (s + 0.5) * cmath.exp(-t) * acc
 
 
+@_finite_result
 def zeta_line(s: complex) -> complex:
     """Spectral zeta of the two-regular tree, the integer line, in closed form.
 
     Vanishes at the positive integers, has poles at the positive half odd
     integers; the value at -m is the central binomial coefficient.
     """
-    s = complex(s)
+    s = finite_point(s)
     if _near_nonpositive_integer(0.5 - s):
         raise PoleError(f"line zeta pole at s={s}")
     if _near_nonpositive_integer(1 - s):
@@ -271,6 +295,7 @@ def zeta_line(s: complex) -> complex:
     )
 
 
+@_finite_result
 def zeta_sato_tate(w: complex) -> complex:
     """Zeta of the semicircle-type spectral weight on [0, 4], in closed form.
 
@@ -278,7 +303,7 @@ def zeta_sato_tate(w: complex) -> complex:
     also the line zeta shifted by one and divided by 2 - w, with the
     singularity at w = 2 already removed by cancelling the line zero there.
     """
-    w = complex(w)
+    w = finite_point(w)
     if _near_nonpositive_integer(1.5 - w):
         raise PoleError(f"pole at w={w}")
     if _near_nonpositive_integer(3 - w):
@@ -296,6 +321,7 @@ SATO_TATE_QUAD_NODES = 24
 SATO_TATE_MAX_RE = 1.4
 
 
+@_finite_result
 def zeta_sato_tate_quad(s: complex) -> complex:
     """Direct quadrature check of the semicircle zeta for Re s < 1.4.
 
@@ -304,7 +330,7 @@ def zeta_sato_tate_quad(s: complex) -> complex:
     its leading power law; past Re s = 1.4 that tail treatment loses accuracy,
     hence the hard validity bound.
     """
-    s = complex(s)
+    s = finite_point(s)
     if s.real >= SATO_TATE_MAX_RE:
         raise DomainError(f"direct quadrature is only valid for Re s < {SATO_TATE_MAX_RE}")
     x, w = _gl_rule(SATO_TATE_QUAD_NODES)
@@ -323,6 +349,7 @@ def zeta_sato_tate_quad(s: complex) -> complex:
     return (2.0 / math.pi) * (total + tail)
 
 
+@_finite_result
 def xi_sato_tate(s: complex) -> complex:
     """Completed symmetric combination of the semicircle zeta.
 
@@ -330,17 +357,18 @@ def xi_sato_tate(s: complex) -> complex:
     closed form, so its s -> 1 - s symmetry stays a genuine check instead of
     an algebraic tautology.
     """
-    s = complex(s)
+    s = finite_point(s)
     return (2 - s) * cmath.exp(s * math.log(2)) * cmath.cos(math.pi * s / 2) * zeta_sato_tate(1 + s / 2)
 
 
+@_finite_result
 def xi_sato_tate_defect(s: complex) -> complex:
     return xi_sato_tate(s) - xi_sato_tate(1 - s)
 
 
 def heat_decay_bound(q: int, t: float) -> float:
     """Envelope 2 exp(-t r) with r the bottom of the spectrum."""
-    _check_q(q)
+    q = branching_number(q)
     if not t >= 0:  # also refuses NaN
         raise DomainError(f"heat time must be non-negative, got {t}")
     return 2.0 * math.exp(-t * spectral_edges(q)[0])

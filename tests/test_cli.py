@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treezeta import spectral
 from treezeta.cli import latex_poly, main
@@ -130,6 +132,28 @@ class TestZeta:
 
         monkeypatch.setattr(spectral, "_composite_gl", no_quadrature)
         code, out, err = run_cli(capsys, "zeta", "--q", "2", "--s", "nan")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "--q", "2", "--s", "500"],
+            ["zeta", "--q", "2", "--s=-600"],
+            ["zeta", "--line", "--s=-200,0"],
+            ["zeta", "--sato-tate", "--s=-500"],
+        ],
+    )
+    def test_out_of_range_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "out of floating-point range" in err
+
+    @pytest.mark.parametrize("flag", ["--line", "--sato-tate"])
+    def test_nan_point_on_limit_lines_is_input_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "zeta", flag, "--s", "nan")
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -288,3 +312,40 @@ class TestFormatsAndPlumbing:
         lines = out.splitlines()
         assert lines[0] == "index,value"
         assert lines[1].startswith("0,")
+
+
+_POINTS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "500", "-500"]),
+    st.floats(min_value=-600, max_value=600).map(repr),
+)
+_ZETA_TARGETS = st.one_of(
+    st.integers(1, 6).map(lambda q: ["--q", str(q)]),
+    st.sampled_from([["--line"], ["--sato-tate"]]),
+)
+_CHEAP_ARGV = st.one_of(
+    st.builds(lambda target, s: ["zeta", *target, f"--s={s}"], _ZETA_TARGETS, _POINTS),
+    st.builds(
+        lambda q, neg, pos: ["values", "--q", str(q), "--neg", str(neg), "--pos", str(pos)],
+        st.integers(0, 8),
+        st.integers(-1, 10),
+        st.integers(-1, 10),
+    ),
+    st.integers(-2, 40).map(lambda n: ["poly", "--n", str(n)]),
+)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_CHEAP_ARGV)
+def test_exit_code_contract(capsys, argv):
+    """Every invocation exits 0/1/2/3 and never ends in a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv

@@ -67,6 +67,31 @@ def test_intpoly_eval_is_multiplicative(a, b, x):
     assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
 
 
+class TestDivExact:
+    def test_quotients(self):
+        assert IntPoly([0, 2, 2]).divexact(IntPoly([0, 2, 2])) == IntPoly([1])
+        assert (IntPoly([1, 1]) ** 5).divexact(IntPoly([1, 1]) ** 2) == IntPoly([1, 1]) ** 3
+        assert IntPoly([4, -6]).divexact(2) == IntPoly([2, -3])
+        assert IntPoly().divexact(IntPoly([1, 1])) == IntPoly()
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (IntPoly([1, 2]), 2),
+            (IntPoly([1, 1, 1]), IntPoly([1, 1])),
+            (IntPoly([0, 1]), IntPoly([0, 2])),
+            (IntPoly([1]), IntPoly([0, 1])),
+        ],
+    )
+    def test_remainder_raises(self, num, den):
+        with pytest.raises(ConsistencyError):
+            num.divexact(den)
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            IntPoly([1]).divexact(0)
+
+
 class TestRatPoly:
     def test_truediv_scalar(self):
         p = RatPoly([Fraction(1), Fraction(2)]) / 4

@@ -222,3 +222,26 @@ class TestQuadraticResidual:
     def test_short_table_rejected(self):
         with pytest.raises(DomainError):
             quadratic_residual_series(10, value_polynomials(5))
+
+
+class TestArgumentValidation:
+    def test_numpy_branching_number_accepted(self):
+        import numpy as np
+
+        assert spectral_edges(np.int64(4)) == spectral_edges(4)
+        assert moment_genfun(np.int64(2), 0.1) == moment_genfun(2, 0.1)
+
+    @pytest.mark.parametrize("q", [True, 2.0, 2.5, "2"])
+    def test_non_integer_branching_number_refused(self, q):
+        with pytest.raises(DomainError):
+            spectral_edges(q)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_non_finite_points_refused(self, z):
+        for call in (moment_genfun, entire_combination, cut_sqrt, symmetry_defect):
+            with pytest.raises(DomainError):
+                call(2, z)
+
+    def test_residual_depth_must_be_integer(self):
+        with pytest.raises(DomainError):
+            quadratic_residual_series(4.0)

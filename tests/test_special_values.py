@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from treezeta.errors import DomainError
-from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
+from treezeta import special_values as sv
+from treezeta.errors import ConsistencyError, DomainError
+from treezeta.exact import IntPoly, RatPoly, Series, poly_eval, poly_is_palindromic, series_sqrt
+from treezeta.genfun import quadratic_residual_series
 from treezeta.special_values import (
     NEG_VALUE_METHODS,
     SpecialValueTable,
@@ -144,6 +147,16 @@ class TestIntegerValues:
         assert zeta_integer(3, -2) == 20
         assert zeta_integer(3, 1) == Fraction(3, 8)
 
+    @pytest.mark.parametrize("m", range(6))
+    def test_line_values_at_q_one(self, m):
+        assert zeta_integer(1, -m) == math.comb(2 * m, m)
+
+    def test_positive_value_at_q_one_refused(self):
+        with pytest.raises(DomainError):
+            zeta_integer(1, 2)
+        with pytest.raises(DomainError):
+            zeta_integer(0, -1)
+
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("n", range(-8, 9))
     def test_two_step_relation_exact(self, q, n):
@@ -166,3 +179,135 @@ class TestSpecialValueTable:
             SpecialValueTable.build(1)
         with pytest.raises(DomainError):
             SpecialValueTable.build(2, depth=0)
+
+
+class TestTwoStepRoute:
+    """The default value-polynomial route against the quadratic oracle."""
+
+    def test_equals_quadratic_route(self):
+        assert value_polynomials(48) == tuple(sv._quadratic_table(48)[:48])
+
+    def test_short_call_is_prefix_of_deeper_call(self):
+        deep = value_polynomials(40)
+        for n in (1, 7, 23, 40):
+            assert value_polynomials(n) == deep[:n]
+
+    def test_polynomials_are_not_rewrapped(self):
+        assert value_polynomials(9)[8] is value_polynomials(30)[8]
+
+    def test_builds_exactly_the_requested_depth(self, monkeypatch):
+        monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
+        assert len(value_polynomials(37)) == 37
+        assert len(sv._value_polys) == 37
+        zeta_pos(3, 41)
+        assert len(sv._value_polys) == 41
+
+    def test_remainder_raises_consistency_error(self, monkeypatch):
+        honest = sv._neg_value_closed_form
+
+        def corrupted(m):
+            return honest(m) + (1 if m == 5 else 0)
+
+        monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
+        monkeypatch.setattr(sv, "_neg_value_closed_form", corrupted)
+        with pytest.raises(ConsistencyError):
+            value_polynomials(6)
+        # the polynomials built before the failure stay as they were
+        assert sv._value_polys == sv._quadratic_table(4)[:4]
+
+    def test_two_step_check_does_not_read_the_two_step_table(self, monkeypatch):
+        from treezeta.verify import check_two_step
+
+        def refuse(n_max):
+            raise AssertionError("the two-step table was read")
+
+        monkeypatch.setattr(sv, "_two_step_table", refuse)
+        result = check_two_step(qs=(2, 3), n_abs=10)
+        assert result.passed and result.exact_defect == "0"
+
+    def test_residual_detects_corrupted_default_table(self, monkeypatch):
+        polys = list(value_polynomials(12))
+        polys[6] = polys[6] + IntPoly([0, 1])
+        monkeypatch.setattr(sv, "_value_polys", polys)
+        residual = quadratic_residual_series(12)
+        assert any(not c.is_zero() for c in residual)
+
+    def test_depth_129_builds_fast(self, monkeypatch):
+        import time
+
+        monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
+        start = time.perf_counter()
+        polys = value_polynomials(129)
+        assert len(polys) == 129
+        assert time.perf_counter() - start < 5.0  # ~0.6 s on a 2-core machine
+
+
+class TestRadicalRecurrence:
+    """The D-finite radical coefficients against Newton iteration over RatPoly."""
+
+    Q = RatPoly.variable()
+
+    @pytest.mark.parametrize(
+        "b, c",
+        [
+            (IntPoly(), IntPoly([0, -4])),  # 1 - 4 q z^2, the walk radical
+            (IntPoly([-2, -2]), IntPoly([1, -2, 1])),  # 1 - 2(q+1) z + (q-1)^2 z^2
+        ],
+    )
+    def test_equals_series_sqrt(self, b, c):
+        order = 31
+        radicand = [RatPoly([1]), b.to_ratpoly(), c.to_ratpoly()] + [RatPoly()] * (order - 3)
+        newton = series_sqrt(Series(radicand))
+        got = sv._radical_coefficients(b, c, order)
+        assert got == [x.to_intpoly() for x in newton.coeffs]
+
+    def test_inexact_division_raises(self):
+        # sqrt(1 + z) leaves the integers at its first coefficient
+        with pytest.raises(ConsistencyError):
+            sv._radical_coefficients(IntPoly([1]), IntPoly(), 3)
+
+    def test_series_route_matches_closed_form_deep(self):
+        assert negative_value_table(90, "series") == negative_value_table(90)
+
+
+class TestArgumentValidation:
+    """One integer validator across the module: operator.index, no bools."""
+
+    def test_numpy_branching_number_accepted(self):
+        assert zeta_pos(np.int64(2), 3) == zeta_pos(2, 3) == Fraction(86, 27)
+        assert zeta_integer(np.int64(3), np.int64(-2)) == 20
+        assert positive_value_sequence(np.int64(2), 3)[3] == Fraction(86, 27)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: zeta_pos(2, True),
+            lambda: zeta_pos(True, 2),
+            lambda: zeta_pos(2, 2.0),
+            lambda: zeta_pos(2.0, 2),
+            lambda: value_polynomials(3.0),
+            lambda: value_polynomials(True),
+            lambda: negative_value_table(2.5),
+            lambda: negative_value_table(True),
+            lambda: moment_polynomials(1.5),
+            lambda: positive_value_sequence(2, 2.5),
+            lambda: count_closed_walks(2.5, 2),
+            lambda: count_closed_walks(2, 2.0),
+            lambda: zeta_integer(2, 1.0),
+            lambda: zeta_neg(1.0),
+            lambda: two_step_defect(2, 0.5),
+            lambda: SpecialValueTable.build(2, depth=2.0),
+        ],
+    )
+    def test_non_integers_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_bool_refused_after_int_was_cached(self):
+        negative_value_table(1)
+        with pytest.raises(DomainError):
+            negative_value_table(True)
+
+    def test_small_roots_names_its_argument(self):
+        with pytest.raises(DomainError, match=r"^n must be at least 1"):
+            value_poly_small_rational_roots(0)

@@ -10,6 +10,7 @@ from treezeta.errors import (
     CutViolationError,
     DomainError,
     NonConvergedError,
+    OutOfRangeError,
     PoleError,
 )
 from treezeta.exact import poly_eval
@@ -314,3 +315,84 @@ class TestXiSatoTate:
                 / (complex_gamma((1 + s) / 2) * complex_gamma(1 - s / 2))
             )
             assert xi_sato_tate(s) == pytest.approx(want, rel=1e-11)
+
+
+def _no_quadrature(*args):
+    raise AssertionError("quadrature ran on a non-finite point")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteAndOutOfRange:
+    """Every public evaluator returns a finite value or raises a typed error."""
+
+    def test_numpy_branching_number_accepted(self):
+        assert zeta_numeric(np.int64(2), 0.5).value == zeta_numeric(2, 0.5).value
+        assert heat_decay_bound(np.int64(3), 1.0) == heat_decay_bound(3, 1.0)
+
+    @pytest.mark.parametrize("q", [True, 2.0])
+    def test_non_integer_branching_number_refused(self, q):
+        with pytest.raises(DomainError):
+            zeta_numeric(q, 0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, complex(0.5, math.nan), math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "fn", [zeta_line, zeta_sato_tate, zeta_sato_tate_quad, xi_sato_tate, complex_gamma]
+    )
+    def test_line_functions_refuse_non_finite(self, fn, s):
+        with pytest.raises(DomainError):
+            fn(s)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(0, math.inf)])
+    def test_resolvent_refuses_non_finite_before_quadrature(self, z, monkeypatch):
+        monkeypatch.setattr(spectral, "_composite_gl", _no_quadrature)
+        with pytest.raises(DomainError):
+            resolvent_transform(2, z)
+
+    @pytest.mark.parametrize("s", [450.0, 500.0, -500.0, -600.0])
+    def test_zeta_overflow_is_typed(self, s):
+        with pytest.raises(OutOfRangeError):
+            zeta_numeric(2, s)
+
+    def test_overflow_stops_at_first_level(self, monkeypatch):
+        calls = []
+        base = spectral._composite_gl
+
+        def counting(f, a, b, spec):
+            def g(theta):
+                calls.append(len(theta))
+                return f(theta)
+
+            return base(g, a, b, spec)
+
+        monkeypatch.setattr(spectral, "_composite_gl", counting)
+        with pytest.raises(OutOfRangeError):
+            zeta_numeric(2, 600.0)
+        assert calls == [spectral.NODES_PER_PANEL]
+
+    def test_levels_too_far_apart_to_subtract_do_not_raise(self):
+        # each level's integral is representable; only their difference overflows
+        spec = spectral.QuadratureSpec(max_nodes=4 * spectral.NODES_PER_PANEL)
+        sign = iter([1.0, -1.0, 1.0])
+
+        def f(theta):
+            return np.full(len(theta), next(sign) * (1 + 1j))
+
+        ev = spectral._composite_gl(f, 0.0, 0.75e308, spec)
+        assert not ev.converged
+        assert ev.est_error == math.inf
+        assert abs(ev.value) < math.inf
+
+    @pytest.mark.parametrize("s", [-200.0, -150.0, complex(-200, 0)])
+    def test_line_overflow_is_typed(self, s):
+        with pytest.raises(OutOfRangeError):
+            zeta_line(s)
+
+    def test_out_of_range_is_a_domain_error(self):
+        assert issubclass(OutOfRangeError, DomainError)
+        with pytest.raises(DomainError):
+            zeta_sato_tate(-500.0)
+
+    def test_representable_extremes_still_evaluate(self):
+        assert math.isfinite(zeta_numeric(2, 400.0).require().real)
+        assert zeta_line(-100.0).real == pytest.approx(math.comb(200, 100), rel=1e-9)
