@@ -37,10 +37,10 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
-from .verify import run_battery
+from .verify import ALL_CHECKS, run_battery
 
 FORMATS = ("json", "csv", "latex", "text")
-VERIFY_SUITES = ("all", "symmetry", "fe", "dyck", "negvals", "twostep", "laplace")
+VERIFY_SUITES = ("all", *ALL_CHECKS)
 
 _CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
 
@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
     quad.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-    quad.add_argument("--max-nodes", type=_int_arg, help="quadrature node budget")
+    quad.add_argument(
+        "--max-nodes", type=_int_arg, help="quadrature budget: most intervals, a power of two >= 16"
+    )
 
     parser = argparse.ArgumentParser(
         prog="treezeta",

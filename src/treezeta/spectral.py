@@ -1,19 +1,19 @@
 """Numeric evaluation of the spectral zeta function and its relatives.
 
-The workhorse is an adaptive composite Gauss-Legendre rule applied to the
-spectral-angle form of the defining integral: the substitution
-lambda = 2 sqrt(q) cos(theta) turns the spectral measure into a smooth weight
+The workhorse is a nested periodic trapezoid rule on the spectral-angle form
+of the defining integral: lambda = 2 sqrt(q) cos(theta) turns the spectral
+measure into the weight
 
     (2/pi) q (q+1) sin^2(theta) / ((q+1)^2 - 4 q cos^2(theta))
 
-on [0, pi], so every integrand here is analytic on the closed interval and
-panel doubling converges geometrically.  The same weight drives the zeta
-values, the heat trace and the resolvent transform.
+on [0, pi].  Every integrand built on it is even, 2 pi-periodic and analytic
+in a strip, so the rule converges geometrically, and each doubling samples
+only the new midpoints.
 
 Alongside the tree engine live the two limiting line functions (the integer
-lattice and its continuous companion) built from the reflection-completed
-Lanczos gamma approximation, plus the completed symmetric combinations whose
-functional equations the verification battery exercises.
+lattice and its continuous companion), evaluated in log space from the
+reflection-completed Lanczos log-gamma, plus the completed symmetric
+combinations whose functional equations the verification battery exercises.
 """
 
 from __future__ import annotations
@@ -34,33 +34,30 @@ from .validate import branching_number, finite_point
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
 DEFAULT_MAX_NODES = 1 << 20
-NODES_PER_PANEL = 16
+FIRST_LEVEL_INTERVALS = 16
 MIN_CONVERGED_LEVEL = 2
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the panel-doubling quadrature."""
+    """Tolerances and interval budget for the nested trapezoid rule."""
 
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
     max_nodes: int = DEFAULT_MAX_NODES
-    nodes_per_panel: int = NODES_PER_PANEL
 
     def __post_init__(self):
         for tol in (self.abs_tol, self.rel_tol):
             if not (math.isfinite(tol) and tol > 0):
                 raise DomainError("tolerances must be positive and finite")
-        if self.nodes_per_panel < 2:
-            raise DomainError("need at least two nodes per panel")
         n = self.max_nodes
-        if n < self.nodes_per_panel or n & (n - 1):
-            raise DomainError("max_nodes must be a power of two holding at least one panel")
+        if n < FIRST_LEVEL_INTERVALS or n & (n - 1):
+            raise DomainError(f"max_nodes must be a power of two >= {FIRST_LEVEL_INTERVALS}")
 
 
 @dataclass(frozen=True)
 class ZetaEval:
-    """One quadrature result with its own error estimate."""
+    """One quadrature result with its own error estimate; nodes counts integrand evaluations."""
 
     value: complex
     est_error: float
@@ -80,36 +77,29 @@ class ZetaEval:
 
 @lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _composite_gl(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
+def _periodic_trapezoid(
+    f: Callable[[np.ndarray], np.ndarray], spec: Optional[QuadratureSpec] = None
 ) -> ZetaEval:
-    """Integrate a vectorised integrand over [a, b] by panel doubling.
+    """Integrate an even, 2 pi-periodic vectorised integrand over [0, pi].
 
-    Convergence means two extra doublings have happened and the last doubling
-    moved the value by no more than the tolerance; the last move is reported
-    as the error estimate either way.  A level whose value overflows double
-    precision raises OutOfRangeError at once: no finer level can repair it.
+    Level k is the trapezoid rule on N = 16 * 2^k <= spec.max_nodes
+    intervals; each doubling samples only the N new midpoints, so the N + 1
+    evaluations of the last level are every sample taken.  Convergence means
+    two doublings have happened and the last one moved the value by no more
+    than the tolerance; the last move is the error estimate either way.  A
+    level that overflows double precision raises OutOfRangeError at once.
     """
-    x, w = _gl_rule(spec.nodes_per_panel)
+    spec = spec or QuadratureSpec()
+    n = FIRST_LEVEL_INTERVALS
+    h = math.pi / n
+    vals = h * f(np.linspace(0.0, math.pi, n + 1))
+    integral = complex(np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
     prev: Optional[complex] = None
     est = math.inf
-    level = 0
     while True:
-        panels = 1 << level
-        nodes_total = panels * spec.nodes_per_panel
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        pts = (mids[:, None] + half * x[None, :]).ravel()
-        vals = np.asarray(f(pts)).reshape(panels, spec.nodes_per_panel)
-        integral = complex(half * np.sum(vals @ w))
         try:
             size = abs(integral)
         except OverflowError:
@@ -121,12 +111,15 @@ def _composite_gl(
                 est = abs(integral - prev)
             except OverflowError:  # two representable levels too far apart to subtract
                 est = math.inf
-            if level >= MIN_CONVERGED_LEVEL and est <= max(spec.abs_tol, spec.rel_tol * size):
-                return ZetaEval(integral, est, nodes_total, True)
-        if 2 * nodes_total > spec.max_nodes:
-            return ZetaEval(integral, est, nodes_total, False)
+            converged = est <= max(spec.abs_tol, spec.rel_tol * size)
+            if converged and n >= FIRST_LEVEL_INTERVALS << MIN_CONVERGED_LEVEL:
+                return ZetaEval(integral, est, n + 1, True)
+        if 2 * n > spec.max_nodes:
+            return ZetaEval(integral, est, n + 1, False)
         prev = integral
-        level += 1
+        h *= 0.5
+        integral = 0.5 * integral + complex(np.sum(h * f(h * np.arange(1, 2 * n, 2))))
+        n *= 2
 
 
 def _angle_weight(q: int, theta: np.ndarray) -> np.ndarray:
@@ -164,44 +157,29 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     """
     q = branching_number(q)
     s = finite_point(s)
-    spec = spec or QuadratureSpec()
 
     def f(theta: np.ndarray) -> np.ndarray:
         return np.exp(-s * np.log(_angle_base(q, theta))) * _angle_weight(q, theta)
 
-    return _composite_gl(f, 0.0, math.pi, spec)
-
-
-def _panel_doubling_trace(
-    q: int, s: complex, levels: int, spec: Optional[QuadratureSpec] = None
-) -> list[complex]:
-    """Successive composite values for the zeta integrand, one per level."""
-    q = branching_number(q)
-    if levels < 1:
-        raise DomainError("need at least one level")
-    spec = spec or QuadratureSpec()
-    s = complex(s)
-    x, w = _gl_rule(spec.nodes_per_panel)
-    out = []
-    for level in range(levels):
-        panels = 1 << level
-        edges = np.linspace(0.0, math.pi, panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        pts = (mids[:, None] + half * x[None, :]).ravel()
-        vals = np.exp(-s * np.log(_angle_base(q, pts))) * _angle_weight(q, pts)
-        out.append(complex(half * np.sum(vals.reshape(panels, -1) @ w)))
-    return out
+    return _periodic_trapezoid(f, spec)
 
 
 @_finite_result
 def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> complex:
-    """The completed two-term combination satisfying s -> 1 - s symmetry."""
+    """The completed combination (q-1)^s (2(q+1) zeta(s) - zeta(s-1)), s -> 1 - s symmetric.
+
+    One quadrature: the two zeta integrands share the factor base^-s, and
+    2(q+1) - base = q + 1 + 2 sqrt(q) cos(theta) stays positive.
+    """
     q = branching_number(q)
     s = finite_point(s)
-    za = zeta_numeric(q, s, spec).require(f"zeta at {s}")
-    zb = zeta_numeric(q, s - 1, spec).require(f"zeta at {s - 1}")
-    return cmath.exp(s * math.log(q - 1)) * (2 * (q + 1) * za - zb)
+
+    def f(theta: np.ndarray) -> np.ndarray:
+        base = _angle_base(q, theta)
+        return np.exp(-s * np.log(base)) * (2 * (q + 1) - base) * _angle_weight(q, theta)
+
+    combo = _periodic_trapezoid(f, spec).require(f"xi at {s}")
+    return cmath.exp(s * math.log(q - 1)) * combo
 
 
 @_finite_result
@@ -215,12 +193,11 @@ def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float
     q = branching_number(q)
     if not t >= 0:  # also refuses NaN
         raise DomainError(f"heat time must be non-negative, got {t}")
-    spec = spec or QuadratureSpec()
 
     def f(theta: np.ndarray) -> np.ndarray:
         return np.exp(-t * _angle_base(q, theta)) * _angle_weight(q, theta)
 
-    return _composite_gl(f, 0.0, math.pi, spec).require(f"heat trace at t={t}").real
+    return _periodic_trapezoid(f, spec).require(f"heat trace at t={t}").real
 
 
 def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = None) -> complex:
@@ -228,12 +205,11 @@ def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = Non
     q = branching_number(q)
     z = finite_point(z)
     spectrum_cut(q).refuse_near(z)
-    spec = spec or QuadratureSpec()
 
     def f(theta: np.ndarray) -> np.ndarray:
         return _angle_weight(q, theta) / (_angle_base(q, theta) - z)
 
-    return _composite_gl(f, 0.0, math.pi, spec).require(f"resolvent at z={z}")
+    return _periodic_trapezoid(f, spec).require(f"resolvent at z={z}")
 
 
 # Lanczos approximation, g = 7, nine coefficients; accurate to roughly
@@ -259,20 +235,46 @@ def _near_nonpositive_integer(s: complex) -> bool:
     return n <= 0 and abs(s - n) < POLE_NEIGHBOURHOOD
 
 
+def _log_sin_pi(s: complex) -> complex:
+    """A logarithm of sin(pi s), finite however large |Im s| is.
+
+    With x = Re s reduced mod 2 and y = Im s, sin(pi s) is
+    e^(pi |y|) / 2 * (sin(pi x) (1 + e^(-2 pi |y|)) + i sign(y) cos(pi x) (1 - e^(-2 pi |y|))).
+    """
+    x = s.real - 2 * round(s.real / 2)
+    y = abs(s.imag)
+    inner = complex(
+        math.sin(math.pi * x) * (1 + math.exp(-2 * math.pi * y)),
+        -math.copysign(1.0, s.imag) * math.cos(math.pi * x) * math.expm1(-2 * math.pi * y),
+    )
+    return math.pi * y - math.log(2) + cmath.log(inner)
+
+
+def _log_gamma(s: complex) -> complex:
+    """A logarithm of Gamma(s) away from its poles, reflected on logs for Re s < 1/2."""
+    if s.real < 0.5:
+        return math.log(math.pi) - _log_sin_pi(s) - _log_gamma(1 - s)
+    s -= 1
+    acc = _LANCZOS_COEFFS[0]
+    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        acc += c / (s + i)
+    t = s + _LANCZOS_G + 0.5
+    return 0.5 * math.log(2 * math.pi) + (s + 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def _exp_log(log_value: complex, s: complex) -> complex:
+    """exp of a sum of logs; real for real s, where the phase is a multiple of pi."""
+    value = cmath.exp(log_value)
+    return value if s.imag else complex(value.real)
+
+
 @_finite_result
 def complex_gamma(s: complex) -> complex:
     """Gamma function on the complex plane, poles reported rather than inf."""
     s = finite_point(s)
     if _near_nonpositive_integer(s):
         raise PoleError(f"gamma pole at {s}")
-    if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * complex_gamma(1 - s))
-    s -= 1
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (s + i)
-    t = s + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (s + 0.5) * cmath.exp(-t) * acc
+    return _exp_log(_log_gamma(s), s)
 
 
 @_finite_result
@@ -287,11 +289,9 @@ def zeta_line(s: complex) -> complex:
         raise PoleError(f"line zeta pole at s={s}")
     if _near_nonpositive_integer(1 - s):
         return 0j
-    return (
-        cmath.exp(-2 * s * math.log(2))
-        / math.sqrt(math.pi)
-        * complex_gamma(0.5 - s)
-        / complex_gamma(1 - s)
+    return _exp_log(
+        -2 * s * math.log(2) - 0.5 * math.log(math.pi) + _log_gamma(0.5 - s) - _log_gamma(1 - s),
+        s,
     )
 
 
@@ -308,11 +308,9 @@ def zeta_sato_tate(w: complex) -> complex:
         raise PoleError(f"pole at w={w}")
     if _near_nonpositive_integer(3 - w):
         return 0j
-    return (
-        cmath.exp((1 - w) * math.log(4))
-        / math.sqrt(math.pi)
-        * complex_gamma(1.5 - w)
-        / complex_gamma(3 - w)
+    return _exp_log(
+        (1 - w) * math.log(4) - 0.5 * math.log(math.pi) + _log_gamma(1.5 - w) - _log_gamma(3 - w),
+        w,
     )
 
 

@@ -484,6 +484,23 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
+# The run_battery overrides each check accepts, and the keywords that carry them.
+CHECK_OVERRIDES: dict[str, dict[str, tuple[str, ...]]] = {
+    "value_polys": {},
+    "negvals": {"n_max": ("m_max",)},
+    "moments": {},
+    "dyck": {"n_max": ("n_max",)},
+    "symmetry": {"q": ("qs",), "tol": ("tol",)},
+    "entire": {"q": ("qs",), "tol": ("tol",)},
+    "twostep": {"q": ("qs",), "n_max": ("n_abs",)},
+    "fe": {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)},
+    "integers": {"q": ("qs",), "tol": ("rel_tol",), "quad": ("quad",)},
+    "laplace": {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)},
+    "boundary": {"tol": ("line_tol", "fe_tol", "quad_tol")},
+    "residual": {"n_max": ("order",)},
+}
+
+
 def run_battery(
     names: Optional[Sequence[str]] = None,
     q: Optional[int] = None,
@@ -493,37 +510,23 @@ def run_battery(
 ) -> list[CheckResult]:
     """Run a named subset of the battery (everything by default).
 
-    The overrides reshape the checks they make sense for: q restricts the
-    tree-indexed grids, tol replaces each selected check's tolerance, n_max
-    resizes the depth-indexed exact checks.
+    The overrides reshape the checks that declare them in CHECK_OVERRIDES:
+    q restricts the tree-indexed grids, tol replaces each selected check's
+    tolerance, n_max resizes the depth-indexed exact checks, quad sets the
+    quadrature of the numeric checks.
     """
     selected = list(names) if names is not None else list(ALL_CHECKS)
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")
-    qs = (q,) if q is not None else None
+    given = {"q": (q,) if q is not None else None, "tol": tol, "n_max": n_max, "quad": quad}
     out = []
     for name in selected:
-        kwargs = {}
-        if qs is not None and name in ("symmetry", "entire", "twostep", "fe", "integers", "laplace"):
-            kwargs["qs"] = qs
-        if tol is not None:
-            if name in ("symmetry", "entire", "fe", "laplace"):
-                kwargs["tol"] = tol
-            elif name == "integers":
-                kwargs["rel_tol"] = tol
-            elif name == "boundary":
-                kwargs.update(line_tol=tol, fe_tol=tol, quad_tol=tol)
-        if n_max is not None:
-            if name == "negvals":
-                kwargs["m_max"] = n_max
-            elif name == "dyck":
-                kwargs["n_max"] = n_max
-            elif name == "twostep":
-                kwargs["n_abs"] = n_max
-            elif name == "residual":
-                kwargs["order"] = n_max
-        if quad is not None and name in ("fe", "integers", "laplace"):
-            kwargs["quad"] = quad
+        kwargs = {
+            keyword: given[override]
+            for override, keywords in CHECK_OVERRIDES[name].items()
+            if given[override] is not None
+            for keyword in keywords
+        }
         out.append(ALL_CHECKS[name](**kwargs))
     return out

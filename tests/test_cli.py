@@ -1,6 +1,7 @@
 """CLI behaviour: formats, exit codes, canonical JSON, determinism."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,11 +127,17 @@ class TestZeta:
         assert "best" in payload["results"]
         assert payload["results"]["est_error"] > 0
 
+    def test_line_value_past_the_gamma_overflow(self, capsys):
+        code, out, _ = run_cli(capsys, "zeta", "--line", "--s=-200,0", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["results"]["value"]
+        assert value["re"] == pytest.approx(math.comb(400, 200), rel=1e-9)
+
     def test_nan_point_is_input_error(self, capsys, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("quadrature ran on a NaN point")
 
-        monkeypatch.setattr(spectral, "_composite_gl", no_quadrature)
+        monkeypatch.setattr(spectral, "_periodic_trapezoid", no_quadrature)
         code, out, err = run_cli(capsys, "zeta", "--q", "2", "--s", "nan")
         assert code == 2
         assert out == ""
@@ -141,8 +148,8 @@ class TestZeta:
         [
             ["zeta", "--q", "2", "--s", "500"],
             ["zeta", "--q", "2", "--s=-600"],
-            ["zeta", "--line", "--s=-200,0"],
-            ["zeta", "--sato-tate", "--s=-500"],
+            ["zeta", "--line", "--s=-600,0"],
+            ["zeta", "--sato-tate", "--s=-600"],
         ],
     )
     def test_out_of_range_is_input_error(self, capsys, argv):
@@ -331,6 +338,13 @@ _CHEAP_ARGV = st.one_of(
         st.integers(-1, 10),
     ),
     st.integers(-2, 40).map(lambda n: ["poly", "--n", str(n)]),
+    st.builds(
+        lambda q, t: ["heat", "--q", str(q), "--t", t],
+        st.integers(1, 6),
+        st.one_of(st.sampled_from(["nan", "-1", "0", "1e3"]), st.floats(0, 5).map(repr)),
+    ),
+    st.integers(-2, 12).map(lambda n: ["dyck", "--n", str(n)]),
+    st.sampled_from([["verify", "integers", "--q", "2"], ["verify", "laplace", "--q", "2"]]),
 )
 
 

@@ -21,9 +21,9 @@ from treezeta.genfun import (
 )
 from treezeta.special_values import zeta_integer, zeta_neg
 from treezeta.spectral import (
+    FIRST_LEVEL_INTERVALS,
     QuadratureSpec,
-    _composite_gl,
-    _panel_doubling_trace,
+    _periodic_trapezoid,
     complex_gamma,
     heat_decay_bound,
     heat_trace,
@@ -50,8 +50,7 @@ class TestQuadratureSpec:
             {"abs_tol": 0.0},
             {"rel_tol": -1e-9},
             {"max_nodes": 1000},  # not a power of two
-            {"max_nodes": 8},  # below one panel
-            {"nodes_per_panel": 1},
+            {"max_nodes": 8},  # below the first level
             {"abs_tol": math.nan},
             {"rel_tol": math.nan},
             {"abs_tol": math.inf},
@@ -61,12 +60,22 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
 
+    def test_nodes_per_panel_is_gone(self):
+        with pytest.raises(TypeError):
+            QuadratureSpec(nodes_per_panel=16)
 
-class TestCompositeGl:
-    def test_polynomial_exact(self):
-        res = _composite_gl(lambda x: x**3, 0.0, 2.0, QuadratureSpec())
+
+class TestPeriodicTrapezoid:
+    def test_trig_polynomial_exact(self):
+        # exact for cos(m theta) with m < 2N: pi (1 + 3/8) from the constant
+        # terms, nothing from the rest
+        def f(theta):
+            return 1 + 3 * np.cos(theta) + 2 * np.cos(2 * theta) + np.cos(theta) ** 4
+
+        res = _periodic_trapezoid(f, QuadratureSpec())
         assert res.converged
-        assert res.value.real == pytest.approx(4.0, rel=1e-13)
+        assert res.nodes == 4 * FIRST_LEVEL_INTERVALS + 1
+        assert res.value.real == pytest.approx(11 * math.pi / 8, rel=1e-14)
 
     def test_budget_exhaustion_reports_unconverged(self):
         spec = QuadratureSpec(max_nodes=64)
@@ -79,10 +88,14 @@ class TestCompositeGl:
 
     def test_doubling_errors_shrink(self):
         ref = zeta_numeric(2, 1.7).value
-        trace = _panel_doubling_trace(2, 1.7, 7)
-        errs = [abs(t - ref) for t in trace]
-        assert errs[0] > errs[2] > errs[4]
-        assert errs[-1] < 1e-12
+        levels = [
+            zeta_numeric(2, 1.7, QuadratureSpec(max_nodes=FIRST_LEVEL_INTERVALS << k))
+            for k in range(5)
+        ]
+        assert [ev.nodes for ev in levels[:3]] == [17, 33, 65]
+        errs = [abs(ev.value - ref) for ev in levels]
+        assert errs[0] > errs[1] > errs[2]
+        assert max(errs[2:]) < 1e-12
 
 
 class TestZetaNumeric:
@@ -111,7 +124,7 @@ class TestZetaNumeric:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran on a non-finite point")
 
-        monkeypatch.setattr(spectral, "_composite_gl", no_quadrature)
+        monkeypatch.setattr(spectral, "_periodic_trapezoid", no_quadrature)
         with pytest.raises(DomainError):
             zeta_numeric(2, s)
 
@@ -130,7 +143,7 @@ class TestZetaNumeric:
                     / (1 - rho * rho * cs * cs)
                 )
 
-            val = _composite_gl(g, 0.0, math.pi, QuadratureSpec()).require()
+            val = _periodic_trapezoid(g, QuadratureSpec()).require()
             lhs = (rho * rho / (2 * math.pi)) * val
             rhs = (q + 1) ** (s - 1) * zeta_numeric(q, s).require()
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -345,7 +358,7 @@ class TestNonFiniteAndOutOfRange:
 
     @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(0, math.inf)])
     def test_resolvent_refuses_non_finite_before_quadrature(self, z, monkeypatch):
-        monkeypatch.setattr(spectral, "_composite_gl", _no_quadrature)
+        monkeypatch.setattr(spectral, "_periodic_trapezoid", _no_quadrature)
         with pytest.raises(DomainError):
             resolvent_transform(2, z)
 
@@ -356,42 +369,51 @@ class TestNonFiniteAndOutOfRange:
 
     def test_overflow_stops_at_first_level(self, monkeypatch):
         calls = []
-        base = spectral._composite_gl
+        base = spectral._periodic_trapezoid
 
-        def counting(f, a, b, spec):
+        def counting(f, spec):
             def g(theta):
                 calls.append(len(theta))
                 return f(theta)
 
-            return base(g, a, b, spec)
+            return base(g, spec)
 
-        monkeypatch.setattr(spectral, "_composite_gl", counting)
+        monkeypatch.setattr(spectral, "_periodic_trapezoid", counting)
         with pytest.raises(OutOfRangeError):
             zeta_numeric(2, 600.0)
-        assert calls == [spectral.NODES_PER_PANEL]
+        assert calls == [FIRST_LEVEL_INTERVALS + 1]
 
     def test_levels_too_far_apart_to_subtract_do_not_raise(self):
-        # each level's integral is representable; only their difference overflows
-        spec = spectral.QuadratureSpec(max_nodes=4 * spectral.NODES_PER_PANEL)
-        sign = iter([1.0, -1.0, 1.0])
+        # level 0 is pi c (1 + 1j) and level 1 is -pi c (1 + 1j): each is
+        # representable, only their difference overflows
+        c = 1e308 / (math.pi * math.sqrt(2))
+        samples = iter([c * (1 + 1j), -3 * c * (1 + 1j)])
 
         def f(theta):
-            return np.full(len(theta), next(sign) * (1 + 1j))
+            return np.full(len(theta), next(samples))
 
-        ev = spectral._composite_gl(f, 0.0, 0.75e308, spec)
+        ev = _periodic_trapezoid(f, QuadratureSpec(max_nodes=2 * FIRST_LEVEL_INTERVALS))
         assert not ev.converged
         assert ev.est_error == math.inf
-        assert abs(ev.value) < math.inf
+        assert ev.value == pytest.approx(-math.pi * c * (1 + 1j), rel=1e-14)
 
-    @pytest.mark.parametrize("s", [-200.0, -150.0, complex(-200, 0)])
+    @pytest.mark.parametrize("m", [150, 200, 300])
+    def test_line_values_past_the_gamma_overflow_are_representable(self, m):
+        # Gamma(m + 1/2) overflows past m = 171, the binomial does not
+        want = math.comb(2 * m, m)
+        assert zeta_line(-m).real == pytest.approx(want, rel=1e-9)
+        assert zeta_line(complex(-m, 0)).real == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [-600.0, complex(-600, 0), -1000.0])
     def test_line_overflow_is_typed(self, s):
         with pytest.raises(OutOfRangeError):
             zeta_line(s)
 
     def test_out_of_range_is_a_domain_error(self):
         assert issubclass(OutOfRangeError, DomainError)
+        assert zeta_sato_tate(-500.0).real == pytest.approx(math.comb(1002, 501) / 502, rel=1e-9)
         with pytest.raises(DomainError):
-            zeta_sato_tate(-500.0)
+            zeta_sato_tate(-600.0)
 
     def test_representable_extremes_still_evaluate(self):
         assert math.isfinite(zeta_numeric(2, 400.0).require().real)

@@ -1,10 +1,14 @@
 """The battery should pass at spec settings and fail loudly when sabotaged."""
 
+import inspect
+
 import pytest
 
 from treezeta.errors import DomainError
+from treezeta.spectral import QuadratureSpec
 from treezeta.verify import (
     ALL_CHECKS,
+    CHECK_OVERRIDES,
     check_boundary,
     check_entire,
     check_functional_equation,
@@ -126,3 +130,22 @@ class TestBatteryDriver:
     def test_results_carry_timings(self):
         r = run_battery(["value_polys"])[0]
         assert r.elapsed >= 0.0
+
+    def test_declared_override_keywords_are_real_parameters(self):
+        assert list(CHECK_OVERRIDES) == list(ALL_CHECKS)
+        for name, overrides in CHECK_OVERRIDES.items():
+            params = inspect.signature(ALL_CHECKS[name]).parameters
+            assert set(overrides) <= {"q", "tol", "n_max", "quad"}, name
+            for keywords in overrides.values():
+                for keyword in keywords:
+                    assert keyword in params, (name, keyword)
+
+    def test_undeclared_overrides_leave_a_check_alone(self):
+        default = run_battery(["moments", "boundary"])
+        overridden = run_battery(["moments", "boundary"], q=2, n_max=3, quad=QuadratureSpec())
+        assert [r.points for r in overridden] == [r.points for r in default]
+        assert [r.tolerance for r in overridden] == [r.tolerance for r in default]
+
+    def test_tol_override_reaches_every_boundary_tolerance(self):
+        r = run_battery(["boundary"], tol=1e-3)[0]
+        assert r.passed and r.tolerance == 1e-3
