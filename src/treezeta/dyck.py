@@ -9,7 +9,12 @@ verifier at the bottom checks that coincidence against two independent
 computations of the distribution.
 
 The two computations share no code.  The dynamic program walks prefixes by
-(height, last letter).  The brute-force oracle visits each of the Catalan(n)
+height and last letter, in three lists indexed by height, one per last
+letter.  Each entry packs the weight polynomial of its prefixes into one
+Python int: coefficient k sits in the k-th bit slot, a slot is wide enough
+for 3**(2n) so slots never carry, and a change of weight is one shift.  Only
+heights from which the axis can still be reached are visited, and nothing is
+cached between calls.  The brute-force oracle visits each of the Catalan(n)
 uncoloured paths once and colours it in all 2**n ways at once: one letter
 array per path, with a column per colouring whose down-steps are B or R by
 the bits of the column index.  It counts run starts literally, by comparing
@@ -27,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .exact import IntPoly
 from .special_values import value_polynomials
 from .validate import integer_at_least
@@ -195,55 +200,53 @@ def _weight_poly_bruteforce(n: int) -> IntPoly:
     return IntPoly([int(c) for c in counts])
 
 
-_START = "^"
+def _shift_down(packed: int, width: int) -> int:
+    """Lower every coefficient of a packed polynomial by one degree.
+
+    The constant slot must be empty: a nonzero one counts prefixes whose
+    weight would go negative, which the block weight never allows.
+    """
+    if packed & ((1 << width) - 1):
+        raise ConsistencyError("prefix weight went negative")
+    return packed >> width
 
 
 def _weight_poly_dp(n: int) -> IntPoly:
-    """Prefix dynamic programming over (height, last letter).
+    """Prefix dynamic programming over heights, one packed integer per state.
 
-    Appending U always raises the weight; appending B raises it exactly when
-    it opens a new B-run; appending R lowers it exactly when it opens a new
-    R-run.  Every reachable prefix weight is non-negative (each R-run consumes
-    a down-step, and down-steps never outnumber ups), so the coefficient
-    tables need no exponent offset.
+    ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
+    the prefixes at height h whose last letter is U, B or R (the empty
+    prefix counts as ending in U).  Each polynomial is one Python int with
+    coefficient k in the bit slot [k*width, (k+1)*width), so a change of
+    weight by one is a shift by ``width``.  Appending U always raises the
+    weight; appending B raises it exactly when it opens a new B-run;
+    appending R lowers it exactly when it opens a new R-run.  A coefficient
+    counts coloured prefixes of length at most 2n, so it is below
+    3**(2n) = 9**n and ``width = (9**n).bit_length()`` bits never carry.
+    Every reachable prefix weight is non-negative (each R-run consumes a
+    down-step, and down-steps never outnumber ups), so no exponent offset is
+    needed and a shift down that would drop a nonzero constant slot raises
+    ``ConsistencyError``.  After ``step`` letters only heights up to
+    min(step, 2n - step) of the step's parity can still return to the axis,
+    and only those are visited.
     """
-    states: dict[tuple[int, str], list] = {(0, _START): [1]}
-    for _ in range(2 * n):
-        nxt: dict[tuple[int, str], list] = {}
-
-        def add(key, coeffs, shift):
-            if shift == -1:
-                if coeffs[0] != 0:
-                    raise AssertionError("prefix weight went negative")
-                moved = coeffs[1:]
-            elif shift == 1:
-                moved = [0] + coeffs
-            else:
-                moved = coeffs
-            slot = nxt.get(key)
-            if slot is None:
-                nxt[key] = list(moved)
-            else:
-                if len(moved) > len(slot):
-                    slot.extend([0] * (len(moved) - len(slot)))
-                for i, c in enumerate(moved):
-                    slot[i] += c
-
-        for (height, last), coeffs in states.items():
-            if height < n:
-                add((height + 1, "U"), coeffs, 1)
-            if height > 0:
-                add((height - 1, "B"), coeffs, 1 if last != "B" else 0)
-                add((height - 1, "R"), coeffs, -1 if last != "R" else 0)
-        states = nxt
-    total = [0]
-    for (height, last), coeffs in states.items():
-        if height == 0:
-            if len(coeffs) > len(total):
-                total.extend([0] * (len(coeffs) - len(total)))
-            for i, c in enumerate(coeffs):
-                total[i] += c
-    return IntPoly(total)
+    width = (9**n).bit_length()
+    ups, blues, reds = [1], [0], [0]
+    for step in range(2 * n):
+        top = min(step + 1, 2 * n - step - 1)
+        new_ups, new_blues, new_reds = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+        for h in range(step % 2, len(ups), 2):
+            u, b, r = ups[h], blues[h], reds[h]
+            ub = u + b
+            if h < top:
+                new_ups[h + 1] = (ub + r) << width
+            if h:
+                new_blues[h - 1] = ((u + r) << width) + b
+                new_reds[h - 1] = _shift_down(ub, width) + r
+        ups, blues, reds = new_ups, new_blues, new_reds
+    total = ups[0] + blues[0] + reds[0]
+    mask = (1 << width) - 1
+    return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
 
 
 WEIGHT_POLY_METHODS = ("dp", "bruteforce")
@@ -255,7 +258,7 @@ def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
     if method == "dp":
         if n > DP_CAP:
             raise DomainError(f"dp route is capped at n = {DP_CAP}")
-        return _weight_poly_dp(n) if n else IntPoly([1])
+        return _weight_poly_dp(n)
     if method == "bruteforce":
         if n > ENUM_CAP:
             raise DomainError(f"bruteforce route is capped at n = {ENUM_CAP}")
@@ -286,7 +289,7 @@ def decompose(word) -> tuple[str, str, str]:
     _validate_letters(left)
     _validate_letters(inner)
     if colour not in ("B", "R"):
-        raise AssertionError("final letter of a balanced nonempty word must be a down-step")
+        raise ConsistencyError("final letter of a balanced nonempty word must be a down-step")
     return left, inner, colour
 
 

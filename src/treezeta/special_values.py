@@ -259,15 +259,15 @@ def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     a = [Fraction(1)]
     if n_max >= 1:
         a.append(Fraction(q, q * q - 1))
+    # conv_n = sum_{j=1}^{n-1} a_j a_{n-j}; the step to a_n needs conv_n and
+    # conv_{n-1}, and conv_n pairs j with n - j, so each product is formed once
+    previous = Fraction(0)
     for n in range(2, n_max + 1):
-        acc = Fraction(0)
-        for j in range(1, n):
-            acc += a[j] * a[n - j]
-        acc *= 2 * (q + 1)
-        for j in range(1, n - 1):
-            acc -= a[j] * a[n - 1 - j]
-        acc += (q - 1) * a[n - 1]
-        a.append(acc / (q * q - 1))
+        conv = 2 * sum(a[j] * a[n - j] for j in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            conv += a[n // 2] ** 2
+        a.append((2 * (q + 1) * conv - previous + (q - 1) * a[n - 1]) / (q * q - 1))
+        previous = conv
     return a
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treezeta.dyck import (
+    DP_CAP,
     DyckWord,
     IdentityReport,
     catalan,
@@ -15,8 +16,9 @@ from treezeta.dyck import (
     weight_polynomial,
     weight_profile,
     word_weight,
+    _shift_down,
 )
-from treezeta.errors import DomainError
+from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_is_palindromic
 from treezeta.special_values import value_polynomials
 
@@ -125,7 +127,8 @@ class TestWeightPolynomial:
         assert weight_polynomial(np.int64(4)) == IntPoly(self.FROZEN[4])
         assert weight_polynomial(np.int64(4), "bruteforce") == IntPoly(self.FROZEN[4])
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    # DP_CAP: the widest packing slot the dp ever uses
+    @pytest.mark.parametrize("n", [*range(1, 13), DP_CAP])
     def test_shape(self, n):
         p = weight_polynomial(n)
         assert p.is_monic()
@@ -134,6 +137,10 @@ class TestWeightPolynomial:
         assert all(c >= 0 for c in p.coeffs)
         assert p.evaluate(1) == 2**n * catalan(n)
 
+    @pytest.mark.parametrize("n", [40, 79, 150])
+    def test_deep_dp_equals_value_polynomial(self, n):
+        assert weight_polynomial(n, "dp") == value_polynomials(n + 1)[n]
+
     def test_caps_and_methods(self):
         with pytest.raises(DomainError):
             weight_polynomial(10, "bruteforce")
@@ -141,6 +148,22 @@ class TestWeightPolynomial:
             weight_polynomial(201, "dp")
         with pytest.raises(DomainError):
             weight_polynomial(3, "magic")
+
+
+class TestPackedShift:
+    WIDTH = 5
+
+    def pack(self, coeffs):
+        return sum(c << (k * self.WIDTH) for k, c in enumerate(coeffs))
+
+    def test_lowers_every_degree(self):
+        assert _shift_down(self.pack([0, 3, 31, 1]), self.WIDTH) == self.pack([3, 31, 1])
+
+    @pytest.mark.parametrize("coeffs", [[1], [1, 2], [31, 0, 4]])
+    def test_nonzero_constant_slot_raises(self, coeffs):
+        # a prefix whose weight would go negative signals a bug, not bad input
+        with pytest.raises(ConsistencyError, match="negative"):
+            _shift_down(self.pack(coeffs), self.WIDTH)
 
 
 class TestDecompose:
@@ -165,6 +188,13 @@ class TestDecompose:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             decompose("")
+
+    def test_unbalanced_word_past_validation_is_a_bug(self, monkeypatch):
+        # validation makes this unreachable; with it switched off the split
+        # meets a final U and reports an internal error, not a bare assert
+        monkeypatch.setattr("treezeta.dyck._validate_letters", lambda letters: 0)
+        with pytest.raises(ConsistencyError, match="down-step"):
+            decompose("UBU")
 
 
 class TestIdentity:
