@@ -8,7 +8,17 @@ measure into the weight
 
 on [0, pi].  Every integrand built on it is even, 2 pi-periodic and analytic
 in a strip, so the rule converges geometrically, and each doubling samples
-only the new midpoints.
+only the new midpoints.  Every integrand also carries the factor
+sin^2(theta), so the two endpoints contribute nothing and are never sampled.
+
+The nodes depend only on q and the level, so each tree's base, log base and
+h-scaled weights are built once per level and cached: levels up to
+CACHED_MAX_INTERVALS intervals, for the GRID_CACHE_QS most recently used
+branching numbers.  A call then takes no sin, cos or log: zeta is
+exp(log W - s log base) summed per level, the completed combination reads a
+second log weight, the heat trace is exp(log W - t base) and the resolvent
+W / (base - z).  Working in log space keeps each h-scaled term finite
+whenever the value is, so real s up to about 409 evaluates at q = 2.
 
 Alongside the tree engine live the two limiting line functions (the integer
 lattice and its continuous companion), evaluated in log space from the
@@ -36,6 +46,8 @@ DEFAULT_REL_TOL = 1e-11
 DEFAULT_MAX_NODES = 1 << 20
 FIRST_LEVEL_INTERVALS = 16
 MIN_CONVERGED_LEVEL = 2
+CACHED_MAX_INTERVALS = 4096
+GRID_CACHE_QS = 8
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,9 @@ class QuadratureSpec:
         n = self.max_nodes
         if n < FIRST_LEVEL_INTERVALS or n & (n - 1):
             raise DomainError(f"max_nodes must be a power of two >= {FIRST_LEVEL_INTERVALS}")
+
+
+_DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -80,26 +95,25 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _periodic_trapezoid(
-    f: Callable[[np.ndarray], np.ndarray], spec: Optional[QuadratureSpec] = None
-) -> ZetaEval:
-    """Integrate an even, 2 pi-periodic vectorised integrand over [0, pi].
+def _nested_trapezoid(level_sum: Callable[[int], complex], spec: QuadratureSpec) -> ZetaEval:
+    """The level loop of the nested trapezoid rule on [0, pi].
 
-    Level k is the trapezoid rule on N = 16 * 2^k <= spec.max_nodes
-    intervals; each doubling samples only the N new midpoints, so the N + 1
-    evaluations of the last level are every sample taken.  Convergence means
-    two doublings have happened and the last one moved the value by no more
-    than the tolerance; the last move is the error estimate either way.  A
-    level that overflows double precision raises OutOfRangeError at once.
+    Level k has N = 16 * 2^k <= spec.max_nodes intervals of width h, and
+    level_sum(k) is h times the integrand summed over the nodes level k
+    adds: the interior nodes at level 0, the N / 2 new midpoints after it.
+    The integrand vanishes at both ends, so level k's integral is half of
+    level k - 1's plus level_sum(k), and the N + 1 nodes of the last level
+    are every sample taken.  Convergence means two doublings have happened
+    and the last one moved the value by no more than the tolerance; the last
+    move is the error estimate either way.  A level that overflows double
+    precision raises OutOfRangeError at once, before the next is asked for.
     """
-    spec = spec or QuadratureSpec()
-    n = FIRST_LEVEL_INTERVALS
-    h = math.pi / n
-    vals = h * f(np.linspace(0.0, math.pi, n + 1))
-    integral = complex(np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+    k = 0
+    integral = level_sum(0)
     prev: Optional[complex] = None
     est = math.inf
     while True:
+        n = FIRST_LEVEL_INTERVALS << k
         try:
             size = abs(integral)
         except OverflowError:
@@ -112,24 +126,94 @@ def _periodic_trapezoid(
             except OverflowError:  # two representable levels too far apart to subtract
                 est = math.inf
             converged = est <= max(spec.abs_tol, spec.rel_tol * size)
-            if converged and n >= FIRST_LEVEL_INTERVALS << MIN_CONVERGED_LEVEL:
+            if converged and k >= MIN_CONVERGED_LEVEL:
                 return ZetaEval(integral, est, n + 1, True)
         if 2 * n > spec.max_nodes:
             return ZetaEval(integral, est, n + 1, False)
         prev = integral
-        h *= 0.5
-        integral = 0.5 * integral + complex(np.sum(h * f(h * np.arange(1, 2 * n, 2))))
-        n *= 2
+        k += 1
+        integral = 0.5 * integral + level_sum(k)
 
 
-def _angle_weight(q: int, theta: np.ndarray) -> np.ndarray:
-    s = np.sin(theta)
-    c = np.cos(theta)
-    return (2.0 / math.pi) * q * (q + 1) * s * s / ((q + 1) ** 2 - 4.0 * q * c * c)
+def _level_angles(k: int) -> tuple[np.ndarray, float]:
+    """The angles level k adds to the rule, and that level's interval width."""
+    n = FIRST_LEVEL_INTERVALS << k
+    h = math.pi / n
+    return h * np.arange(1, n, 1 if k == 0 else 2), h
 
 
-def _angle_base(q: int, theta: np.ndarray) -> np.ndarray:
-    return (q + 1) - 2.0 * math.sqrt(q) * np.cos(theta)
+class _Nodes:
+    """One tree's integrand factors at a set of angles.
+
+    base = q + 1 - 2 sqrt(q) cos(theta) is the spectral variable, weight is
+    the spectral weight times the interval width h of the node's level, and
+    log_xi_weight is the log of weight * (2(q+1) - base).  Every angle lies
+    strictly inside (0, pi), so every log is finite.
+    """
+
+    __slots__ = ("base", "log_base", "weight", "log_weight", "log_xi_weight")
+
+    def __init__(self, q: int, theta: np.ndarray, h):
+        c = np.cos(theta)
+        sn = np.sin(theta)
+        self.base = (q + 1) - 2.0 * math.sqrt(q) * c
+        self.log_base = np.log(self.base)
+        self.weight = h * (2.0 / math.pi) * q * (q + 1) * sn * sn / ((q + 1) ** 2 - 4.0 * q * c * c)
+        self.log_weight = np.log(self.weight)
+        self.log_xi_weight = self.log_weight + np.log(2 * (q + 1) - self.base)
+
+
+class _Grid:
+    """The nodes of one tree, built on first use.
+
+    Levels 0..MIN_CONVERGED_LEVEL run on every call, so they sit in one
+    concatenated head, evaluated at once and split by head_starts.  Finer
+    levels up to CACHED_MAX_INTERVALS intervals are kept once built; finer
+    ones than that are rebuilt per call, so a large node budget adds no
+    resident memory.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        parts = [_level_angles(k) for k in range(MIN_CONVERGED_LEVEL + 1)]
+        theta = np.concatenate([t for t, _ in parts])
+        widths = np.concatenate([np.full(len(t), h) for t, h in parts])
+        self.head = _Nodes(q, theta, widths)
+        self.head_starts = np.cumsum([0] + [len(t) for t, _ in parts[:-1]])
+        self.levels: dict[int, _Nodes] = {}
+
+    def level(self, k: int) -> _Nodes:
+        nodes = self.levels.get(k)
+        if nodes is None:
+            nodes = _Nodes(self.q, *_level_angles(k))
+            if FIRST_LEVEL_INTERVALS << k <= CACHED_MAX_INTERVALS:
+                self.levels[k] = nodes
+        return nodes
+
+
+@lru_cache(maxsize=GRID_CACHE_QS)
+def _grid(q: int) -> _Grid:
+    return _Grid(q)
+
+
+def _quadrature(
+    q: int, integrand: Callable[[_Nodes], np.ndarray], spec: Optional[QuadratureSpec]
+) -> ZetaEval:
+    """Integrate over [0, pi] an integrand given as h-scaled values at a set of nodes."""
+    grid = _grid(q)
+    head = np.add.reduceat(integrand(grid.head), grid.head_starts)
+
+    def level_sum(k: int) -> complex:
+        if k <= MIN_CONVERGED_LEVEL:
+            return complex(head[k])
+        return complex(np.sum(integrand(grid.level(k))))
+
+    return _nested_trapezoid(level_sum, spec or _DEFAULT_SPEC)
+
+
+def _real_if_real(s: complex):
+    """s as a float when it is real, so that its integrands take the real exp."""
+    return s.real if not s.imag else s
 
 
 def _finite_result(fn: Callable) -> Callable:
@@ -153,15 +237,15 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     """The spectral zeta value at any complex s, by quadrature.
 
     Entire in s; the integrand's base stays inside the positive spectral
-    interval, so complex powers need no branch care.
+    interval, so complex powers need no branch care.  Each term is
+    exp(log W - s log base) with the interval width folded into W, so a
+    term overflows only past where the value itself does: at q = 2, real s
+    evaluates up to 409 (about 1.1e308) and raises OutOfRangeError at 410.
     """
     q = branching_number(q)
     s = finite_point(s)
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return np.exp(-s * np.log(_angle_base(q, theta))) * _angle_weight(q, theta)
-
-    return _periodic_trapezoid(f, spec)
+    e = _real_if_real(s)
+    return _quadrature(q, lambda g: np.exp(g.log_weight - e * g.log_base), spec)
 
 
 @_finite_result
@@ -173,12 +257,9 @@ def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> compl
     """
     q = branching_number(q)
     s = finite_point(s)
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        base = _angle_base(q, theta)
-        return np.exp(-s * np.log(base)) * (2 * (q + 1) - base) * _angle_weight(q, theta)
-
-    combo = _periodic_trapezoid(f, spec).require(f"xi at {s}")
+    e = _real_if_real(s)
+    ev = _quadrature(q, lambda g: np.exp(g.log_xi_weight - e * g.log_base), spec)
+    combo = ev.require(f"xi at {s}")
     return cmath.exp(s * math.log(q - 1)) * combo
 
 
@@ -193,11 +274,8 @@ def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float
     q = branching_number(q)
     if not t >= 0:  # also refuses NaN
         raise DomainError(f"heat time must be non-negative, got {t}")
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return np.exp(-t * _angle_base(q, theta)) * _angle_weight(q, theta)
-
-    return _periodic_trapezoid(f, spec).require(f"heat trace at t={t}").real
+    ev = _quadrature(q, lambda g: np.exp(g.log_weight - t * g.base), spec)
+    return ev.require(f"heat trace at t={t}").real
 
 
 def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = None) -> complex:
@@ -205,11 +283,7 @@ def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = Non
     q = branching_number(q)
     z = finite_point(z)
     spectrum_cut(q).refuse_near(z)
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return _angle_weight(q, theta) / (_angle_base(q, theta) - z)
-
-    return _periodic_trapezoid(f, spec).require(f"resolvent at z={z}")
+    return _quadrature(q, lambda g: g.weight / (g.base - z), spec).require(f"resolvent at z={z}")
 
 
 # Lanczos approximation, g = 7, nine coefficients; accurate to roughly

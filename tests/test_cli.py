@@ -133,11 +133,17 @@ class TestZeta:
         value = json.loads(out)["results"]["value"]
         assert value["re"] == pytest.approx(math.comb(400, 200), rel=1e-9)
 
+    def test_value_near_the_top_of_the_double_range(self, capsys):
+        code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "405", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["results"]["value"]
+        assert value["re"] == pytest.approx(9.8174e304, rel=1e-4)
+
     def test_nan_point_is_input_error(self, capsys, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("quadrature ran on a NaN point")
 
-        monkeypatch.setattr(spectral, "_periodic_trapezoid", no_quadrature)
+        monkeypatch.setattr(spectral, "_quadrature", no_quadrature)
         code, out, err = run_cli(capsys, "zeta", "--q", "2", "--s", "nan")
         assert code == 2
         assert out == ""

@@ -43,7 +43,18 @@ def _zeta_by_mpmath(q: int, s: complex):
 
 @pytest.mark.parametrize(
     "q, s",
-    [(2, 1.5 + 0.5j), (3, -2.3 + 1.1j), (5, 4.2), (2, 0.5 + 3j), (7, -4.5 - 2j), (2, 1.2 + 50j)],
+    [
+        (2, 1.5 + 0.5j),
+        (3, -2.3 + 1.1j),
+        (5, 4.2),
+        (2, 0.5 + 3j),
+        (7, -4.5 - 2j),
+        (2, 1.2 + 50j),
+        # values near the top of the double range, 2.9e303 to 1.1e308
+        (2, 403),
+        (2, 405),
+        (2, 409),
+    ],
 )
 def test_zeta_numeric(q, s):
     want, err = _zeta_by_mpmath(q, s)

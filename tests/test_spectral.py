@@ -1,6 +1,7 @@
 """Quadrature engine, gamma machinery, and the two line-limit functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from treezeta.genfun import (
 )
 from treezeta.special_values import zeta_integer, zeta_neg
 from treezeta.spectral import (
+    CACHED_MAX_INTERVALS,
     FIRST_LEVEL_INTERVALS,
+    GRID_CACHE_QS,
     QuadratureSpec,
-    _periodic_trapezoid,
+    _grid,
+    _nested_trapezoid,
     complex_gamma,
     heat_decay_bound,
     heat_trace,
@@ -65,6 +69,27 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes_per_panel=16)
 
 
+def _level_sums(f):
+    """level_sum(k) of the nested trapezoid for f on [0, pi], endpoints included."""
+
+    def level_sum(k):
+        n = FIRST_LEVEL_INTERVALS << k
+        h = math.pi / n
+        if k == 0:
+            vals = f(h * np.arange(n + 1))
+            return complex(h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
+        return complex(h * np.sum(f(h * np.arange(1, n, 2))))
+
+    return level_sum
+
+
+def _trapezoid(f, n=512):
+    """A plain trapezoid rule for f on [0, pi] with n intervals."""
+    h = math.pi / n
+    vals = f(h * np.arange(n + 1))
+    return h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+
+
 class TestPeriodicTrapezoid:
     def test_trig_polynomial_exact(self):
         # exact for cos(m theta) with m < 2N: pi (1 + 3/8) from the constant
@@ -72,7 +97,7 @@ class TestPeriodicTrapezoid:
         def f(theta):
             return 1 + 3 * np.cos(theta) + 2 * np.cos(2 * theta) + np.cos(theta) ** 4
 
-        res = _periodic_trapezoid(f, QuadratureSpec())
+        res = _nested_trapezoid(_level_sums(f), QuadratureSpec())
         assert res.converged
         assert res.nodes == 4 * FIRST_LEVEL_INTERVALS + 1
         assert res.value.real == pytest.approx(11 * math.pi / 8, rel=1e-14)
@@ -124,7 +149,7 @@ class TestZetaNumeric:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran on a non-finite point")
 
-        monkeypatch.setattr(spectral, "_periodic_trapezoid", no_quadrature)
+        monkeypatch.setattr(spectral, "_quadrature", no_quadrature)
         with pytest.raises(DomainError):
             zeta_numeric(2, s)
 
@@ -143,8 +168,7 @@ class TestZetaNumeric:
                     / (1 - rho * rho * cs * cs)
                 )
 
-            val = _periodic_trapezoid(g, QuadratureSpec()).require()
-            lhs = (rho * rho / (2 * math.pi)) * val
+            lhs = (rho * rho / (2 * math.pi)) * _trapezoid(g)
             rhs = (q + 1) ** (s - 1) * zeta_numeric(q, s).require()
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -358,41 +382,36 @@ class TestNonFiniteAndOutOfRange:
 
     @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0), complex(0, math.inf)])
     def test_resolvent_refuses_non_finite_before_quadrature(self, z, monkeypatch):
-        monkeypatch.setattr(spectral, "_periodic_trapezoid", _no_quadrature)
+        monkeypatch.setattr(spectral, "_quadrature", _no_quadrature)
         with pytest.raises(DomainError):
             resolvent_transform(2, z)
 
-    @pytest.mark.parametrize("s", [450.0, 500.0, -500.0, -600.0])
+    @pytest.mark.parametrize("s", [410.0, 450.0, 500.0, -500.0, -600.0])
     def test_zeta_overflow_is_typed(self, s):
         with pytest.raises(OutOfRangeError):
             zeta_numeric(2, s)
 
-    def test_overflow_stops_at_first_level(self, monkeypatch):
-        calls = []
-        base = spectral._periodic_trapezoid
+    def test_overflow_stops_at_first_level(self):
+        asked = []
 
-        def counting(f, spec):
-            def g(theta):
-                calls.append(len(theta))
-                return f(theta)
+        def level_sum(k):
+            asked.append(k)
+            return complex(math.inf, 0) if k == 0 else 1j
 
-            return base(g, spec)
-
-        monkeypatch.setattr(spectral, "_periodic_trapezoid", counting)
+        with pytest.raises(OutOfRangeError):
+            _nested_trapezoid(level_sum, QuadratureSpec())
+        assert asked == [0]
         with pytest.raises(OutOfRangeError):
             zeta_numeric(2, 600.0)
-        assert calls == [FIRST_LEVEL_INTERVALS + 1]
 
     def test_levels_too_far_apart_to_subtract_do_not_raise(self):
         # level 0 is pi c (1 + 1j) and level 1 is -pi c (1 + 1j): each is
         # representable, only their difference overflows
         c = 1e308 / (math.pi * math.sqrt(2))
-        samples = iter([c * (1 + 1j), -3 * c * (1 + 1j)])
+        sums = [math.pi * c * (1 + 1j), -1.5 * math.pi * c * (1 + 1j)]
 
-        def f(theta):
-            return np.full(len(theta), next(samples))
-
-        ev = _periodic_trapezoid(f, QuadratureSpec(max_nodes=2 * FIRST_LEVEL_INTERVALS))
+        spec = QuadratureSpec(max_nodes=2 * FIRST_LEVEL_INTERVALS)
+        ev = _nested_trapezoid(sums.__getitem__, spec)
         assert not ev.converged
         assert ev.est_error == math.inf
         assert ev.value == pytest.approx(-math.pi * c * (1 + 1j), rel=1e-14)
@@ -417,4 +436,31 @@ class TestNonFiniteAndOutOfRange:
 
     def test_representable_extremes_still_evaluate(self):
         assert math.isfinite(zeta_numeric(2, 400.0).require().real)
+        assert zeta_numeric(2, 409.0).require().real > 1e308
         assert zeta_line(-100.0).real == pytest.approx(math.comb(200, 100), rel=1e-9)
+
+
+class TestGridCache:
+    def test_largest_representable_point_emits_no_warning(self):
+        # the log-space integrand neither overflows nor takes log(0) here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeta_numeric(2, 403.0).require().real == pytest.approx(2.9115e303, rel=1e-4)
+
+    def test_levels_past_the_cache_bound_are_not_kept(self):
+        ev = zeta_numeric(2, 0.5 + 2000j, QuadratureSpec(max_nodes=1 << 16))
+        assert ev.converged
+        assert ev.nodes == 8193
+        assert max(FIRST_LEVEL_INTERVALS << k for k in _grid(2).levels) == CACHED_MAX_INTERVALS
+
+    def test_branching_numbers_past_the_lru_size_are_evicted(self):
+        for q in range(2, 2 + 2 * GRID_CACHE_QS):
+            zeta_numeric(q, 0.5)
+        assert _grid.cache_info().currsize == GRID_CACHE_QS
+
+    def test_cached_and_fresh_grids_agree(self):
+        for q, s in ((2, 1.5 + 20j), (7, -2.5 + 1j)):
+            warm = zeta_numeric(q, s)
+            _grid.cache_clear()
+            cold = zeta_numeric(q, s)
+            assert cold == warm
