@@ -451,12 +451,52 @@ class PolyFrac:
 
 
 def poly_eval(p, x) -> Fraction:
-    """Evaluate a polynomial at a rational point, exactly."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if not isinstance(x, Fraction):
+    """Evaluate a polynomial at a rational point, exactly.
+
+    At an integer point an ``IntPoly`` runs Horner in integers, and the
+    result is wrapped in a Fraction once, at the end.
+    """
+    if not isinstance(x, (int, Fraction)):
         raise DomainError("evaluation point must be an integer or Fraction")
     return Fraction(p.evaluate(x))
+
+
+def _half_slots(size: int, length: int) -> int:
+    # half a slot, 2**(8*size-1), in each of ``length`` byte slots of ``size`` bytes
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * length, "little")
+
+
+def _pack(coeffs: Sequence[int], size: int) -> int:
+    """The polynomial evaluated at 2**(8*size): coefficient k in byte slot k.
+
+    Signed coefficients are biased by half a slot, so the slots are laid out
+    as plain bytes and the bias is taken off the whole integer at once.  A
+    coefficient that does not fit a slot raises ConsistencyError.
+    """
+    half = 1 << (8 * size - 1)
+    try:
+        raw = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    except OverflowError:
+        raise ConsistencyError(f"a coefficient does not fit a {size}-byte slot") from None
+    return int.from_bytes(raw, "little") - _half_slots(size, len(coeffs))
+
+
+def _unpack(packed: int, size: int, length: int) -> IntPoly:
+    """Inverse of ``_pack`` for a polynomial of at most ``length`` coefficients.
+
+    Every coefficient must lie in [-2**(8*size-1), 2**(8*size-1)); the caller
+    sizes the slots so.  A value that does not fit ``length`` such slots
+    cannot round-trip and raises ConsistencyError rather than come back
+    truncated.
+    """
+    half = 1 << (8 * size - 1)
+    biased = packed + _half_slots(size, length)
+    if biased < 0 or biased.bit_length() > 8 * size * length:
+        raise ConsistencyError(f"packed value does not fit {length} slots of {size} bytes")
+    raw = biased.to_bytes(size * length, "little")
+    return IntPoly(
+        [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * length, size)]
+    )
 
 
 def poly_is_palindromic(p) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CutViolationError, DomainError, PoleError
-from .exact import IntPoly, Series
+from .exact import IntPoly, _pack, _unpack
 from .special_values import value_polynomials
 from .validate import branching_number, finite_point, integer_at_least
 
@@ -189,23 +189,51 @@ def quadratic_residual_series(
     coefficients through that truncation order.  Every entry is the zero
     polynomial when the table is correct; a wrong entry anywhere in the table
     leaves a nonzero residual, which is what makes this a detector.  A table
-    may be injected to point the detector at foreign data.
+    may be injected to point the detector at foreign data; its entries must be
+    ``IntPoly``.
+
+    With T_k the k-th table entry and S_j = sum_i T_i T_{j-i}, the residual is
+    R_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} - T_k + (q-1)^2 T_{k-1} + [k = 0].
+    Each entry is packed once into one integer, its value at 2**w (Kronecker
+    substitution), so S_j is a sum of integer products, each unordered pair
+    formed once; q is a shift by w bits.  The slot width w bounds every
+    residual coefficient from the table's own degree and largest coefficient,
+    so each R_k unpacks exactly.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
         polys = value_polynomials(n_max)
     if len(polys) < n_max:
         raise DomainError(f"need at least {n_max} polynomials, got {len(polys)}")
-    q = IntPoly.variable()
-    one = IntPoly.constant(1)
-    qm1sq = (q - 1) * (q - 1)
-    t = Series(list(polys[:n_max]))
-    zero = IntPoly()
+    table = polys[:n_max]
+    for p in table:
+        if not isinstance(p, IntPoly):
+            raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
+    terms = max(len(p.coeffs) for p in table)
+    big = max((abs(c) for p in table for c in p.coeffs), default=0)
+    # |S_j| <= n_max terms * big**2 per coefficient; 2q and q(q-1)^2 weigh
+    # it by at most 2 + 4, and -1 and (q-1)^2 weigh an entry by at most 1 + 4
+    bound = 6 * n_max * terms * big * big + 5 * big + 1
+    size = (bound.bit_length() + 8) // 8  # bound < 2**(8*size - 1)
+    width = 8 * size
+    packed = [_pack(p.coeffs, size) for p in table]
 
-    def padded(cs):
-        return Series(list(cs) + [zero] * (n_max - len(cs)))
+    def times_qm1sq(v: int) -> int:
+        return (v << 2 * width) - (v << (width + 1)) + v
 
-    quad = (t * t * q).shifted(1) * padded([IntPoly.constant(2), -qm1sq])
-    linear = t * padded([-one, qm1sq])
-    residual = quad + linear + padded([one])
-    return residual.coeffs
+    sums = []  # S_0 .. S_{n_max-2}
+    for j in range(n_max - 1):
+        s = 2 * sum(packed[i] * packed[j - i] for i in range((j + 1) // 2))
+        if j % 2 == 0:
+            s += packed[j // 2] ** 2
+        sums.append(s)
+    residual = []
+    for k in range(n_max):
+        if k == 0:
+            r = 1 - packed[0]
+        else:
+            r = (sums[k - 1] << (width + 1)) - packed[k] + times_qm1sq(packed[k - 1])
+        if k >= 2:
+            r -= times_qm1sq(sums[k - 2]) << width
+        residual.append(_unpack(r, size, 2 * terms + 2))
+    return tuple(residual)

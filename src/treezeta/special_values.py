@@ -123,11 +123,13 @@ def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPo
     ``method`` picks one of the three independent routes in
     ``NEG_VALUE_METHODS``: the binomial closed form (the default), the
     binomial transform of the closed-walk counts, or the coefficients of the
-    closed generating function.  Each table is cached on (m_max, method).
+    closed generating function.  Each table is cached on (m_max, method); the
+    closed-form tables are prefixes of one table that only ever grows, which
+    the two-step route reads as well.
     """
     m_max = integer_at_least(m_max, 0, "m_max")
     if method == "closed_form":
-        return tuple(_neg_value_closed_form(m) for m in range(m_max + 1))
+        return tuple(_closed_form_table(m_max)[: m_max + 1])
     if method == "moments":
         walks = moment_polynomials(m_max)
         lifts = [_QP1**k for k in range(m_max + 1)]
@@ -155,6 +157,18 @@ def _neg_value_closed_form(m: int) -> IntPoly:
             coeffs[e + 1] -= b
             coeffs[e] += b
     return IntPoly(coeffs)
+
+
+# N_0, N_1, ... by the closed form as far as any caller has asked; only ever grown
+_closed_forms: list[IntPoly] = []
+
+
+def _closed_form_table(m_max: int) -> list[IntPoly]:
+    """The live closed-form table, grown first to hold N_0..N_m_max."""
+    table = _closed_forms
+    while len(table) <= m_max:
+        table.append(_neg_value_closed_form(len(table)))
+    return table
 
 
 def _neg_value_from_moments(m: int, walks, lifts) -> IntPoly:
@@ -210,15 +224,13 @@ def _two_step_table(n_max: int) -> list[IntPoly]:
     polys = _value_polys
     n = len(polys)
     if n < n_max:
-        before = _neg_value_closed_form(n)
+        neg = _closed_form_table(n_max)
         lift = _QP1**n
         while n < n_max:
             n += 1
             lift = lift * _QP1
-            neg = _neg_value_closed_form(n)
-            rhs = _TWO_STEP_CARRY * polys[-1] - lift * (neg - _QP1 * before * 2)
+            rhs = _TWO_STEP_CARRY * polys[-1] - lift * (neg[n] - _QP1 * neg[n - 1] * 2)
             polys.append(rhs.divexact(_TWO_STEP_DIVISOR))
-            before = neg
     return polys
 
 
@@ -256,19 +268,23 @@ def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     """
     q = branching_number(q)
     n_max = integer_at_least(n_max, 0, "n_max")
-    a = [Fraction(1)]
-    if n_max >= 1:
-        a.append(Fraction(q, q * q - 1))
-    # conv_n = sum_{j=1}^{n-1} a_j a_{n-j}; the step to a_n needs conv_n and
-    # conv_{n-1}, and conv_n pairs j with n - j, so each product is formed once
-    previous = Fraction(0)
+    # a_n = (2(q+1) conv_n - conv_{n-1} + (q-1) a_{n-1}) / (q^2 - 1) with
+    # conv_n = sum_{j=1}^{n-1} a_j a_{n-j}.  In the numerators
+    # b_n = a_n (q-1)^(2n-1) (q+1)^n and C_n = sum_{j=1}^{n-1} b_j b_{n-j} it
+    # reads b_n = 2 C_n - (q-1)^2 C_{n-1} + (q-1)^2 b_{n-1}: integers only.
+    # C_n pairs j with n - j, so each product is formed once.
+    sq = (q - 1) ** 2
+    b = [1, q]
+    previous = 0
     for n in range(2, n_max + 1):
-        conv = 2 * sum(a[j] * a[n - j] for j in range(1, (n + 1) // 2))
+        conv = 2 * sum(b[j] * b[n - j] for j in range(1, (n + 1) // 2))
         if n % 2 == 0:
-            conv += a[n // 2] ** 2
-        a.append((2 * (q + 1) * conv - previous + (q - 1) * a[n - 1]) / (q * q - 1))
+            conv += b[n // 2] ** 2
+        b.append(2 * conv - sq * previous + sq * b[n - 1])
         previous = conv
-    return a
+    return [Fraction(1)] + [
+        Fraction(b[n], (q - 1) ** (2 * n - 1) * (q + 1) ** n) for n in range(1, n_max + 1)
+    ]
 
 
 def zeta_integer(q: int, k: int) -> Fraction:

@@ -12,6 +12,8 @@ from treezeta.exact import (
     PolyFrac,
     RatPoly,
     Series,
+    _pack,
+    _unpack,
     poly_eval,
     poly_is_palindromic,
     series_sqrt,
@@ -65,6 +67,54 @@ class TestIntPoly:
 def test_intpoly_eval_is_multiplicative(a, b, x):
     pa, pb = IntPoly(a), IntPoly(b)
     assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
+
+
+def fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+point = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=10**6).filter(lambda f: f.denominator != 1),
+)
+
+
+@given(st.lists(st.integers(-(2**200), 2**200), max_size=12), point)
+@settings(max_examples=200)
+def test_poly_eval_equals_fraction_horner(coeffs, x):
+    got = poly_eval(IntPoly(coeffs), x)
+    assert isinstance(got, Fraction) and got == fraction_horner(coeffs, x)
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=10), st.integers(0, 3))
+@settings(max_examples=200)
+def test_pack_round_trips(coeffs, extra):
+    packed = _pack(coeffs, 8)
+    assert packed == sum(c << (64 * k) for k, c in enumerate(coeffs))
+    assert _unpack(packed, 8, len(coeffs) + extra) == IntPoly(coeffs)
+
+
+class TestPacking:
+    def test_slot_overflow_on_pack_raises(self):
+        with pytest.raises(ConsistencyError):
+            _pack([1, 128], 1)
+        with pytest.raises(ConsistencyError):
+            _pack([-129], 1)
+        assert _pack([127, -128], 1) == 127 - 128 * 256
+
+    def test_value_past_the_slots_raises(self):
+        with pytest.raises(ConsistencyError):
+            _unpack(1 << 16, 1, 2)
+        with pytest.raises(ConsistencyError):
+            _unpack(-(1 << 16), 1, 2)
+        assert _unpack((1 << 16) - 1, 1, 3) == IntPoly([-1, 0, 1])
+
+    def test_zero_packs_to_zero(self):
+        assert _pack([], 4) == 0
+        assert _unpack(0, 4, 5) == IntPoly()
 
 
 class TestDivExact:

@@ -1,11 +1,14 @@
 """Branch-pinned generating functions and their identities."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treezeta.errors import CutViolationError, DomainError, PoleError
-from treezeta.exact import IntPoly, poly_eval
+from treezeta.exact import IntPoly, RatPoly, Series, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
     _recip_radical,
@@ -208,6 +211,38 @@ class TestEntireCombination:
             )
 
 
+def series_residual(n_max, polys):
+    """The residual by full products of truncated series, the oracle of the packed one."""
+    q = IntPoly.variable()
+    one = IntPoly.constant(1)
+    qm1sq = (q - 1) * (q - 1)
+    t = Series(list(polys[:n_max]))
+    zero = IntPoly()
+
+    def padded(cs):
+        return Series(list(cs) + [zero] * (n_max - len(cs)))
+
+    quad = (t * t * q).shifted(1) * padded([IntPoly.constant(2), -qm1sq])
+    linear = t * padded([-one, qm1sq])
+    return (quad + linear + padded([one])).coeffs
+
+
+# signed coefficients, small and of several hundred bits; an empty list is
+# the zero polynomial
+coefficient = st.one_of(st.integers(-3, 3), st.integers(-(2**400), 2**400))
+foreign_table = st.lists(st.lists(coefficient, max_size=7), min_size=1, max_size=7)
+
+
+def corrupted(polys, k):
+    out = list(polys)
+    out[k] = out[k] - IntPoly([0, 0, 5])
+    return out
+
+
+def first_nonzero(residual):
+    return next(k for k, c in enumerate(residual) if not c.is_zero())
+
+
 class TestQuadraticResidual:
     def test_residual_vanishes(self):
         for c in quadratic_residual_series(30):
@@ -222,6 +257,43 @@ class TestQuadraticResidual:
     def test_short_table_rejected(self):
         with pytest.raises(DomainError):
             quadratic_residual_series(10, value_polynomials(5))
+
+    @given(foreign_table, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_series_oracle_on_random_tables(self, coeffs, data):
+        polys = [IntPoly(cs) for cs in coeffs]
+        n_max = data.draw(st.integers(1, len(polys)))
+        assert quadratic_residual_series(n_max, polys) == series_residual(n_max, polys)
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_shallowest_orders(self, n_max):
+        real = value_polynomials(n_max)
+        assert quadratic_residual_series(n_max, real) == series_residual(n_max, real)
+        assert quadratic_residual_series(n_max) == (IntPoly(),) * n_max
+        bad = corrupted(real, n_max - 1)
+        assert quadratic_residual_series(n_max, bad) == series_residual(n_max, bad)
+
+    def test_real_and_corrupted_tables_at_29(self):
+        real = value_polynomials(29)
+        assert quadratic_residual_series(29, real) == series_residual(29, real)
+        bad = corrupted(real, 17)
+        residual = quadratic_residual_series(29, bad)
+        assert residual == series_residual(29, bad)
+        assert first_nonzero(residual) == 17
+
+    def test_real_and_corrupted_tables_at_80(self):
+        assert quadratic_residual_series(80) == (IntPoly(),) * 80
+        bad = corrupted(value_polynomials(80), 63)
+        residual = quadratic_residual_series(80, bad)
+        assert residual == series_residual(80, bad)
+        assert first_nonzero(residual) == 63
+
+    @pytest.mark.parametrize("entry", [1, Fraction(1), RatPoly([1]), (1,), None])
+    def test_foreign_entries_refused(self, entry):
+        polys = list(value_polynomials(4))
+        polys[2] = entry
+        with pytest.raises(DomainError):
+            quadratic_residual_series(4, polys)
 
 
 class TestArgumentValidation:

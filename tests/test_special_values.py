@@ -78,6 +78,16 @@ class TestNegativeValues:
         tables = [negative_value_table(16, m) for m in NEG_VALUE_METHODS]
         assert tables[0] == tables[1] == tables[2]
 
+    def test_closed_form_tables_share_one_memo(self, monkeypatch):
+        monkeypatch.setattr(sv, "_closed_forms", [])
+        shallow = negative_value_table.__wrapped__(7)
+        assert len(sv._closed_forms) == 8
+        deep = negative_value_table.__wrapped__(90)
+        assert len(sv._closed_forms) == 91
+        assert deep[:8] == shallow and deep[3] is shallow[3]
+        for m in (0, 1, 7, 44, 90):
+            assert deep[m] == sv._neg_value_closed_form(m)
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             zeta_neg(3, method="quadrature")
@@ -120,6 +130,21 @@ class TestValuePolynomials:
         assert value_poly_small_rational_roots(n) == []
 
 
+def fraction_recursion(q, n_max):
+    """a_0..a_n_max by the quadratic recursion run directly in Fractions."""
+    a = [Fraction(1)]
+    if n_max >= 1:
+        a.append(Fraction(q, q * q - 1))
+    previous = Fraction(0)
+    for n in range(2, n_max + 1):
+        conv = 2 * sum(a[j] * a[n - j] for j in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            conv += a[n // 2] ** 2
+        a.append((2 * (q + 1) * conv - previous + (q - 1) * a[n - 1]) / (q * q - 1))
+        previous = conv
+    return a
+
+
 class TestPositiveValues:
     def test_frozen_q2(self):
         assert zeta_pos(2, 1) == Fraction(2, 3)
@@ -132,6 +157,18 @@ class TestPositiveValues:
             assert seq[0] == 1
             for n in range(1, 13):
                 assert seq[n] == zeta_pos(q, n)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 64])
+    def test_integer_numerators_equal_fraction_recursion(self, q):
+        seq = positive_value_sequence(q, 80)
+        assert seq == fraction_recursion(q, 80)
+        assert all(isinstance(a, Fraction) for a in seq)
+        for n in (1, 2, 17, 65, 80):
+            assert seq[n] == zeta_pos(q, n)
+
+    def test_shallow_sequences(self):
+        assert positive_value_sequence(2, 0) == [1]
+        assert positive_value_sequence(2, 1) == [1, Fraction(2, 3)]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -209,11 +246,21 @@ class TestTwoStepRoute:
             return honest(m) + (1 if m == 5 else 0)
 
         monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
+        monkeypatch.setattr(sv, "_closed_forms", [])
         monkeypatch.setattr(sv, "_neg_value_closed_form", corrupted)
         with pytest.raises(ConsistencyError):
             value_polynomials(6)
         # the polynomials built before the failure stay as they were
         assert sv._value_polys == sv._quadratic_table(4)[:4]
+
+    def test_reads_the_closed_form_memo(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"N_{m} was rebuilt")
+
+        sv._closed_form_table(30)
+        monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
+        monkeypatch.setattr(sv, "_neg_value_closed_form", refuse)
+        assert value_polynomials(30) == tuple(sv._quadratic_table(30)[:30])
 
     def test_two_step_check_does_not_read_the_two_step_table(self, monkeypatch):
         from treezeta.verify import check_two_step
