@@ -255,16 +255,20 @@ def _load_config(path: str) -> dict[str, float]:
     for key, val in data.items():
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise DomainError(f"config key {key} must be a number")
+        if key == "max_nodes" and not isinstance(val, int):
+            raise DomainError(f"config key {key} must be an integer")
+        # a comparison, not math.isfinite: a huge JSON integer must not overflow
+        if key != "max_nodes" and not abs(val) <= sys.float_info.max:
+            raise DomainError(f"config key {key} must be a finite number")
     return data
 
 
 def _quad_spec(args: argparse.Namespace, config: dict[str, float]) -> QuadratureSpec:
     abs_tol = args.abs_tol if args.abs_tol is not None else config.get("abs_tol", DEFAULT_ABS_TOL)
     rel_tol = args.rel_tol if args.rel_tol is not None else config.get("rel_tol", DEFAULT_REL_TOL)
-    if args.max_nodes is not None:
-        max_nodes = args.max_nodes
-    else:
-        max_nodes = int(config.get("max_nodes", DEFAULT_MAX_NODES))
+    max_nodes = (
+        args.max_nodes if args.max_nodes is not None else config.get("max_nodes", DEFAULT_MAX_NODES)
+    )
     return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_nodes=max_nodes)
 
 
@@ -494,24 +498,32 @@ def main(argv: Optional[list[str]] = None) -> int:
             latex=f"non-converged: {exc}",
             text=f"non-converged: {exc}",
         )
-        _emit(render(report, args.format), args.output)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.timings and report.timings is None:
-        report.timings = {"total_s": time.perf_counter() - start}
-    _emit(render(report, args.format), args.output)
-    return 0 if report.status == "pass" else 1
+    else:
+        if args.timings and report.timings is None:
+            report.timings = {"total_s": time.perf_counter() - start}
+        code = 0 if report.status == "pass" else 1
+    try:
+        _emit(render(report, args.format), args.output)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {output}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from .spectral import (
     zeta_sato_tate,
     zeta_sato_tate_quad,
 )
+from .validate import integer_at_least
 
 TREE_QS = (2, 3, 5)
 WALK_QS = (1, 2, 3, 4)
@@ -266,6 +267,7 @@ def check_entire(
 
 def check_two_step(qs: Sequence[int] = TREE_QS, n_abs: int = 20) -> CheckResult:
     """The exact two-step relation holds at every integer offset."""
+    n_abs = integer_at_least(n_abs, 0, "n_abs")
 
     def body():
         bad = []
@@ -456,6 +458,7 @@ def check_boundary(
 
 def check_quadratic_residual(order: int = 28) -> CheckResult:
     """Truncated value series satisfies its quadratic through the given order."""
+    order = integer_at_least(order, 0, "order")
 
     def body():
         residual = quadratic_residual_series(order + 1)
@@ -519,6 +522,8 @@ def run_battery(
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")
+    if tol is not None and not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     given = {"q": (q,) if q is not None else None, "tol": tol, "n_max": n_max, "quad": quad}
     out = []
     for name in selected:

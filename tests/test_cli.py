@@ -245,6 +245,21 @@ class TestVerify:
         assert payload["results"]["checks"][0]["points"] == 41
         assert payload["inputs"]["q"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "twostep", "--n-max", "-1"],
+            ["verify", "symmetry", "--tol", "nan"],
+            ["verify", "fe", "--tol", "inf"],
+            ["verify", "residual", "--n-max", "-1"],
+        ],
+    )
+    def test_vacuous_or_invalid_overrides_are_input_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
@@ -309,6 +324,32 @@ class TestFormatsAndPlumbing:
         code, _, _ = run_cli(capsys, "poly", "--n", "2", "--config",
                              str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "x.json"
+        code, out, err = run_cli(capsys, "poly", "--n", "3", "--output", str(target))
+        assert code == 2
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert out == "" and not target.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"max_nodes": 32.9}',
+            '{"max_nodes": 64.0}',
+            '{"max_nodes": 1e400}',
+            '{"abs_tol": 1e400}',
+            '{"abs_tol": 1' + '0' * 400 + '}',
+            '{"rel_tol": NaN}',
+            '{"tol": -Infinity}',
+        ],
+    )
+    def test_config_numbers_must_fit_their_keys(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "zeta", "--q", "2", "--s", "1,0", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: config key") and "Traceback" not in err
 
     def test_invalid_quad_budget_rejected(self, capsys):
         code, _, err = run_cli(capsys, "zeta", "--q", "2", "--s", "1,0",

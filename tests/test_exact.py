@@ -1,4 +1,4 @@
-"""Exact polynomial and series arithmetic."""
+"""Exact integer polynomial arithmetic, the packed layout and the public exports."""
 
 from fractions import Fraction
 
@@ -6,18 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treezeta
+from treezeta import exact
 from treezeta.errors import ConsistencyError, DomainError
-from treezeta.exact import (
-    IntPoly,
-    PolyFrac,
-    RatPoly,
-    Series,
-    _pack,
-    _unpack,
-    poly_eval,
-    poly_is_palindromic,
-    series_sqrt,
-)
+from treezeta.exact import IntPoly, _pack, _unpack, poly_eval, poly_is_palindromic
 
 
 class TestIntPoly:
@@ -26,7 +18,7 @@ class TestIntPoly:
 
     def test_zero_degree_marker(self):
         assert IntPoly().degree == float("-inf")
-        assert IntPoly([0, 0]).is_zero
+        assert IntPoly([0, 0]).is_zero()
 
     def test_rejects_non_integer(self):
         with pytest.raises(DomainError):
@@ -49,13 +41,6 @@ class TestIntPoly:
         p = IntPoly([1, 2])
         with pytest.raises(AttributeError):
             p.coeffs = (3,)
-
-    def test_mixed_with_ratpoly_delegates(self):
-        p = IntPoly([1, 1])
-        r = RatPoly([Fraction(1, 2)])
-        assert p + r == RatPoly([Fraction(3, 2), Fraction(1)])
-        assert p - r == RatPoly([Fraction(1, 2), Fraction(1)])
-        assert r - p == RatPoly([Fraction(-1, 2), Fraction(-1)])
 
 
 @given(
@@ -142,39 +127,6 @@ class TestDivExact:
             IntPoly([1]).divexact(0)
 
 
-class TestRatPoly:
-    def test_truediv_scalar(self):
-        p = RatPoly([Fraction(1), Fraction(2)]) / 4
-        assert p == RatPoly([Fraction(1, 4), Fraction(1, 2)])
-
-    def test_inverse_constant_only(self):
-        assert RatPoly.constant(Fraction(2, 3)).inverse() == RatPoly.constant(Fraction(3, 2))
-        with pytest.raises(DomainError):
-            RatPoly.variable().inverse()
-
-    def test_to_intpoly_round_trip(self):
-        p = IntPoly([3, 0, -7])
-        assert p.to_ratpoly().to_intpoly() == p
-
-    def test_to_intpoly_rejects_fractional(self):
-        with pytest.raises(ConsistencyError):
-            RatPoly([Fraction(1, 2)]).to_intpoly()
-
-
-class TestPolyFrac:
-    def test_equality_cross_multiplies(self):
-        q = RatPoly.variable()
-        one = RatPoly.constant(1)
-        a = PolyFrac(q * q - one, q - one)  # reduces to q + 1 only semantically
-        b = PolyFrac(q + one, one)
-        assert a == b
-
-    def test_inverse(self):
-        q = RatPoly.variable()
-        f = PolyFrac(q, q + RatPoly.constant(1))
-        assert f * f.inverse() == PolyFrac(RatPoly.constant(1), RatPoly.constant(1))
-
-
 class TestPolyEval:
     def test_frozen_value(self):
         # Horner on [1, 1, 4, 1, 1] at 2: ((((1*2+1)*2+4)*2+1)*2+1) = 43,
@@ -204,73 +156,13 @@ class TestPalindromic:
             poly_is_palindromic(IntPoly())
 
 
-class TestSeries:
-    def test_mul_truncates_to_min_order(self):
-        a = Series([1, 1, 1])
-        b = Series([1, -1])
-        assert (a * b).coeffs == (1, 0)
-
-    def test_inverse_geometric(self):
-        s = Series([Fraction(1), Fraction(-1), Fraction(0), Fraction(0)])
-        assert s.inverse().coeffs == (1, 1, 1, 1)
-
-    def test_inverse_needs_unit_constant_term(self):
-        with pytest.raises(DomainError):
-            Series([Fraction(0), Fraction(1)]).inverse()
-
-    def test_division(self):
-        num = Series([Fraction(1), Fraction(0), Fraction(0)])
-        den = Series([Fraction(1), Fraction(2), Fraction(0)])
-        assert (num / den).coeffs == (1, -2, 4)
+def test_every_export_resolves():
+    for name in treezeta.__all__:
+        assert getattr(treezeta, name) is not None, name
 
 
-class TestSeriesSqrt:
-    def test_numeric_radicand(self):
-        # sqrt(1 - 4 q z^2) at q = 3
-        s = series_sqrt(Series([Fraction(1), Fraction(0), Fraction(-12), Fraction(0), Fraction(0)]))
-        assert s.coeffs == (1, 0, -6, 0, -18)
-
-    def test_polynomial_radicand(self):
-        q = RatPoly.variable()
-        one = RatPoly.constant(1)
-        zero = RatPoly()
-        s = series_sqrt(Series([one, zero, q * (-4), zero, zero]))
-        want = (one, zero, q * (-2), zero, (q * q) * (-2))
-        assert s.coeffs == want
-
-    def test_square_constant_term(self):
-        s = series_sqrt(Series([Fraction(9), Fraction(6)]))
-        assert s.coeffs == (3, 1)
-
-    def test_nonsquare_leading_polynomial_lifts(self):
-        # seed (q-1)^2: the root has coefficients outside the polynomial ring
-        q = RatPoly.variable()
-        one = RatPoly.constant(1)
-        f = Series([(q - one) * (q - one), (q + one) * (-2), one])
-        s = series_sqrt(f)
-        qm1 = q - one
-        want0 = PolyFrac(qm1, one)
-        want1 = PolyFrac(-(q + one), qm1)
-        want2 = PolyFrac(q * (-2), qm1 * qm1 * qm1)
-        assert s.coeffs[0] == want0
-        assert s.coeffs[1] == want1
-        assert s.coeffs[2] == want2
-        # and the same expansion pinned at q = 2
-        assert [c.evaluate(2) for c in s.coeffs] == [1, -3, -4]
-
-    def test_square_back(self):
-        f = Series([Fraction(1), Fraction(3), Fraction(-2), Fraction(5)])
-        s = series_sqrt(f)
-        assert (s * s).coeffs == f.coeffs
-
-    def test_rejects_nonsquare_rational_constant(self):
-        with pytest.raises(DomainError):
-            series_sqrt(Series([Fraction(2), Fraction(1)]))
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: [1] + c))
-@settings(max_examples=150)
-def test_series_sqrt_squares_back(coeffs):
-    f = Series([Fraction(c) for c in coeffs])
-    s = series_sqrt(f)
-    assert (s * s).coeffs == f.coeffs
+@pytest.mark.parametrize("name", ["RatPoly", "PolyFrac", "Series", "series_sqrt"])
+def test_rational_and_series_layer_is_gone(name):
+    assert not hasattr(exact, name)
+    assert not hasattr(treezeta, name)
+    assert name not in treezeta.__all__

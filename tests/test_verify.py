@@ -1,6 +1,7 @@
 """The battery should pass at spec settings and fail loudly when sabotaged."""
 
 import inspect
+import math
 
 import pytest
 
@@ -149,3 +150,22 @@ class TestBatteryDriver:
     def test_tol_override_reaches_every_boundary_tolerance(self):
         r = run_battery(["boundary"], tol=1e-3)[0]
         assert r.passed and r.tolerance == 1e-3
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tol_override_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            run_battery(["symmetry"], tol=tol)
+
+
+class TestDepthValidation:
+    def test_negative_two_step_depth_refused(self):
+        with pytest.raises(DomainError, match="n_abs must be at least 0"):
+            check_two_step(n_abs=-2)
+
+    def test_zero_two_step_depth_checks_the_origin(self):
+        r = check_two_step(qs=(2,), n_abs=0)
+        assert r.passed and r.points == 1
+
+    def test_negative_residual_order_refused(self):
+        with pytest.raises(DomainError, match="order must be at least 0"):
+            run_battery(["residual"], n_max=-1)
