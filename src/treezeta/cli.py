@@ -37,6 +37,7 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
+from .validate import tolerance
 from .verify import ALL_CHECKS, run_battery
 
 FORMATS = ("json", "csv", "latex", "text")
@@ -253,13 +254,10 @@ def _load_config(path: str) -> dict[str, float]:
             f"config {path} has unknown keys {unknown}; allowed: {list(_CONFIG_KEYS)}"
         )
     for key, val in data.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise DomainError(f"config key {key} must be a number")
-        if key == "max_nodes" and not isinstance(val, int):
+        if key != "max_nodes":
+            tolerance(val, f"config key {key}")
+        elif not isinstance(val, int) or isinstance(val, bool):
             raise DomainError(f"config key {key} must be an integer")
-        # a comparison, not math.isfinite: a huge JSON integer must not overflow
-        if key != "max_nodes" and not abs(val) <= sys.float_info.max:
-            raise DomainError(f"config key {key} must be a finite number")
     return data
 
 

@@ -1,14 +1,15 @@
-"""Exact arithmetic substrate: dense univariate polynomials over the integers,
-and a packed layout that turns a polynomial into one big integer.
+"""Exact arithmetic substrate: dense univariate polynomials over the integers.
 
 Polynomials are stored as coefficient sequences from the constant term up,
 with trailing zeros trimmed, so the zero polynomial has an empty coefficient
 tuple.  The degree of the zero polynomial is the marker ``NEG_INFINITY``
 rather than an integer, which keeps degree comparisons honest.
 
-The packed layout puts coefficient k in byte slot k of an integer, so a
-product of packed polynomials is one big-integer product (Kronecker
-substitution); ``_pack`` and ``_unpack`` convert in both directions.
+``IntPoly`` multiplies by Kronecker substitution once both operands have
+``KRONECKER_MIN_TERMS`` coefficients: ``_pack`` puts coefficient k in byte
+slot k of one integer, the two integers are multiplied once, and ``_unpack``
+reads the product's coefficients back.  Shorter products run the schoolbook
+loop.  No other module knows the packed layout.
 
 No floating point enters any computation in this module.
 """
@@ -21,6 +22,8 @@ from typing import Iterable, Sequence
 from .errors import ConsistencyError, DomainError
 
 NEG_INFINITY = float("-inf")
+# the shorter operand's length from which a product packs its operands
+KRONECKER_MIN_TERMS = 8
 
 
 def _trimmed(coeffs: list) -> list:
@@ -118,6 +121,15 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
+        shorter = min(len(a), len(b))
+        if shorter >= KRONECKER_MIN_TERMS:
+            # every product coefficient is at most big in size, and big < 2**(8*size-1)
+            big = max(map(abs, a)) * max(map(abs, b)) * shorter
+            size = (big.bit_length() + 8) // 8
+            packed = _pack(a, size)
+            return _unpack(
+                packed * (packed if b is a else _pack(b, size)), size, len(a) + len(b) - 1
+            )
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

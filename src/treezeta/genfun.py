@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CutViolationError, DomainError, PoleError
-from .exact import IntPoly, _pack, _unpack
+from .exact import IntPoly
 from .special_values import value_polynomials
 from .validate import branching_number, finite_point, integer_at_least
 
@@ -193,12 +193,9 @@ def quadratic_residual_series(
     ``IntPoly``.
 
     With T_k the k-th table entry and S_j = sum_i T_i T_{j-i}, the residual is
-    R_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} - T_k + (q-1)^2 T_{k-1} + [k = 0].
-    Each entry is packed once into one integer, its value at 2**w (Kronecker
-    substitution), so S_j is a sum of integer products, each unordered pair
-    formed once; q is a shift by w bits.  The slot width w bounds every
-    residual coefficient from the table's own degree and largest coefficient,
-    so each R_k unpacks exactly.
+    R_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} - T_k + (q-1)^2 T_{k-1} + [k = 0],
+    formed in ``IntPoly`` arithmetic with each unordered pair of S_j
+    multiplied once.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
@@ -209,31 +206,20 @@ def quadratic_residual_series(
     for p in table:
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
-    terms = max(len(p.coeffs) for p in table)
-    big = max((abs(c) for p in table for c in p.coeffs), default=0)
-    # |S_j| <= n_max terms * big**2 per coefficient; 2q and q(q-1)^2 weigh
-    # it by at most 2 + 4, and -1 and (q-1)^2 weigh an entry by at most 1 + 4
-    bound = 6 * n_max * terms * big * big + 5 * big + 1
-    size = (bound.bit_length() + 8) // 8  # bound < 2**(8*size - 1)
-    width = 8 * size
-    packed = [_pack(p.coeffs, size) for p in table]
-
-    def times_qm1sq(v: int) -> int:
-        return (v << 2 * width) - (v << (width + 1)) + v
-
+    qm1sq = IntPoly((1, -2, 1))  # (q-1)^2
     sums = []  # S_0 .. S_{n_max-2}
     for j in range(n_max - 1):
-        s = 2 * sum(packed[i] * packed[j - i] for i in range((j + 1) // 2))
+        s = 2 * sum((table[i] * table[j - i] for i in range((j + 1) // 2)), IntPoly())
         if j % 2 == 0:
-            s += packed[j // 2] ** 2
+            s += table[j // 2] * table[j // 2]
         sums.append(s)
     residual = []
     for k in range(n_max):
         if k == 0:
-            r = 1 - packed[0]
+            r = 1 - table[0]
         else:
-            r = (sums[k - 1] << (width + 1)) - packed[k] + times_qm1sq(packed[k - 1])
+            r = (2 * sums[k - 1]).shifted(1) - table[k] + qm1sq * table[k - 1]
         if k >= 2:
-            r -= times_qm1sq(sums[k - 2]) << width
-        residual.append(_unpack(r, size, 2 * terms + 2))
+            r -= (qm1sq * sums[k - 2]).shifted(1)
+        residual.append(r)
     return tuple(residual)

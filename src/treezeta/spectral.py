@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergedError, OutOfRangeError, PoleError
 from .genfun import spectral_edges, spectrum_cut
-from .validate import branching_number, finite_point
+from .validate import branching_number, finite_point, tolerance
 
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
@@ -59,9 +59,8 @@ class QuadratureSpec:
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (math.isfinite(tol) and tol > 0):
-                raise DomainError("tolerances must be positive and finite")
+        tolerance(self.abs_tol, "abs_tol")
+        tolerance(self.rel_tol, "rel_tol")
         n = self.max_nodes
         if n < FIRST_LEVEL_INTERVALS or n & (n - 1):
             raise DomainError(f"max_nodes must be a power of two >= {FIRST_LEVEL_INTERVALS}")

@@ -1,15 +1,18 @@
 """Argument validators shared by the public functions.
 
 Each returns its argument in canonical form (a Python ``int`` or a
-``complex``) or raises ``DomainError``, in O(1) work.  Integers are taken
-through ``operator.index``, so numpy integers pass and floats, even integral
-ones, are refused; ``bool`` is refused although it is an ``int`` subclass.
+``complex``; a tolerance comes back as given) or raises ``DomainError``, in
+O(1) work.  Integers are taken through ``operator.index``, so numpy integers
+pass and floats, even integral ones, are refused; ``bool`` is refused
+although it is an ``int`` subclass.
 """
 
 from __future__ import annotations
 
 import cmath
+import numbers
 import operator
+import sys
 
 from .errors import DomainError
 
@@ -43,3 +46,16 @@ def finite_point(z) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"evaluation point must be finite, got {z}")
     return z
+
+
+def tolerance(x, name: str):
+    """Return the tolerance x unchanged once 0 < x <= the largest float.
+
+    The bounds are compared against x itself, not float(x), so a huge
+    integer is refused rather than overflowing, and NaN fails both.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+    if not 0 < x <= sys.float_info.max:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return x

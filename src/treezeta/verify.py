@@ -49,7 +49,7 @@ from .spectral import (
     zeta_sato_tate,
     zeta_sato_tate_quad,
 )
-from .validate import integer_at_least
+from .validate import integer_at_least, tolerance
 
 TREE_QS = (2, 3, 5)
 WALK_QS = (1, 2, 3, 4)
@@ -224,6 +224,7 @@ def check_symmetry(
     qs: Sequence[int] = TREE_QS, points: int = 200, tol: float = SYMMETRY_TOL
 ) -> CheckResult:
     """Positive series at z cancels negative series at 1/z, off the cuts."""
+    tolerance(tol, "tol")
 
     def body():
         worst = 0.0
@@ -246,6 +247,7 @@ def check_entire(
     qs: Sequence[int] = TREE_QS, points: int = 100, tol: float = ENTIRE_TOL
 ) -> CheckResult:
     """The cross combination equals z + 1 everywhere, cut included."""
+    tolerance(tol, "tol")
 
     def body():
         worst = 0.0
@@ -304,6 +306,7 @@ def check_functional_equation(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Completed combination is symmetric under s -> 1 - s, numerically."""
+    tolerance(tol, "tol")
 
     def body():
         worst = 0.0
@@ -326,6 +329,7 @@ def check_integer_agreement(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Quadrature values match the exact integer-point values."""
+    tolerance(rel_tol, "rel_tol")
 
     def body():
         worst = 0.0
@@ -366,6 +370,7 @@ def check_laplace(
     Inside the small disc the transform times z is the positive series;
     outside the spectrum it is minus the reflected negative series.
     """
+    tolerance(tol, "tol")
 
     def body():
         worst = 0.0
@@ -420,6 +425,9 @@ def check_boundary(
     quad_tol: float = SATO_QUAD_TOL,
 ) -> CheckResult:
     """The two limiting line functions behave: binomials, symmetry, quadrature."""
+    tolerance(line_tol, "line_tol")
+    tolerance(fe_tol, "fe_tol")
+    tolerance(quad_tol, "quad_tol")
 
     def body():
         worst = 0.0
@@ -522,8 +530,8 @@ def run_battery(
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")
-    if tol is not None and not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if tol is not None:
+        tolerance(tol, "tol")
     given = {"q": (q,) if q is not None else None, "tol": tol, "n_max": n_max, "quad": quad}
     out = []
     for name in selected:

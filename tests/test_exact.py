@@ -43,15 +43,30 @@ class TestIntPoly:
             p.coeffs = (3,)
 
 
-@given(
-    st.lists(st.integers(-50, 50), max_size=6),
-    st.lists(st.integers(-50, 50), max_size=6),
-    st.integers(-20, 20),
+def convolve(a, b):
+    """Schoolbook product of two coefficient sequences, without ``IntPoly``."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+# small and ~400-bit signed coefficients; lengths 0..20 reach both sides of
+# KRONECKER_MIN_TERMS and the mixed case of one short and one long operand
+product_coefficient = st.one_of(st.integers(-50, 50), st.integers(-(2**400), 2**400))
+product_operand = st.integers(0, 20).flatmap(
+    lambda n: st.lists(product_coefficient, min_size=n, max_size=n)
 )
-@settings(max_examples=200)
+
+
+@given(product_operand, product_operand, st.integers(-20, 20))
+@settings(max_examples=300)
 def test_intpoly_eval_is_multiplicative(a, b, x):
     pa, pb = IntPoly(a), IntPoly(b)
     assert (pa * pb).evaluate(x) == pa.evaluate(x) * pb.evaluate(x)
+    assert pa * pb == IntPoly(convolve(a, b))
+    assert pa * pa == IntPoly(convolve(a, a))
 
 
 def fraction_horner(coeffs, x):

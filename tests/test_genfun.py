@@ -211,26 +211,44 @@ class TestEntireCombination:
             )
 
 
+def convolve(a, b):
+    """Schoolbook product of two coefficient sequences, without ``IntPoly``."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def add(*terms):
+    out = [0] * max(map(len, terms))
+    for t in terms:
+        for i, c in enumerate(t):
+            out[i] += c
+    return out
+
+
 def series_residual(n_max, polys):
-    """The residual by schoolbook coefficient convolutions, the oracle of the packed one.
+    """The residual by schoolbook coefficient convolutions, the oracle of the library one.
 
     With T = sum P_{k+1} z^k and S = T^2, the residual is
-    q z S (2 - (q-1)^2 z) + T ((q-1)^2 z - 1) + 1, read off term by term.
+    q z S (2 - (q-1)^2 z) + T ((q-1)^2 z - 1) + 1, read off term by term.  Only
+    coefficient tuples are multiplied here, so the oracle shares no product
+    code with ``IntPoly``.
     """
-    q = IntPoly.variable()
-    qm1sq = (q - 1) * (q - 1)
-    t = list(polys[:n_max])
-    square = [sum((t[i] * t[k - i] for i in range(k + 1)), IntPoly()) for k in range(n_max)]
+    qm1sq = (1, -2, 1)
+    t = [p.coeffs for p in polys[:n_max]]
+    square = [add(*(convolve(t[i], t[k - i]) for i in range(k + 1))) for k in range(n_max)]
     out = []
     for k in range(n_max):
-        r = -t[k]
+        terms = [[-c for c in t[k]]]
         if k == 0:
-            r = r + 1
+            terms.append([1])
         if k >= 1:
-            r = r + qm1sq * t[k - 1] + 2 * q * square[k - 1]
+            terms += [convolve(qm1sq, t[k - 1]), convolve((0, 2), square[k - 1])]
         if k >= 2:
-            r = r - q * qm1sq * square[k - 2]
-        out.append(r)
+            terms.append(convolve((0, -1), convolve(qm1sq, square[k - 2])))
+        out.append(IntPoly(add(*terms)))
     return tuple(out)
 
 

@@ -58,6 +58,10 @@ class TestQuadratureSpec:
             {"abs_tol": math.nan},
             {"rel_tol": math.nan},
             {"abs_tol": math.inf},
+            {"abs_tol": 10**400},  # past the largest float, refused without overflow
+            {"rel_tol": 10**400},
+            {"rel_tol": True},
+            {"abs_tol": "1e-13"},
         ],
     )
     def test_invalid(self, kwargs):

@@ -157,6 +157,27 @@ class TestBatteryDriver:
             run_battery(["symmetry"], tol=tol)
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize(
+        "check, kwargs",
+        [
+            pytest.param(check_symmetry, {"tol": math.nan}, id="symmetry-nan"),
+            pytest.param(check_symmetry, {"tol": 10**400}, id="symmetry-huge-int"),
+            pytest.param(check_symmetry, {"tol": True}, id="symmetry-bool"),
+            pytest.param(check_entire, {"tol": -1.0}, id="entire-negative"),
+            pytest.param(check_functional_equation, {"tol": math.inf}, id="fe-inf"),
+            pytest.param(check_integer_agreement, {"rel_tol": math.nan}, id="integers-nan"),
+            pytest.param(check_laplace, {"tol": 0}, id="laplace-zero"),
+            pytest.param(check_boundary, {"line_tol": math.nan}, id="boundary-line-nan"),
+            pytest.param(check_boundary, {"fe_tol": math.nan}, id="boundary-fe-nan"),
+            pytest.param(check_boundary, {"quad_tol": -1e-9}, id="boundary-quad-negative"),
+        ],
+    )
+    def test_every_numeric_tolerance_is_validated(self, check, kwargs):
+        with pytest.raises(DomainError):
+            check(**kwargs)
+
+
 class TestDepthValidation:
     def test_negative_two_step_depth_refused(self):
         with pytest.raises(DomainError, match="n_abs must be at least 0"):
