@@ -14,13 +14,16 @@ letter.  Each entry packs the weight polynomial of its prefixes into one
 Python int: coefficient k sits in the k-th bit slot, a slot is wide enough
 for 3**(2n) so slots never carry, and a change of weight is one shift.  Only
 heights from which the axis can still be reached are visited, and nothing is
-cached between calls.  The brute-force oracle visits each of the Catalan(n)
-uncoloured paths once and colours it in all 2**n ways at once: one letter
-array per path, with a column per colouring whose down-steps are B or R by
-the bits of the column index.  It counts run starts literally, by comparing
-every letter with the one before it.  The string-level definition
-(``enumerate_dyck`` with ``word_weight``) is kept as the oracle's own
-reference.
+cached between calls.  The brute-force oracle enumerates the Catalan(n)
+uncoloured paths as one bool array of up-steps and colours each in all 2**n
+ways: letters are signed codes (U = 0, B = +1, R = -1) gathered from a table
+with one column per colouring, whose down-steps are B or R by the bits of
+the column index.  Paths go through numpy in batches capped near
+``_BATCH_LETTERS`` letters, each batch one (paths, 2n, 2**n) array.  It
+counts run starts literally, by comparing every letter with the one before
+it, so a word's B-runs minus R-runs is the sum of its letters at run starts.
+The string-level definition (``enumerate_dyck`` with ``word_weight``) is
+kept as the oracle's own reference.
 """
 
 from __future__ import annotations
@@ -150,54 +153,61 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
         yield DyckWord(s)
 
 
-_U, _B, _R = 0, 1, 2  # letter codes of the colouring array
+# Letters held by one batch of the brute force: a batch of paths is sized so
+# that its (paths, 2n, 2**n) letter array stays near this many int8 entries.
+_BATCH_LETTERS = 1 << 18
 
 
-def _up_masks(n: int) -> Iterator[list]:
-    """Uncoloured Dyck paths of half-length n, as up-step masks."""
+def _up_masks(n: int) -> np.ndarray:
+    """Uncoloured Dyck paths of half-length n, one row of up-step flags each.
 
-    def rec(mask: list, height: int, ups: int) -> Iterator[list]:
-        if len(mask) == 2 * n:
-            yield mask
-            return
-        if ups < n:
-            mask.append(True)
-            yield from rec(mask, height + 1, ups + 1)
-            mask.pop()
-        if height > 0:
-            mask.append(False)
-            yield from rec(mask, height - 1, ups)
-            mask.pop()
-
-    return rec([], 0, 0)
+    The (Catalan(n), 2n) bool array is grown breadth-first, one column per
+    step: every prefix that still has an up-step left is extended by U, and
+    every prefix above the axis by a down-step.
+    """
+    masks = np.zeros((1, 0), dtype=bool)
+    height = np.zeros(1, dtype=np.int64)
+    for step in range(2 * n):
+        rise = np.flatnonzero((step + height) // 2 < n)  # ups so far: (step + height) / 2
+        fall = np.flatnonzero(height > 0)
+        is_up = np.arange(rise.size + fall.size) < rise.size
+        keep = np.concatenate([rise, fall])
+        masks = np.column_stack([masks[keep], is_up])
+        height = height[keep] + np.where(is_up, 1, -1)
+    return masks
 
 
 def _weight_poly_bruteforce(n: int) -> IntPoly:
-    """Weight distribution by exhausting every coloured word, one path at a time.
+    """Weight distribution by exhausting every coloured word, a batch of paths at a time.
 
-    For each uncoloured path the 2**n colourings form one int8 letter array,
-    stored letter-major as (2n, 2**n) so that each letter position is a
-    contiguous row and the per-word sums run over rows.  The U rows are
-    constant, and down-step j of colouring k is B or R as bit j of k is 0 or
-    1.  A letter starts a run when it differs from the letter before it (the
-    first letter always does), and each word weighs
-    n + (B-run starts) - (R-run starts).  The weights of a path are tallied
-    with ``np.bincount``, so no more than 2**n words are held at once.
+    Letters are signed codes, U = 0, B = +1 and R = -1.  Row 0 of an
+    (n + 1, 2**n) table is U in every colouring, and row j + 1 holds
+    down-step j, which in colouring k is B or R as bit j of k is 0 or 1.  A
+    path's letters are one gather from that table: position i reads row 0
+    if it is an up-step and row j + 1 if it is down-step j.  A batch of
+    paths gathers into one (paths, 2n, 2**n) int8 array, letter-major per
+    path, so that each word is a column and its sums run over axis 1.  A
+    letter starts a run when it differs from the letter before it (the
+    first letter always does), so each word weighs
+    n + (B-run starts) - (R-run starts) = n + (letters * starts).sum(axis=1).
+    That sum lies in [-n, n], so it is taken in int8.  The weights of a
+    batch are tallied with ``np.bincount``; batches hold at most
+    ``_BATCH_LETTERS`` letters, or one path when a path has more.
     """
     cols = 1 << n
-    downs = _B + ((np.arange(cols) >> np.arange(n)[:, None]) & 1).astype(np.int8)
-    letters = np.empty((2 * n, cols), dtype=np.int8)
-    starts = np.ones((2 * n, cols), dtype=bool)
+    table = np.zeros((n + 1, cols), dtype=np.int8)
+    table[1:] = 1 - 2 * ((np.arange(cols) >> np.arange(n)[:, None]) & 1)
+    masks = _up_masks(n)
+    rows = np.where(masks, 0, np.cumsum(~masks, axis=1))
+    per_batch = max(1, _BATCH_LETTERS // max(1, 2 * n * cols))  # n = 0: one empty path
     counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for mask in _up_masks(n):
-        up = np.array(mask, dtype=bool)
-        letters[up] = _U
-        letters[~up] = downs
-        np.not_equal(letters[1:], letters[:-1], out=starts[1:])
-        b_runs = np.count_nonzero(starts & (letters == _B), axis=0)
-        r_runs = np.count_nonzero(starts & (letters == _R), axis=0)
-        counts += np.bincount(n + b_runs - r_runs, minlength=2 * n + 1)
-    return IntPoly([int(c) for c in counts])
+    for lo in range(0, len(rows), per_batch):
+        letters = table[rows[lo : lo + per_batch]]
+        starts = np.ones(letters.shape, dtype=bool)
+        np.not_equal(letters[:, 1:], letters[:, :-1], out=starts[:, 1:])
+        weights = n + (letters * starts).sum(axis=1, dtype=np.int8)
+        counts += np.bincount(weights.ravel(), minlength=2 * n + 1)
+    return IntPoly(counts.tolist())
 
 
 def _shift_down(packed: int, width: int) -> int:
@@ -300,6 +310,7 @@ class IdentityReport:
     ok: bool
     dp_checked: int
     brute_checked: int
+    brute_words: int  # coloured words the brute force exhausted, Catalan(n) * 2**n summed
     mismatches: tuple[str, ...]
 
     def first_mismatch(self) -> Optional[str]:
@@ -326,6 +337,7 @@ def verify_weight_value_identity(
         raise DomainError("value polynomial table is too short")
     mismatches = []
     brute_checked = 0
+    brute_words = 0
     for n in range(n_max + 1):
         dp = weight_polynomial(n, "dp")
         expected = value_polys[n]
@@ -339,11 +351,13 @@ def verify_weight_value_identity(
         if n <= brute_max:
             brute = weight_polynomial(n, "bruteforce")
             brute_checked += 1
+            brute_words += catalan(n) << n
             if brute != dp:
                 mismatches.append(f"dp and bruteforce disagree at n = {n}")
     return IdentityReport(
         ok=not mismatches,
         dp_checked=n_max + 1,
         brute_checked=brute_checked,
+        brute_words=brute_words,
         mismatches=tuple(mismatches),
     )

@@ -175,7 +175,8 @@ def check_dyck_identity(n_max: int = 30, brute_max: int = 9) -> CheckResult:
     def body():
         report = verify_weight_value_identity(n_max, brute_max=brute_max)
         detail = (
-            f"dp through n={n_max}, bruteforce through n={min(brute_max, n_max)}, exact"
+            f"dp through n={n_max}, bruteforce through n={min(brute_max, n_max)} "
+            f"({report.brute_words} words), exact"
         )
         if not report.ok:
             detail = report.first_mismatch() or "mismatch"

@@ -17,10 +17,18 @@ from treezeta.dyck import (
     weight_profile,
     word_weight,
     _shift_down,
+    _up_masks,
 )
+from treezeta import dyck
 from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_is_palindromic
 from treezeta.special_values import value_polynomials
+
+
+def string_tally(n):
+    """Weight distribution from one word_weight call per enumerated word."""
+    tally = Counter(word_weight(w) for w in enumerate_dyck(n))
+    return [tally[k] for k in range(2 * n + 1)]
 
 
 class TestCatalan:
@@ -112,10 +120,8 @@ class TestWeightPolynomial:
 
     @pytest.mark.parametrize("n", range(7))
     def test_bruteforce_matches_string_definition(self, n):
-        # the per-path colouring arrays against one word_weight call per word
-        tally = Counter(word_weight(w) for w in enumerate_dyck(n))
-        want = [tally[k] for k in range(2 * n + 1)]
-        assert list(weight_polynomial(n, "bruteforce").coeffs) == want
+        # the batched colouring arrays against one word_weight call per word
+        assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
 
     @pytest.mark.parametrize("method", ["dp", "bruteforce"])
     @pytest.mark.parametrize("bad", [True, 3.0])
@@ -148,6 +154,28 @@ class TestWeightPolynomial:
             weight_polynomial(201, "dp")
         with pytest.raises(DomainError):
             weight_polynomial(3, "magic")
+
+
+class TestBruteforceBatches:
+    @pytest.mark.parametrize("paths_per_batch", [1, 3])
+    @pytest.mark.parametrize("n", range(8))
+    def test_small_batches_keep_every_word(self, monkeypatch, n, paths_per_batch):
+        # one path per batch, then three: Catalan(n) = 2, 5, 14 at n = 2..4,
+        # so there the last batch is ragged
+        monkeypatch.setattr(dyck, "_BATCH_LETTERS", paths_per_batch * 2 * n << n)
+        assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_paths_are_every_dyck_path_once(self, n):
+        masks = _up_masks(n)
+        assert masks.shape == (catalan(n), 2 * n)
+        assert len({tuple(row) for row in masks.tolist()}) == catalan(n)
+        for row in masks.tolist():
+            assert sum(row) == n
+            height = 0
+            for up in row:
+                height += 1 if up else -1
+                assert height >= 0
 
 
 class TestPackedShift:
@@ -205,6 +233,14 @@ class TestIdentity:
         assert report.dp_checked == 13
         assert report.brute_checked == 6
         assert report.first_mismatch() is None
+
+    # sum of Catalan(n) * 2**n for n <= brute_max: 1, then 1 + 2 + 8 + 40 + 224 + 1344
+    @pytest.mark.parametrize("brute_max, words", [(0, 1), (5, 1619), (9, 2920403)])
+    def test_brute_words_counted(self, brute_max, words):
+        report = verify_weight_value_identity(9, brute_max=brute_max)
+        assert report.ok
+        assert report.brute_checked == brute_max + 1
+        assert report.brute_words == words
 
     def test_corrupted_table_is_flagged(self):
         polys = list(value_polynomials(7))

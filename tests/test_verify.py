@@ -11,6 +11,7 @@ from treezeta.verify import (
     ALL_CHECKS,
     CHECK_OVERRIDES,
     check_boundary,
+    check_dyck_identity,
     check_entire,
     check_functional_equation,
     check_integer_agreement,
@@ -101,6 +102,11 @@ class TestChecksPass:
             assert r.passed
             assert r.exact_defect == "0"
             assert r.defect_repr == "0"
+
+    def test_dyck_detail_names_the_bruteforce_word_count(self):
+        r = check_dyck_identity(n_max=6, brute_max=5)
+        assert r.passed
+        assert "bruteforce through n=5 (1619 words)" in r.detail
 
 
 class TestBatteryDriver:
