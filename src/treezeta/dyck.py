@@ -10,20 +10,27 @@ computations of the distribution.
 
 The two computations share no code.  The dynamic program walks prefixes by
 height and last letter, in three lists indexed by height, one per last
-letter.  Each entry packs the weight polynomial of its prefixes into one
-Python int: coefficient k sits in the k-th bit slot, a slot is wide enough
-for 3**(2n) so slots never carry, and a change of weight is one shift.  Only
-heights from which the axis can still be reached are visited, and nothing is
-cached between calls.  The brute-force oracle enumerates the Catalan(n)
-uncoloured paths as one bool array of up-steps and colours each in all 2**n
-ways: letters are signed codes (U = 0, B = +1, R = -1) gathered from a table
-with one column per colouring, whose down-steps are B or R by the bits of
-the column index.  Paths go through numpy in batches capped near
-``_BATCH_LETTERS`` letters, each batch one (paths, 2n, 2**n) array.  It
-counts run starts literally, by comparing every letter with the one before
-it, so a word's B-runs minus R-runs is the sum of its letters at run starts.
-The string-level definition (``enumerate_dyck`` with ``word_weight``) is
-kept as the oracle's own reference.
+letter.  Each entry packs the weight polynomial of its prefixes, divided by
+q**h at height h, into one Python int: coefficient k sits in the k-th bit
+slot and a change of degree is one shift.  The offset is exact because a
+prefix at height h weighs at least h (its R-runs never outnumber its
+down-steps), and with it no transition shifts down.  A coefficient counts
+prefixes that extend to distinct words, so it never exceeds
+Catalan(n) * 2**n, and a slot is just that number's bit length.  A carry
+between slots would show as a coefficient sum other than that number, which
+is checked.  Only heights from which the axis can still be reached are
+visited, and nothing is cached between calls.
+
+The brute-force oracle enumerates the Catalan(n) uncoloured paths as one
+bool array of up-steps and colours each in all 2**n ways: letters are
+signed codes (U = 0, B = +1, R = -1) gathered from a table with one column
+per colouring, whose down-steps are B or R by the bits of the column index.
+Paths go through numpy in batches capped near ``_BATCH_LETTERS`` letters,
+each batch one (paths, 2n, 2**n) array.  It counts run starts literally, by
+comparing every letter with the one before it, so a word's B-runs minus
+R-runs is the sum of its letters at run starts.  The string-level
+definition (``enumerate_dyck`` with ``word_weight``) is kept as the
+oracle's own reference.
 """
 
 from __future__ import annotations
@@ -210,37 +217,33 @@ def _weight_poly_bruteforce(n: int) -> IntPoly:
     return IntPoly(counts.tolist())
 
 
-def _shift_down(packed: int, width: int) -> int:
-    """Lower every coefficient of a packed polynomial by one degree.
-
-    The constant slot must be empty: a nonzero one counts prefixes whose
-    weight would go negative, which the block weight never allows.
-    """
-    if packed & ((1 << width) - 1):
-        raise ConsistencyError("prefix weight went negative")
-    return packed >> width
-
-
 def _weight_poly_dp(n: int) -> IntPoly:
     """Prefix dynamic programming over heights, one packed integer per state.
 
     ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
     the prefixes at height h whose last letter is U, B or R (the empty
-    prefix counts as ending in U).  Each polynomial is one Python int with
-    coefficient k in the bit slot [k*width, (k+1)*width), so a change of
-    weight by one is a shift by ``width``.  Appending U always raises the
-    weight; appending B raises it exactly when it opens a new B-run;
-    appending R lowers it exactly when it opens a new R-run.  A coefficient
-    counts coloured prefixes of length at most 2n, so it is below
-    3**(2n) = 9**n and ``width = (9**n).bit_length()`` bits never carry.
-    Every reachable prefix weight is non-negative (each R-run consumes a
-    down-step, and down-steps never outnumber ups), so no exponent offset is
-    needed and a shift down that would drop a nonzero constant slot raises
-    ``ConsistencyError``.  After ``step`` letters only heights up to
-    min(step, 2n - step) of the step's parity can still return to the axis,
-    and only those are visited.
+    prefix counts as ending in U), each divided by q**h.  A prefix at height
+    h weighs at least h: weight - height = downs + B-runs - R-runs, and
+    every R-run uses a down-step.  Each stored polynomial is one Python int
+    with coefficient k in the bit slot [k*width, (k+1)*width), so a change
+    of degree by one is a shift by ``width``.  Appending U raises weight and
+    height together, so its polynomial moves up a height unshifted.  A
+    down-step lowers the height, which multiplies the stored polynomial by
+    q; a B that opens a new B-run multiplies it by q once more, and an R
+    that opens a new R-run takes the factor back.  So no transition ever
+    shifts down, and the zero low slots are never stored.  After ``step``
+    letters only heights up to min(step, 2n - step) of the step's parity can
+    still return to the axis, and only those are visited.
+
+    Every state counts distinct prefixes that extend to distinct words, so
+    no coefficient exceeds Catalan(n) * 2**n, and ``width`` is that number's
+    bit length.  The result is read at height 0, where no offset is left.  A
+    carry between slots would lower the sum of the read coefficients by a
+    nonzero multiple of 2**width - 1, so a sum other than Catalan(n) * 2**n
+    raises ``ConsistencyError``.
     """
-    width = (9**n).bit_length()
+    words = catalan(n) << n
+    width = words.bit_length()
     ups, blues, reds = [1], [0], [0]
     for step in range(2 * n):
         top = min(step + 1, 2 * n - step - 1)
@@ -249,14 +252,17 @@ def _weight_poly_dp(n: int) -> IntPoly:
             u, b, r = ups[h], blues[h], reds[h]
             ub = u + b
             if h < top:
-                new_ups[h + 1] = (ub + r) << width
+                new_ups[h + 1] = ub + r
             if h:
-                new_blues[h - 1] = ((u + r) << width) + b
-                new_reds[h - 1] = _shift_down(ub, width) + r
+                new_blues[h - 1] = (((u + r) << width) + b) << width
+                new_reds[h - 1] = ub + (r << width)
         ups, blues, reds = new_ups, new_blues, new_reds
     total = ups[0] + blues[0] + reds[0]
     mask = (1 << width) - 1
-    return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
+    coeffs = [(total >> (k * width)) & mask for k in range(2 * n + 1)]
+    if sum(coeffs) != words:
+        raise ConsistencyError(f"packed weight polynomial {n} carried between slots")
+    return IntPoly(coeffs)
 
 
 WEIGHT_POLY_METHODS = ("dp", "bruteforce")
@@ -274,33 +280,6 @@ def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
             raise DomainError(f"bruteforce route is capped at n = {ENUM_CAP}")
         return _weight_poly_bruteforce(n)
     raise DomainError(f"unknown method {method!r}; choose from {WEIGHT_POLY_METHODS}")
-
-
-def decompose(word) -> tuple[str, str, str]:
-    """Split a nonempty word as (left, inner, colour) with word = left + U + inner + colour.
-
-    The marked U is the last rise from the axis, which makes left and inner
-    valid words themselves and the split unique.
-    """
-    letters = word.letters if isinstance(word, DyckWord) else str(word)
-    _validate_letters(letters)
-    if not letters:
-        raise DomainError("the empty word has no decomposition")
-    height = 0
-    mark = -1
-    for i, ch in enumerate(letters):
-        if ch == "U":
-            if height == 0:
-                mark = i
-            height += 1
-        else:
-            height -= 1
-    left, inner, colour = letters[:mark], letters[mark + 1 : -1], letters[-1]
-    _validate_letters(left)
-    _validate_letters(inner)
-    if colour not in ("B", "R"):
-        raise ConsistencyError("final letter of a balanced nonempty word must be a down-step")
-    return left, inner, colour
 
 
 @dataclass(frozen=True)

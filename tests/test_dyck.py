@@ -10,13 +10,11 @@ from treezeta.dyck import (
     DyckWord,
     IdentityReport,
     catalan,
-    decompose,
     enumerate_dyck,
     verify_weight_value_identity,
     weight_polynomial,
     weight_profile,
     word_weight,
-    _shift_down,
     _up_masks,
 )
 from treezeta import dyck
@@ -143,7 +141,8 @@ class TestWeightPolynomial:
         assert all(c >= 0 for c in p.coeffs)
         assert p.evaluate(1) == 2**n * catalan(n)
 
-    @pytest.mark.parametrize("n", [40, 79, 150])
+    # every depth the tables workload builds, and the deep one it adds
+    @pytest.mark.parametrize("n", [*range(80), 150])
     def test_deep_dp_equals_value_polynomial(self, n):
         assert weight_polynomial(n, "dp") == value_polynomials(n + 1)[n]
 
@@ -178,51 +177,24 @@ class TestBruteforceBatches:
                 assert height >= 0
 
 
-class TestPackedShift:
-    WIDTH = 5
+class TestCarryGuard:
+    class NarrowCount(int):
+        """A word count whose bit length claims half the bits it has."""
 
-    def pack(self, coeffs):
-        return sum(c << (k * self.WIDTH) for k, c in enumerate(coeffs))
+        def __lshift__(self, k):
+            return type(self)(int(self) << k)
 
-    def test_lowers_every_degree(self):
-        assert _shift_down(self.pack([0, 3, 31, 1]), self.WIDTH) == self.pack([3, 31, 1])
+        def bit_length(self):
+            return int.bit_length(self) // 2
 
-    @pytest.mark.parametrize("coeffs", [[1], [1, 2], [31, 0, 4]])
-    def test_nonzero_constant_slot_raises(self, coeffs):
-        # a prefix whose weight would go negative signals a bug, not bad input
-        with pytest.raises(ConsistencyError, match="negative"):
-            _shift_down(self.pack(coeffs), self.WIDTH)
-
-
-class TestDecompose:
-    def test_smallest(self):
-        assert decompose("UB") == ("", "", "B")
-        assert decompose("UR") == ("", "", "R")
-
-    def test_marked_rise_is_last_from_axis(self):
-        assert decompose("UUBRUB") == ("UUBR", "", "B")
-        assert decompose("UBURUB") == ("UBUR", "", "B")
-        assert decompose("UBUURUBR") == ("UB", "URUB", "R")
-
-    def test_total_and_injective_up_to_six(self):
-        for n in range(1, 7):
-            seen = set()
-            for w in enumerate_dyck(n):
-                left, inner, colour = decompose(w)
-                assert left + "U" + inner + colour == w.letters
-                assert (left, inner, colour) not in seen
-                seen.add((left, inner, colour))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            decompose("")
-
-    def test_unbalanced_word_past_validation_is_a_bug(self, monkeypatch):
-        # validation makes this unreachable; with it switched off the split
-        # meets a final U and reports an internal error, not a bare assert
-        monkeypatch.setattr("treezeta.dyck._validate_letters", lambda letters: 0)
-        with pytest.raises(ConsistencyError, match="down-step"):
-            decompose("UBU")
+    @pytest.mark.parametrize("n", [4, 12, 30])
+    def test_too_narrow_slots_raise(self, monkeypatch, n):
+        # the count is right but its slots are too narrow: the largest
+        # coefficient carries, and only the coefficient sum can tell
+        true_catalan = catalan
+        monkeypatch.setattr(dyck, "catalan", lambda k: self.NarrowCount(true_catalan(k)))
+        with pytest.raises(ConsistencyError, match="carried"):
+            weight_polynomial(n, "dp")
 
 
 class TestIdentity:
