@@ -12,7 +12,6 @@ from .errors import (
 )
 from .exact import IntPoly, poly_eval, poly_is_palindromic
 from .special_values import (
-    SpecialValueTable,
     count_closed_walks,
     moment_polynomials,
     negative_value_table,
@@ -40,7 +39,6 @@ from .spectral import (
     complex_gamma,
     heat_trace,
     resolvent_transform,
-    xi_defect,
     xi_sato_tate,
     xi_value,
     zeta_line,
@@ -70,7 +68,6 @@ __all__ = [
     "OutOfRangeError",
     "PoleError",
     "QuadratureSpec",
-    "SpecialValueTable",
     "ZetaEval",
     "complex_gamma",
     "count_closed_walks",
@@ -97,7 +94,6 @@ __all__ = [
     "verify_weight_value_identity",
     "weight_polynomial",
     "weight_profile",
-    "xi_defect",
     "xi_sato_tate",
     "xi_value",
     "zeta_integer",

@@ -417,6 +417,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
             "defect": r.defect_repr,
             "tolerance": r.tolerance,
             "detail": r.detail,
+            "worst_at": r.worst_at,
         }
         if args.timings:
             row["elapsed_s"] = r.elapsed
@@ -425,6 +426,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
     lines = [
         f"{_status_word(r.passed, color)} {r.name}: defect {r.defect_repr} within "
         f"{r.tolerance:g} over {r.points} points; {r.detail}"
+        + ("" if r.worst_at is None else f"; worst at ({', '.join(map(_fmt_value, r.worst_at))})")
         for r in results
     ]
     lines.append(

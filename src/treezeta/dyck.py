@@ -291,6 +291,7 @@ class IdentityReport:
     brute_checked: int
     brute_words: int  # coloured words the brute force exhausted, Catalan(n) * 2**n summed
     mismatches: tuple[str, ...]
+    mismatch_ns: tuple[int, ...]  # the half-length n of each mismatch, in the same order
 
     def first_mismatch(self) -> Optional[str]:
         return self.mismatches[0] if self.mismatches else None
@@ -315,6 +316,7 @@ def verify_weight_value_identity(
     if len(value_polys) < n_max + 1:
         raise DomainError("value polynomial table is too short")
     mismatches = []
+    mismatch_ns = []
     brute_checked = 0
     brute_words = 0
     for n in range(n_max + 1):
@@ -327,16 +329,19 @@ def verify_weight_value_identity(
                 f"weight polynomial {n} differs from value polynomial {n + 1} "
                 f"first at coefficient {k}"
             )
+            mismatch_ns.append(n)
         if n <= brute_max:
             brute = weight_polynomial(n, "bruteforce")
             brute_checked += 1
             brute_words += catalan(n) << n
             if brute != dp:
                 mismatches.append(f"dp and bruteforce disagree at n = {n}")
+                mismatch_ns.append(n)
     return IdentityReport(
         ok=not mismatches,
         dp_checked=n_max + 1,
         brute_checked=brute_checked,
         brute_words=brute_words,
         mismatches=tuple(mismatches),
+        mismatch_ns=tuple(mismatch_ns),
     )

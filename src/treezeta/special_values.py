@@ -33,7 +33,6 @@ ever grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -321,48 +320,3 @@ def two_step_defect(q: int, n: int) -> Fraction:
     lhs = value(-n) - 2 * (q + 1) * value(1 - n)
     rhs = Fraction(q - 1) ** (2 * n - 1) * (value(n - 1) - 2 * (q + 1) * value(n))
     return lhs - rhs
-
-
-DEFAULT_TABLE_DEPTH = 50
-
-
-@dataclass(frozen=True)
-class SpecialValueTable:
-    """Bundled exact special values for one branching number.
-
-    ``neg_values[m]`` is the integer zeta value at -m; ``pos_values[n-1]`` the
-    rational value at n; ``value_polys[n-1]`` the polynomial behind it.
-    """
-
-    q: int
-    neg_values: tuple[int, ...]
-    pos_values: tuple[Fraction, ...]
-    value_polys: tuple[IntPoly, ...]
-
-    @classmethod
-    def build(cls, q: int, depth: int = DEFAULT_TABLE_DEPTH) -> "SpecialValueTable":
-        q = branching_number(q)
-        depth = integer_at_least(depth, 1, "depth")
-        polys = value_polynomials(depth)
-        neg = tuple(int(poly_eval(p, q)) for p in negative_value_table(depth))
-        pos = tuple(_pos_value(q, n, p) for n, p in enumerate(polys, start=1))
-        return cls(q=q, neg_values=neg, pos_values=pos, value_polys=polys)
-
-
-SMALL_ROOT_CANDIDATES = tuple(
-    Fraction(s * n, d)
-    for s in (1, -1)
-    for n, d in ((1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (1, 2), (1, 3), (1, 5), (1, 7))
-)
-
-
-def value_poly_small_rational_roots(n: int) -> list[Fraction]:
-    """Small-candidate rational roots of the n-th value polynomial.
-
-    Monic with constant coefficient 1, so the rational root theorem already
-    confines candidates to ±1; a few more candidates are checked for free.
-    Expected to be empty for every n.
-    """
-    n = integer_at_least(n, 1, "n")
-    p = _two_step_table(n)[n - 1]
-    return [x for x in SMALL_ROOT_CANDIDATES if p.evaluate(x) == 0]

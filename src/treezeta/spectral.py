@@ -29,7 +29,6 @@ combinations whose functional equations the verification battery exercises.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,8 +37,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonConvergedError, OutOfRangeError, PoleError
-from .genfun import spectral_edges, spectrum_cut
-from .validate import branching_number, finite_point, tolerance
+from .genfun import spectrum_cut
+from .validate import branching_number, finite_point, finite_result, tolerance
 
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
@@ -215,23 +214,7 @@ def _real_if_real(s: complex):
     return s.real if not s.imag else s
 
 
-def _finite_result(fn: Callable) -> Callable:
-    """Turn a float overflow inside fn, or a non-finite value, into OutOfRangeError."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            value = fn(*args, **kwargs)
-        except OverflowError:
-            value = math.inf
-        if not cmath.isfinite(value):
-            at = ", ".join(str(a) for a in args)
-            raise OutOfRangeError(f"{fn.__name__} at {at} is out of floating-point range")
-        return value
-
-    return checked
-
-
+@finite_result
 def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> ZetaEval:
     """The spectral zeta value at any complex s, by quadrature.
 
@@ -247,7 +230,7 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     return _quadrature(q, lambda g: np.exp(g.log_weight - e * g.log_base), spec)
 
 
-@_finite_result
+@finite_result
 def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> complex:
     """The completed combination (q-1)^s (2(q+1) zeta(s) - zeta(s-1)), s -> 1 - s symmetric.
 
@@ -262,12 +245,7 @@ def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> compl
     return cmath.exp(s * math.log(q - 1)) * combo
 
 
-@_finite_result
-def xi_defect(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> complex:
-    """Residual of the reflection s -> 1 - s of the completed combination."""
-    return xi_value(q, s, spec) - xi_value(q, 1 - s, spec)
-
-
+@finite_result
 def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float:
     """Return-probability-weighted heat kernel trace per vertex at time t."""
     q = branching_number(q)
@@ -277,6 +255,7 @@ def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float
     return ev.require(f"heat trace at t={t}").real
 
 
+@finite_result
 def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = None) -> complex:
     """Stieltjes transform of the spectral measure at a point off the spectrum."""
     q = branching_number(q)
@@ -341,7 +320,7 @@ def _exp_log(log_value: complex, s: complex) -> complex:
     return value if s.imag else complex(value.real)
 
 
-@_finite_result
+@finite_result
 def complex_gamma(s: complex) -> complex:
     """Gamma function on the complex plane, poles reported rather than inf."""
     s = finite_point(s)
@@ -350,7 +329,7 @@ def complex_gamma(s: complex) -> complex:
     return _exp_log(_log_gamma(s), s)
 
 
-@_finite_result
+@finite_result
 def zeta_line(s: complex) -> complex:
     """Spectral zeta of the two-regular tree, the integer line, in closed form.
 
@@ -368,7 +347,7 @@ def zeta_line(s: complex) -> complex:
     )
 
 
-@_finite_result
+@finite_result
 def zeta_sato_tate(w: complex) -> complex:
     """Zeta of the semicircle-type spectral weight on [0, 4], in closed form.
 
@@ -392,7 +371,7 @@ SATO_TATE_QUAD_NODES = 24
 SATO_TATE_MAX_RE = 1.4
 
 
-@_finite_result
+@finite_result
 def zeta_sato_tate_quad(s: complex) -> complex:
     """Direct quadrature check of the semicircle zeta for Re s < 1.4.
 
@@ -420,7 +399,7 @@ def zeta_sato_tate_quad(s: complex) -> complex:
     return (2.0 / math.pi) * (total + tail)
 
 
-@_finite_result
+@finite_result
 def xi_sato_tate(s: complex) -> complex:
     """Completed symmetric combination of the semicircle zeta.
 
@@ -432,14 +411,6 @@ def xi_sato_tate(s: complex) -> complex:
     return (2 - s) * cmath.exp(s * math.log(2)) * cmath.cos(math.pi * s / 2) * zeta_sato_tate(1 + s / 2)
 
 
-@_finite_result
+@finite_result
 def xi_sato_tate_defect(s: complex) -> complex:
     return xi_sato_tate(s) - xi_sato_tate(1 - s)
-
-
-def heat_decay_bound(q: int, t: float) -> float:
-    """Envelope 2 exp(-t r) with r the bottom of the spectrum."""
-    q = branching_number(q)
-    if not t >= 0:  # also refuses NaN
-        raise DomainError(f"heat time must be non-negative, got {t}")
-    return 2.0 * math.exp(-t * spectral_edges(q)[0])

@@ -4,17 +4,22 @@ Each returns its argument in canonical form (a Python ``int`` or a
 ``complex``; a tolerance comes back as given) or raises ``DomainError``, in
 O(1) work.  Integers are taken through ``operator.index``, so numpy integers
 pass and floats, even integral ones, are refused; ``bool`` is refused
-although it is an ``int`` subclass.
+although it is an ``int`` subclass.  ``finite_result`` wraps a function so
+that a float overflow inside it raises ``OutOfRangeError``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 import numbers
 import operator
+import reprlib
 import sys
+from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, OutOfRangeError
 
 
 def integer(n, name: str) -> int:
@@ -38,6 +43,30 @@ def integer_at_least(n, lo: int, name: str) -> int:
 def branching_number(q) -> int:
     """Return the branching number q of a tree as an int, at least 2."""
     return integer_at_least(q, 2, "branching number")
+
+
+def finite_result(fn: Callable) -> Callable:
+    """Turn a float overflow inside fn, or a non-finite number it returns, into OutOfRangeError.
+
+    An integer argument too large for a float, a branching number of 10**200
+    say, overflows wherever it first meets float arithmetic; wrapped, that is
+    an input out of range rather than a crash.  A result that is neither a
+    float nor a complex number passes through unchecked.
+    """
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            shown = [reprlib.repr(a) for a in args]
+            shown += [f"{k}={reprlib.repr(v)}" for k, v in kwargs.items()]
+            raise OutOfRangeError(f"{fn.__name__} at {', '.join(shown)} is out of floating-point range")
+        return value
+
+    return checked
 
 
 def finite_point(z) -> complex:

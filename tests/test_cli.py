@@ -156,6 +156,9 @@ class TestZeta:
             ["zeta", "--q", "2", "--s=-600"],
             ["zeta", "--line", "--s=-600,0"],
             ["zeta", "--sato-tate", "--s=-600"],
+            ["zeta", "--q", str(10**200), "--s", "2"],
+            ["zeta", "--q", str(10**200), "--s", "2", "--xi"],
+            ["heat", "--q", str(10**200), "--t", "1"],
         ],
     )
     def test_out_of_range_is_input_error(self, capsys, argv):
@@ -252,6 +255,9 @@ class TestVerify:
             ["verify", "symmetry", "--tol", "nan"],
             ["verify", "fe", "--tol", "inf"],
             ["verify", "residual", "--n-max", "-1"],
+            ["verify", "integers", "--q", str(10**39)],
+            ["verify", "symmetry", "--q", str(10**155)],
+            ["verify", "entire", "--q", str(10**155)],
         ],
     )
     def test_vacuous_or_invalid_overrides_are_input_errors(self, capsys, argv):
@@ -264,6 +270,28 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+
+    ROW_KEYS = {"name", "passed", "points", "defect", "tolerance", "detail", "worst_at"}
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_json_check_row_keys_are_pinned(self, capsys, timings):
+        argv = ["verify", "all", "--format", "json"] + (["--timings"] if timings else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        want = self.ROW_KEYS | ({"elapsed_s"} if timings else set())
+        assert [set(row) for row in payload["results"]["checks"]] == [want] * 12
+        assert ("timings" in payload) == timings
+
+    def test_worst_point_is_named(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "integers", "--q", "2", "--format", "json")
+        assert code == 0
+        q, k = json.loads(out)["results"]["checks"][0]["worst_at"]
+        assert q == 2 and -8 <= k <= 8
+        _, text, _ = run_cli(capsys, "verify", "integers", "--q", "2")
+        assert f"; worst at (2, {k})" in text
+        _, text, _ = run_cli(capsys, "verify", "twostep")
+        assert "worst at" not in text
 
     def test_timings_flag_adds_field(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")

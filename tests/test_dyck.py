@@ -221,6 +221,7 @@ class TestIdentity:
         assert not report.ok
         assert "weight polynomial 2" in report.mismatches[0]
         assert "coefficient 1" in report.mismatches[0]
+        assert report.mismatch_ns == (2,)
 
     @pytest.mark.parametrize(
         "kwargs", [{"n_max": True}, {"n_max": 4.0}, {"n_max": 4, "brute_max": -1},

@@ -12,13 +12,11 @@ from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
 from treezeta.genfun import quadratic_residual_series
 from treezeta.special_values import (
     NEG_VALUE_METHODS,
-    SpecialValueTable,
     count_closed_walks,
     moment_polynomials,
     negative_value_table,
     positive_value_sequence,
     two_step_defect,
-    value_poly_small_rational_roots,
     value_polynomials,
     zeta_integer,
     zeta_neg,
@@ -127,7 +125,9 @@ class TestValuePolynomials:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_no_small_rational_roots(self, n):
-        assert value_poly_small_rational_roots(n) == []
+        # monic with constant term 1, so +-1 are the only rational candidates
+        p = value_polynomials(n)[n - 1]
+        assert p.evaluate(1) != 0 and p.evaluate(-1) != 0
 
 
 def fraction_recursion(q, n_max):
@@ -184,6 +184,10 @@ class TestIntegerValues:
         assert zeta_integer(3, -2) == 20
         assert zeta_integer(3, 1) == Fraction(3, 8)
 
+    def test_glue_at_q_two(self):
+        assert [zeta_integer(2, -m) for m in range(3)] == [1, 3, 12]
+        assert zeta_integer(2, 3) == Fraction(86, 27)
+
     @pytest.mark.parametrize("m", range(6))
     def test_line_values_at_q_one(self, m):
         assert zeta_integer(1, -m) == math.comb(2 * m, m)
@@ -198,24 +202,6 @@ class TestIntegerValues:
     @pytest.mark.parametrize("n", range(-8, 9))
     def test_two_step_relation_exact(self, q, n):
         assert two_step_defect(q, n) == 0
-
-
-class TestSpecialValueTable:
-    def test_build(self):
-        t = SpecialValueTable.build(2, depth=12)
-        assert t.q == 2
-        assert len(t.neg_values) == 13 and len(t.pos_values) == 12
-        assert t.neg_values[0] == 1
-        assert t.neg_values[1] == 3
-        assert t.neg_values[2] == 12
-        assert t.pos_values[2] == Fraction(86, 27)
-        assert t.value_polys[3] == IntPoly([1, 3, 11, 10, 11, 3, 1])
-
-    def test_build_domain(self):
-        with pytest.raises(DomainError):
-            SpecialValueTable.build(1)
-        with pytest.raises(DomainError):
-            SpecialValueTable.build(2, depth=0)
 
 
 class TestTwoStepRoute:
@@ -342,7 +328,6 @@ class TestArgumentValidation:
             lambda: zeta_integer(2, 1.0),
             lambda: zeta_neg(1.0),
             lambda: two_step_defect(2, 0.5),
-            lambda: SpecialValueTable.build(2, depth=2.0),
         ],
     )
     def test_non_integers_refused(self, call):
@@ -353,7 +338,3 @@ class TestArgumentValidation:
         negative_value_table(1)
         with pytest.raises(DomainError):
             negative_value_table(True)
-
-    def test_small_roots_names_its_argument(self):
-        with pytest.raises(DomainError, match=r"^n must be at least 1"):
-            value_poly_small_rational_roots(0)

@@ -5,17 +5,23 @@ import math
 
 import pytest
 
+from treezeta import verify
 from treezeta.errors import DomainError
+from treezeta.exact import IntPoly
+from treezeta.genfun import symmetry_defect
+from treezeta.special_values import value_polynomials
 from treezeta.spectral import QuadratureSpec
 from treezeta.verify import (
     ALL_CHECKS,
     CHECK_OVERRIDES,
+    _scan,
     check_boundary,
     check_dyck_identity,
     check_entire,
     check_functional_equation,
     check_integer_agreement,
     check_laplace,
+    check_negative_triple,
     check_symmetry,
     check_two_step,
     entire_grid,
@@ -161,6 +167,60 @@ class TestBatteryDriver:
     def test_tol_override_must_be_positive_and_finite(self, tol):
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             run_battery(["symmetry"], tol=tol)
+
+
+class TestWorstAt:
+    def test_grid_failure_names_its_worst_point(self):
+        r = run_battery(["symmetry"], tol=1e-30)[0]
+        assert not r.passed
+        assert r.worst_at[0] in (2, 3, 5)
+        assert abs(symmetry_defect(*r.worst_at)) == r.max_defect
+
+    def test_exact_failure_names_the_first_bad_m(self, monkeypatch):
+        real = verify.negative_value_table
+
+        def corrupted(m_max, method):
+            table = real(m_max, method)
+            if method != "moments":
+                return table
+            return tuple(p + 1 if m in (4, 7) else p for m, p in enumerate(table))
+
+        monkeypatch.setattr(verify, "negative_value_table", corrupted)
+        r = check_negative_triple(m_max=10)
+        assert not r.passed
+        assert r.worst_at == (4,)
+        assert r.exact_defect == "table mismatch"
+
+    def test_dyck_failure_names_its_half_length(self, monkeypatch):
+        real = verify.verify_weight_value_identity
+
+        def corrupted(n_max, brute_max):
+            polys = list(value_polynomials(n_max + 1))
+            polys[3] = polys[3] + IntPoly([0, 1])
+            return real(n_max, brute_max, value_polys=polys)
+
+        monkeypatch.setattr(verify, "verify_weight_value_identity", corrupted)
+        r = check_dyck_identity(n_max=6, brute_max=2)
+        assert not r.passed and r.worst_at == (3,)
+        assert r.exact_defect.startswith("weight polynomial 3 differs")
+
+    def test_passing_exact_check_has_no_location(self):
+        r = check_two_step(qs=(2,), n_abs=3)
+        assert r.passed and r.worst_at is None
+
+    def test_boundary_names_its_sub_check(self):
+        r = check_boundary()
+        assert r.worst_at[0] in ("line", "reflection", "quadrature")
+
+    def test_each_row_is_held_to_its_own_bound(self):
+        rows = [(("a",), 5.0, 10.0), (("b",), 2.0, 1.0)]
+        r = _scan("x", 10.0, "", rows)
+        assert not r.passed and r.points == 2
+        assert r.max_defect == 5.0 and r.worst_at == ("a",)
+
+    def test_nan_defect_fails(self):
+        r = _scan("x", 1.0, "", [((1,), 0.5, 1.0), ((2,), math.nan, 1.0)])
+        assert not r.passed and r.worst_at == (1,)
 
 
 class TestToleranceValidation:
