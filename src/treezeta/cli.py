@@ -103,10 +103,6 @@ def _fmt_complex(z: complex) -> str:
 def _fmt_value(v: Any) -> str:
     if isinstance(v, complex):
         return _fmt_complex(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)

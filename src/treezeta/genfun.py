@@ -22,14 +22,15 @@ from typing import Optional, Sequence
 
 from .errors import CutViolationError, DomainError, PoleError
 from .exact import IntPoly
-from .special_values import value_polynomials
-from .validate import branching_number, finite_point, integer_at_least
+from .special_values import _POLY_RING, _quadratic_recurrence, value_polynomials
+from .validate import branching_number, finite_point, finite_result, integer_at_least
 
 EPS_CUT = 1e-3
 EPS_POLE = 1e-8
 EPS_REMOVABLE = 1e-3
 
 
+@finite_result
 def spectral_edges(q: int) -> tuple[float, float]:
     """Endpoints of the Laplacian spectrum of the (q+1)-regular tree."""
     q = branching_number(q)
@@ -75,6 +76,7 @@ def _psqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
+@finite_result
 def cut_sqrt(q: int, z: complex) -> complex:
     """The square root of (z - lo)(z - hi) that is q - 1 at the origin.
 
@@ -94,6 +96,7 @@ def _recip_radical(q: int, w: complex) -> complex:
     return _psqrt(1 - w * hi) * _psqrt(1 - w * lo)
 
 
+@finite_result
 def moment_genfun(q: int, z: complex) -> complex:
     """Generating function of the closed-walk counts at a vertex.
 
@@ -134,6 +137,7 @@ def _pos_raw(q: int, z: complex) -> complex:
     return 0.5 * ((q + 1) * s + z * (q - 1) - (q * q - 1)) / gap
 
 
+@finite_result
 def neg_value_genfun(q: int, w: complex) -> complex:
     """Analytic continuation of sum zeta(-m) w^m off the reciprocal cut."""
     q = branching_number(q)
@@ -142,6 +146,7 @@ def neg_value_genfun(q: int, w: complex) -> complex:
     return _neg_raw(q, w)
 
 
+@finite_result
 def pos_value_genfun(q: int, z: complex) -> complex:
     """Analytic continuation of sum zeta(n) z^n (n >= 1) off the spectral cut."""
     q = branching_number(q)
@@ -150,6 +155,7 @@ def pos_value_genfun(q: int, z: complex) -> complex:
     return _pos_raw(q, z)
 
 
+@finite_result
 def symmetry_defect(q: int, z: complex) -> complex:
     """Residual of the reflection identity tying the two value series.
 
@@ -163,6 +169,7 @@ def symmetry_defect(q: int, z: complex) -> complex:
     return pos_value_genfun(q, z) + neg_value_genfun(q, 1 / z)
 
 
+@finite_result
 def entire_combination(q: int, z: complex) -> complex:
     """The radical-free cross combination of the two value series.
 
@@ -192,10 +199,10 @@ def quadratic_residual_series(
     may be injected to point the detector at foreign data; its entries must be
     ``IntPoly``.
 
-    With T_k the k-th table entry and S_j = sum_i T_i T_{j-i}, the residual is
+    The residual is R_k = rhs_k - T_k, with rhs_k what the quadratic
+    recurrence of ``special_values`` makes of the entries before T_k:
     R_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} - T_k + (q-1)^2 T_{k-1} + [k = 0],
-    formed in ``IntPoly`` arithmetic with each unordered pair of S_j
-    multiplied once.
+    where T_k is the k-th table entry and S_j = sum_i T_i T_{j-i}.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
@@ -206,20 +213,5 @@ def quadratic_residual_series(
     for p in table:
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
-    qm1sq = IntPoly((1, -2, 1))  # (q-1)^2
-    sums = []  # S_0 .. S_{n_max-2}
-    for j in range(n_max - 1):
-        s = 2 * sum((table[i] * table[j - i] for i in range((j + 1) // 2)), IntPoly())
-        if j % 2 == 0:
-            s += table[j // 2] * table[j // 2]
-        sums.append(s)
-    residual = []
-    for k in range(n_max):
-        if k == 0:
-            r = 1 - table[0]
-        else:
-            r = (2 * sums[k - 1]).shifted(1) - table[k] + qm1sq * table[k - 1]
-        if k >= 2:
-            r -= (qm1sq * sums[k - 2]).shifted(1)
-        residual.append(r)
-    return tuple(residual)
+    rhs = _quadratic_recurrence(table, 0, *_POLY_RING)
+    return tuple(r - t for t, r in zip(table, rhs))

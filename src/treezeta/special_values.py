@@ -24,14 +24,17 @@ the two-step functional relation between the values at n and at -n into
     2q(q+1) P_n = q(q-1)^2(q+1) P_{n-1} - (q+1)^n (N_n - 2(q+1) N_{n-1}),
 
 one exact division per polynomial, fed by the closed-form N_m.  The internal
-quadratic route keeps the convolution recursion of the quadratic functional
-equation of their generating series, O(n^4) to depth n, as the oracle that
-the checks hold the two-step table to.  Each route keeps one table that only
-ever grows.
+quadratic route, the oracle the checks hold the two-step table to, runs the
+recurrence of the quadratic functional equation of their generating series.
+``_quadratic_recurrence`` is its one implementation, with three users: that
+oracle table over Z[q], ``positive_value_sequence`` in integers at a fixed q,
+and ``genfun.quadratic_residual_series``.  Each route keeps one table that
+only ever grows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -191,24 +194,47 @@ def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
     return tuple(_series_quotient(half, (_ONE, _QP1 * -2)))
 
 
+def _quadratic_recurrence(table, start, q, qm1_sq, one, zero):
+    """Yield T_k for k = start, start+1, ..., each formed from T_0..T_{k-1} in ``table``.
+
+    T_0 = one, T_k = q (2 S_{k-1} - qm1_sq S_{k-2}) + qm1_sq T_{k-1} with S_j = sum_i T_i T_{j-i},
+    in the caller's ring (``_POLY_RING``, or ints at a fixed q): each S_j once, each pair once.
+    """
+
+    def pair_sum(j):  # S_j; S_{-1} is the empty sum
+        s = 2 * sum((table[i] * table[j - i] for i in range((j + 1) // 2)), zero)
+        if j % 2 == 0:
+            s += table[j // 2] * table[j // 2]
+        return s
+
+    if start == 0:
+        yield one
+        start = 1
+    before = pair_sum(start - 2)
+    for k in itertools.count(start):
+        s = pair_sum(k - 1)
+        yield q * (2 * s - qm1_sq * before) + qm1_sq * table[k - 1]
+        before = s
+
+
+_POLY_RING = (IntPoly.variable(), _QM1_SQ, _ONE, IntPoly())  # q, (q-1)^2, one, zero over Z[q]
+
+
+def _grow(table: list, n_max: int, ring) -> list:
+    """``table`` grown in place by the quadratic recurrence to hold n_max entries."""
+    steps = _quadratic_recurrence(table, len(table), *ring)
+    while len(table) < n_max:
+        table.append(next(steps))
+    return table
+
+
 # P_1, P_2, ... as far as the quadratic route has been asked for; only ever grown
-_quadratic_polys: list[IntPoly] = [_ONE]
+_quadratic_polys: list[IntPoly] = []
 
 
 def _quadratic_table(n_max: int) -> list[IntPoly]:
-    """The live quadratic-route table, grown first to hold at least n_max polynomials.
-
-    The quadratic functional equation of the generating series gives
-    P_{n+1} = 2q sum_{j=1}^{n} P_j P_{n+1-j} - q (q-1)^2 sum_{j=1}^{n-1} P_j P_{n-j}
-    + (q-1)^2 P_n, O(n^4) integer work to depth n.
-    """
-    p = _quadratic_polys
-    while len(p) < n_max:
-        n = len(p)  # p[i] is P_{i+1}; this step appends P_{n+1}
-        conv_a = sum((p[j] * p[n - 1 - j] for j in range(n)), IntPoly())
-        conv_b = sum((p[j] * p[n - 2 - j] for j in range(n - 1)), IntPoly())
-        p.append((conv_a * 2 - _QM1_SQ * conv_b).shifted(1) + _QM1_SQ * p[n - 1])
-    return p
+    """The live quadratic-route table, grown first to hold at least n_max polynomials."""
+    return _grow(_quadratic_polys, n_max, _POLY_RING)
 
 
 # P_1, P_2, ... as far as the two-step route has been asked for; only ever grown
@@ -247,43 +273,28 @@ def value_polynomials(n_max: int) -> tuple[IntPoly, ...]:
     return tuple(_two_step_table(n_max)[:n_max])
 
 
-def _pos_value(q: int, n: int, poly: IntPoly) -> Fraction:
-    # zeta(n) = q P_n(q) / ((q-1)^(2n-1) (q+1)^n)
-    return Fraction(q * poly.evaluate(q), (q - 1) ** (2 * n - 1) * (q + 1) ** n)
+def _pos_value(q: int, n: int, p_n: int) -> Fraction:
+    # zeta(n) = q P_n(q) / ((q-1)^(2n-1) (q+1)^n), given p_n = P_n(q)
+    return Fraction(q * p_n, (q - 1) ** (2 * n - 1) * (q + 1) ** n)
 
 
 def zeta_pos(q: int, n: int) -> Fraction:
     """Zeta value at the positive integer n, exactly (q = 1 has its own line function)."""
     q = branching_number(q)
     n = integer_at_least(n, 1, "n")
-    return _pos_value(q, n, _two_step_table(n)[n - 1])
+    return _pos_value(q, n, _two_step_table(n)[n - 1].evaluate(q))
 
 
 def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     """Positive-integer zeta values a_0..a_n_max via the quadratic recursion.
 
-    Independent of the value-polynomial route: only the closed-walk quadratic
-    feeds this recursion, so it cross-checks ``zeta_pos``.
+    Shares the quadratic oracle's recurrence, run in integers at this q, and no
+    code with the two-step table behind ``zeta_pos``, which it cross-checks.
     """
     q = branching_number(q)
     n_max = integer_at_least(n_max, 0, "n_max")
-    # a_n = (2(q+1) conv_n - conv_{n-1} + (q-1) a_{n-1}) / (q^2 - 1) with
-    # conv_n = sum_{j=1}^{n-1} a_j a_{n-j}.  In the numerators
-    # b_n = a_n (q-1)^(2n-1) (q+1)^n and C_n = sum_{j=1}^{n-1} b_j b_{n-j} it
-    # reads b_n = 2 C_n - (q-1)^2 C_{n-1} + (q-1)^2 b_{n-1}: integers only.
-    # C_n pairs j with n - j, so each product is formed once.
-    sq = (q - 1) ** 2
-    b = [1, q]
-    previous = 0
-    for n in range(2, n_max + 1):
-        conv = 2 * sum(b[j] * b[n - j] for j in range(1, (n + 1) // 2))
-        if n % 2 == 0:
-            conv += b[n // 2] ** 2
-        b.append(2 * conv - sq * previous + sq * b[n - 1])
-        previous = conv
-    return [Fraction(1)] + [
-        Fraction(b[n], (q - 1) ** (2 * n - 1) * (q + 1) ** n) for n in range(1, n_max + 1)
-    ]
+    values = _grow([], n_max, (q, (q - 1) ** 2, 1, 0))  # P_1(q)..P_n_max(q)
+    return [Fraction(1)] + [_pos_value(q, n, values[n - 1]) for n in range(1, n_max + 1)]
 
 
 def zeta_integer(q: int, k: int) -> Fraction:
@@ -314,7 +325,7 @@ def two_step_defect(q: int, n: int) -> Fraction:
 
     def value(k: int) -> Fraction:
         if k >= 1:
-            return _pos_value(q, k, polys[k - 1])
+            return _pos_value(q, k, polys[k - 1].evaluate(q))
         return poly_eval(zeta_neg(-k), q)
 
     lhs = value(-n) - 2 * (q + 1) * value(1 - n)

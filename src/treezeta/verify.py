@@ -205,10 +205,9 @@ def _geom_radii(lo: float, hi: float, count: int) -> list[float]:
 def symmetry_grid(q: int, count: int = 200) -> list[complex]:
     """Fixed off-cut grid for the reflection identity, both variables clear."""
     pts = []
+    cut, back = spectrum_cut(q), reciprocal_cut(q)
     for z in _ring_grid(_geom_radii(0.1, 100.0, 25), 16):
-        if spectrum_cut(q).distance(z) <= CUT_CLEARANCE:
-            continue
-        if reciprocal_cut(q).distance(1 / z) <= CUT_CLEARANCE:
+        if cut.distance(z) <= CUT_CLEARANCE or back.distance(1 / z) <= CUT_CLEARANCE:
             continue
         pts.append(z)
         if len(pts) == count:

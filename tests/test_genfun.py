@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treezeta.errors import CutViolationError, DomainError, PoleError
+from treezeta.errors import CutViolationError, DomainError, OutOfRangeError, PoleError
 from treezeta.exact import IntPoly, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
@@ -338,6 +338,22 @@ class TestArgumentValidation:
         for call in (moment_genfun, entire_combination, cut_sqrt, symmetry_defect):
             with pytest.raises(DomainError):
                 call(2, z)
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (spectral_edges, (10**400,)),
+            (cut_sqrt, (2, 10**400)),
+            (moment_genfun, (10**400, 0.1)),
+            (neg_value_genfun, (2, 10**400)),
+            (pos_value_genfun, (2, 10**400)),
+            (symmetry_defect, (10**155, 1j)),
+            (entire_combination, (10**200, 0.5)),
+        ],
+    )
+    def test_float_overflow_is_out_of_range(self, call, args):
+        with pytest.raises(OutOfRangeError, match="out of floating-point range"):
+            call(*args)
 
     def test_residual_depth_must_be_integer(self):
         with pytest.raises(DomainError):

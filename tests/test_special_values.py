@@ -265,6 +265,15 @@ class TestTwoStepRoute:
         residual = quadratic_residual_series(12)
         assert any(not c.is_zero() for c in residual)
 
+    def test_quadratic_table_grown_in_steps_equals_one_build(self, monkeypatch):
+        monkeypatch.setattr(sv, "_quadratic_polys", [])
+        for n in (1, 2, 5, 21, 48):
+            assert len(sv._quadratic_table(n)) == n
+        stepped = list(sv._quadratic_polys)
+        monkeypatch.setattr(sv, "_quadratic_polys", [])
+        assert stepped == sv._quadratic_table(48)
+        assert tuple(stepped) == value_polynomials(48)
+
     def test_depth_129_builds_fast(self, monkeypatch):
         import time
 
