@@ -8,9 +8,15 @@ square roots, one per zero of the radicand; this fixes the analytic branch off
 the real cut segment and, because the two value-series share their radical
 factors under z -> 1/z, makes their reflection identity exact by construction.
 
+Each series has one formula, the plain closed form rationalised by the
+conjugate of its radical numerator.  Denominator times conjugate is a
+polynomial in the point, zero only at the plain form's removable points, where
+the principal radical keeps the denominator nonzero; nothing cancels as q grows.
+
 On the real axis just below a cut, ``cmath`` produces a negative-zero
 imaginary part, which would silently flip one factor to the wrong sheet; the
-principal-root helper canonicalises that before taking the root.
+principal-root helper canonicalises that.  Each public evaluator validates
+its arguments once and then calls only private helpers.
 """
 
 from __future__ import annotations
@@ -20,22 +26,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CutViolationError, DomainError, PoleError
+from .errors import CutViolationError, DomainError
 from .exact import IntPoly
 from .special_values import _POLY_RING, _quadratic_recurrence, value_polynomials
 from .validate import branching_number, finite_point, finite_result, integer_at_least
 
 EPS_CUT = 1e-3
-EPS_POLE = 1e-8
-EPS_REMOVABLE = 1e-3
+
+
+def _edges(q: int) -> tuple[float, float]:
+    rq = math.sqrt(q)
+    return ((rq - 1) ** 2, (rq + 1) ** 2)
 
 
 @finite_result
 def spectral_edges(q: int) -> tuple[float, float]:
     """Endpoints of the Laplacian spectrum of the (q+1)-regular tree."""
-    q = branching_number(q)
-    rq = math.sqrt(q)
-    return ((rq - 1) ** 2, (rq + 1) ** 2)
+    return _edges(branching_number(q))
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,6 @@ class SpectrumCut:
     hi: float
 
     def distance(self, z: complex) -> float:
-        z = complex(z)
         x = min(max(z.real, self.lo), self.hi)
         return math.hypot(z.real - x, z.imag)
 
@@ -58,22 +64,27 @@ class SpectrumCut:
             )
 
 
+@finite_result
 def spectrum_cut(q: int) -> SpectrumCut:
-    lo, hi = spectral_edges(q)
-    return SpectrumCut(lo, hi)
+    return SpectrumCut(*_edges(branching_number(q)))
 
 
+@finite_result
 def reciprocal_cut(q: int) -> SpectrumCut:
-    lo, hi = spectral_edges(q)
+    lo, hi = _edges(branching_number(q))
     return SpectrumCut(1.0 / hi, 1.0 / lo)
 
 
 def _psqrt(z: complex) -> complex:
     """Principal square root with the negative-zero edge folded upward."""
-    z = complex(z)
     if z.imag == 0.0:
         z = complex(z.real, 0.0)
     return cmath.sqrt(z)
+
+
+def _radical(q: int, z: complex) -> complex:  # cut_sqrt over q - 1, so 1 at the origin
+    lo, hi = _edges(q)
+    return _psqrt(1 - z / lo) * _psqrt(1 - z / hi)
 
 
 @finite_result
@@ -84,15 +95,12 @@ def cut_sqrt(q: int, z: complex) -> complex:
     right of it (the sign forced by analyticity, not a convention).  Points on
     the segment itself get the upper-edge limit.
     """
-    lo, hi = spectral_edges(q)
-    z = finite_point(z)
-    return (q - 1) * _psqrt(1 - z / lo) * _psqrt(1 - z / hi)
+    q = branching_number(q)
+    return (q - 1) * _radical(q, finite_point(z))
 
 
-def _recip_radical(q: int, w: complex) -> complex:
-    """Companion radical in the reciprocal variable, 1 at the origin."""
-    lo, hi = spectral_edges(q)
-    w = complex(w)
+def _recip_radical(q: int, w: complex) -> complex:  # the companion radical in w = 1/z, 1 at 0
+    lo, hi = _edges(q)
     return _psqrt(1 - w * hi) * _psqrt(1 - w * lo)
 
 
@@ -100,9 +108,10 @@ def _recip_radical(q: int, w: complex) -> complex:
 def moment_genfun(q: int, z: complex) -> complex:
     """Generating function of the closed-walk counts at a vertex.
 
-    Meromorphic continuation of sum c_n z^n beyond its radius 1/(2 sqrt(q)).
-    The two candidate poles on the way are in fact removable, but evaluation
-    this close to them cancels catastrophically, so they are refused outright.
+    Meromorphic continuation of sum c_n z^n beyond its radius 1/(2 sqrt(q)),
+    as 2q / ((q+1) sqrt(1 - 4 q z^2) + (q-1)).  The denominator times its
+    conjugate is 4q (1 - (q+1)^2 z^2), and at z = +-1/(q+1) it is 2(q-1), so
+    it never vanishes: the removable points of the plain form give q/(q-1).
     """
     q = branching_number(q)
     z = finite_point(z)
@@ -110,49 +119,42 @@ def moment_genfun(q: int, z: complex) -> complex:
     # branch rays of sqrt(1 - 4 q z^2): the real axis beyond +-1/(2 sqrt q)
     for ray in (SpectrumCut(half_radius, math.inf), SpectrumCut(-math.inf, -half_radius)):
         ray.refuse_near(z)
-    pole_gap = 1 - (q + 1) ** 2 * z * z
-    if abs(pole_gap) < EPS_POLE:
-        raise PoleError(f"point {z} is numerically at a removable singularity of the walk series")
     radical = _psqrt(1 - 2 * math.sqrt(q) * z) * _psqrt(1 + 2 * math.sqrt(q) * z)
-    return 0.5 * ((q + 1) * radical - (q - 1)) / pole_gap
+    return 2 * q / (q + 1) / (radical + (q - 1) / (q + 1))
 
 
 def _neg_raw(q: int, w: complex) -> complex:
-    # closed form of the negative-value series; conjugate-rationalised near the
-    # removable zero of its denominator so no precision is lost there
-    w = complex(w)
-    r = _recip_radical(q, w)
-    gap = 1 - 2 * (q + 1) * w
-    if abs(gap) < EPS_REMOVABLE:
-        return 2 * q / ((q - 1) * (1 - (q + 1) * w) + (q + 1) * r)
-    return 0.5 * ((q + 1) * r + w * (q * q - 1) - (q - 1)) / gap
+    # 2q / ((q-1) - (q^2-1) w + (q+1) R(w)), divided through by q - 1
+    return 2 * q / (q - 1) / (1 - (q + 1) * w + (q + 1) / (q - 1) * _recip_radical(q, w))
 
 
 def _pos_raw(q: int, z: complex) -> complex:
-    z = complex(z)
-    s = cut_sqrt(q, z)
-    gap = z - 2 * (q + 1)
-    if abs(gap) < EPS_REMOVABLE * 2 * (q + 1):
-        return 2 * z * q / ((q - 1) * (q + 1 - z) + (q + 1) * s)
-    return 0.5 * ((q + 1) * s + z * (q - 1) - (q * q - 1)) / gap
+    # 2qz / ((q^2-1) - (q-1) z + (q+1) S(z)), divided through by q^2 - 1; past the
+    # float range the int q^2 - 1 raises on meeting z, and no inf reaches a denominator
+    return 2 * q * (z / (q * q - 1)) / (1 - z / (q + 1) + _radical(q, z))
+
+
+def _neg_value(q: int, w: complex) -> complex:
+    lo, hi = _edges(q)  # the reciprocal cut shrinks like 1/hi, and its clearance with it
+    SpectrumCut(1.0 / hi, 1.0 / lo).refuse_near(w, EPS_CUT / hi)
+    return _neg_raw(q, w)
+
+
+def _pos_value(q: int, z: complex) -> complex:
+    SpectrumCut(*_edges(q)).refuse_near(z)
+    return _pos_raw(q, z)
 
 
 @finite_result
 def neg_value_genfun(q: int, w: complex) -> complex:
     """Analytic continuation of sum zeta(-m) w^m off the reciprocal cut."""
-    q = branching_number(q)
-    w = finite_point(w)
-    reciprocal_cut(q).refuse_near(w)
-    return _neg_raw(q, w)
+    return _neg_value(branching_number(q), finite_point(w))
 
 
 @finite_result
 def pos_value_genfun(q: int, z: complex) -> complex:
     """Analytic continuation of sum zeta(n) z^n (n >= 1) off the spectral cut."""
-    q = branching_number(q)
-    z = finite_point(z)
-    spectrum_cut(q).refuse_near(z)
-    return _pos_raw(q, z)
+    return _pos_value(branching_number(q), finite_point(z))
 
 
 @finite_result
@@ -166,7 +168,7 @@ def symmetry_defect(q: int, z: complex) -> complex:
     z = finite_point(z)
     if z == 0:
         raise DomainError("reflection needs a nonzero point")
-    return pos_value_genfun(q, z) + neg_value_genfun(q, 1 / z)
+    return _pos_value(q, z) + _neg_value(q, 1 / z)
 
 
 @finite_result
@@ -175,10 +177,10 @@ def entire_combination(q: int, z: complex) -> complex:
 
     Weighting the negative series at z/(q-1) by 1 - 2kz and the positive
     series at (q-1)z by 2k - z, with k = (q+1)/(q-1), cancels the shared
-    radical identically; the result is the entire function z + 1.  Because
-    the cancellation is exact on the cut segment as well (the two pieces use
-    the same principal factors), evaluation here bypasses the cut refusal of
-    the public evaluators.
+    radical identically; the result is the entire function z + 1.  The
+    cancellation is exact on the cut segment as well (the two pieces use the
+    same principal factors), so this bypasses the cut refusal, and the
+    rationalised pieces need no care at their removable points 2k and 1/(2k).
     """
     q = branching_number(q)
     z = finite_point(z)

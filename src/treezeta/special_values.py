@@ -148,17 +148,14 @@ def zeta_neg(m: int, method: str = "closed_form") -> IntPoly:
 
 
 def _neg_value_closed_form(m: int) -> IntPoly:
-    # sum of squared binomials minus a (q-1)-weighted correction double sum
-    coeffs = [0] * (m + 2)
-    for k in range(m + 1):
-        coeffs[m - k] += math.comb(m, k) ** 2
-    for j in range(1, m // 2 + 1):
-        for k in range(m - 2 * j + 1):
-            b = math.comb(m, k) * math.comb(m, 2 * j + k)
-            e = m - 2 * j - k
-            coeffs[e + 1] -= b
-            coeffs[e] += b
-    return IntPoly(coeffs)
+    # q^e has coefficient C(m, e) P[m-e] - C(m, e-1) P[m-e-1], where P[k] sums C(m, i)
+    # over i <= k, i = k (mod 2): one Pascal row and one same-parity running sum
+    row = [math.comb(m, i) for i in range(m + 1)]
+    sums = [0, 0]  # sums[k + 2] = P[k], so P[-2] = P[-1] = 0
+    for c in row:
+        sums.append(c + sums[-2])
+    below = [0] + row  # below[e] = C(m, e - 1)
+    return IntPoly([row[e] * sums[m - e + 2] - below[e] * sums[m - e + 1] for e in range(m + 1)])
 
 
 # N_0, N_1, ... by the closed form as far as any caller has asked; only ever grown

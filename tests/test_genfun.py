@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treezeta.errors import CutViolationError, DomainError, OutOfRangeError, PoleError
+from treezeta.errors import CutViolationError, DomainError, OutOfRangeError
 from treezeta.exact import IntPoly, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
@@ -107,11 +107,18 @@ class TestMomentGenfun:
     def test_value_at_origin(self):
         assert moment_genfun(7, 0) == pytest.approx(1.0)
 
-    def test_removable_points_refused(self):
-        with pytest.raises(PoleError):
-            moment_genfun(2, 1 / 3)
-        with pytest.raises(PoleError):
-            moment_genfun(3, -0.25)
+    def test_removable_points_evaluate(self):
+        # the plain form is 0/0 at +-1/(q+1); the rationalised one gives q/(q-1)
+        for q in (2, 3, 5):
+            for z in (1 / (q + 1), -1 / (q + 1)):
+                assert moment_genfun(q, z) == pytest.approx(q / (q - 1), rel=1e-13)
+        # inside the radius at q = 5, so the walk series converges to it
+        partial = sum(count_closed_walks(5, n) * (1 / 6) ** n for n in range(65))
+        assert moment_genfun(5, 1 / 6) == pytest.approx(partial, rel=1e-9)
+
+    def test_huge_q_keeps_its_small_value(self):
+        # 2q / ((q+1) sqrt(1 + 0.04 q) + (q-1)) is 1e-149, small but not 0
+        assert moment_genfun(10**300, 0.1j) == pytest.approx(1e-149, rel=1e-12)
 
     def test_branch_rays_refused(self):
         with pytest.raises(CutViolationError):
@@ -154,14 +161,14 @@ class TestValueGenfuns:
             assert pos_value_genfun(q, z0) == pytest.approx(-2 * q / (q - 1), rel=1e-13)
 
     def test_rationalised_form_matches_closed_form(self):
-        # the conjugate form used inside the removable band agrees with the
-        # plain closed form wherever both are well conditioned
+        # the plain closed form, well conditioned away from its removable
+        # point z = 2(q+1), is the oracle of the rationalised one
         for q in (2, 3):
             for ang in range(1, 8):
                 z = 3 * (q + 1) * complex(math.cos(ang), math.sin(ang))
                 s = cut_sqrt(q, z)
-                rationalised = 2 * z * q / ((q - 1) * (q + 1 - z) + (q + 1) * s)
-                assert pos_value_genfun(q, z) == pytest.approx(rationalised, rel=1e-11)
+                plain = ((q + 1) * s + z * (q - 1) - (q * q - 1)) / (2 * (z - 2 * (q + 1)))
+                assert pos_value_genfun(q, z) == pytest.approx(plain, rel=1e-11)
 
     def test_points_on_cut_refused(self):
         with pytest.raises(CutViolationError):
@@ -186,6 +193,28 @@ class TestValueGenfuns:
     def test_symmetry_defect_needs_nonzero(self):
         with pytest.raises(DomainError):
             symmetry_defect(2, 0)
+
+    @pytest.mark.parametrize("q", [10**3, 10**6])
+    def test_reciprocal_cut_clearance_shrinks_with_the_cut(self, q):
+        # the cut [1/hi, 1/lo] starts within 1e-3 of the origin here, yet the
+        # origin is clear of it and carries zeta(0) = 1
+        assert reciprocal_cut(q).lo < 1e-3
+        assert neg_value_genfun(q, 0) == pytest.approx(1.0, rel=1e-13)
+        w = reciprocal_cut(q).lo / 2
+        assert abs(symmetry_defect(q, 1 / w)) < 1e-12
+        with pytest.raises(CutViolationError):
+            neg_value_genfun(q, reciprocal_cut(q).hi)
+
+    @pytest.mark.parametrize("q", [10**100, 12 * 10**153], ids=["1e100", "1.2e154"])
+    def test_huge_q_values(self, q):
+        # there pos(z) is about z/q and neg(w) about -1/(qw): small, not 0
+        assert pos_value_genfun(q, 1j) == pytest.approx(1j / q, rel=1e-12)
+        assert neg_value_genfun(q, -1j) == pytest.approx(-1j / q, rel=1e-12)
+        assert entire_combination(q, 100 + 3j) == pytest.approx(101 + 3j, rel=1e-12)
+
+    def test_square_past_the_float_range_names_the_called_function(self):
+        with pytest.raises(OutOfRangeError, match="^symmetry_defect at "):
+            symmetry_defect(10**155, 1j)
 
 
 class TestEntireCombination:

@@ -86,6 +86,22 @@ class TestNegativeValues:
         for m in (0, 1, 7, 44, 90):
             assert deep[m] == sv._neg_value_closed_form(m)
 
+    def test_closed_form_matches_double_sum(self):
+        # the O(m^2)-binomial double sum the one-row formula replaced is its oracle
+        def double_sum(m):
+            coeffs = [0] * (m + 2)
+            for k in range(m + 1):
+                coeffs[m - k] += math.comb(m, k) ** 2
+            for j in range(1, m // 2 + 1):
+                for k in range(m - 2 * j + 1):
+                    b = math.comb(m, k) * math.comb(m, 2 * j + k)
+                    coeffs[m - 2 * j - k + 1] -= b
+                    coeffs[m - 2 * j - k] += b
+            return IntPoly(coeffs)
+
+        for m in range(121):
+            assert sv._neg_value_closed_form(m) == double_sum(m)
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             zeta_neg(3, method="quadrature")

@@ -98,6 +98,19 @@ class TestChecksPass:
         r = check_laplace()
         assert r.passed and r.points == 80
 
+    @pytest.mark.parametrize("q", [10**5, 10**6, 10**10])
+    def test_symmetry_at_large_q(self, q):
+        assert check_symmetry(qs=(q,)).passed
+
+    @pytest.mark.parametrize("q", [10**4, 10**10])
+    def test_entire_at_large_q(self, q):
+        assert check_entire(qs=(q,)).passed
+
+    @pytest.mark.parametrize("q", [10**3, 10**6])
+    def test_laplace_at_large_q(self, q):
+        # 1/z of the outer grid lies within 1e-3 of the reciprocal cut, which shrinks like 1/q
+        assert check_laplace(qs=(q,)).passed
+
     def test_boundary(self):
         r = check_boundary()
         assert r.passed
