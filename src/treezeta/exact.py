@@ -9,21 +9,28 @@ rather than an integer, which keeps degree comparisons honest.
 ``KRONECKER_MIN_TERMS`` coefficients: ``_pack`` puts coefficient k in byte
 slot k of one integer, the two integers are multiplied once, and ``_unpack``
 reads the product's coefficients back.  Shorter products run the schoolbook
-loop.  No other module knows the packed layout.
+loop.  ``SumOfProducts`` does the same for a whole sum of c * a * b terms:
+one slot size bounds every coefficient of the sum, each operand is packed
+once, the packed products are added as plain integers, and the sum is
+unpacked once.  An instance keeps its packs across calls, so a table build
+that meets the same operands in many sums packs each once per slot size.
+No other module knows the packed layout.
 
 No floating point enters any computation in this module.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
 
 NEG_INFINITY = float("-inf")
-# the shorter operand's length from which a product packs its operands
-KRONECKER_MIN_TERMS = 8
+# the shorter operand's length from which a product packs its operands; below
+# it the schoolbook loop is faster for coefficients of 10 to 200 bits
+KRONECKER_MIN_TERMS = 16
 
 
 def _trimmed(coeffs: list) -> list:
@@ -36,7 +43,7 @@ def _trimmed(coeffs: list) -> list:
 class IntPoly:
     """Dense polynomial with integer coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "__weakref__")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = []
@@ -123,9 +130,7 @@ class IntPoly:
             return IntPoly()
         shorter = min(len(a), len(b))
         if shorter >= KRONECKER_MIN_TERMS:
-            # every product coefficient is at most big in size, and big < 2**(8*size-1)
-            big = max(map(abs, a)) * max(map(abs, b)) * shorter
-            size = (big.bit_length() + 8) // 8
+            size = _slot_size(max(map(abs, a)) * max(map(abs, b)) * shorter)
             packed = _pack(a, size)
             return _unpack(
                 packed * (packed if b is a else _pack(b, size)), size, len(a) + len(b) - 1
@@ -204,6 +209,61 @@ def poly_eval(p, x) -> Fraction:
     if not isinstance(x, (int, Fraction)):
         raise DomainError("evaluation point must be an integer or Fraction")
     return Fraction(p.evaluate(x))
+
+
+class SumOfProducts:
+    """Called on terms (c, a, b) of an int c and two IntPoly operands: the IntPoly sum of c*a*b.
+
+    The slot size comes from the bound sum |c| max|a| max|b| min(len a, len b)
+    on the sum's coefficients.  The instance keeps each live operand's pack,
+    so a later call at the same slot size reuses it and an operand met at a
+    new size is packed again.  A pack goes when its operand does, and all of
+    them when the instance does: one instance serves one table build.
+    """
+
+    __slots__ = ("_packs", "__weakref__")
+
+    def __init__(self):
+        # id(operand) -> [weak reference to it, coefficients, max |coefficient|, slot size, pack]
+        self._packs: dict[int, list] = {}
+
+    def _entry(self, p: IntPoly) -> list:
+        entry = self._packs.get(id(p))
+        if entry is None or entry[0]() is not p:  # new, or left by a dead operand of this id
+            ref = weakref.ref(p, _forget_pack(weakref.ref(self), id(p)))
+            entry = self._packs[id(p)] = [ref, p.coeffs, max(map(abs, p.coeffs)), 0, 0]
+        return entry
+
+    def __call__(self, terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> IntPoly:
+        entry = self._entry
+        rows = [(c, entry(a), entry(b)) for c, a, b in terms if c and a.coeffs and b.coeffs]
+        bound = sum(abs(c) * ea[2] * eb[2] * min(len(ea[1]), len(eb[1])) for c, ea, eb in rows)
+        length = max((len(ea[1]) + len(eb[1]) - 1 for _, ea, eb in rows), default=0)
+        size = _slot_size(bound)
+        total = sum(c * (_packed(ea, size) * _packed(eb, size)) for c, ea, eb in rows)
+        return _unpack(total, size, length)
+
+
+def _packed(entry: list, size: int) -> int:
+    if entry[3] != size:
+        entry[3:] = size, _pack(entry[1], size)
+    return entry[4]
+
+
+def _forget_pack(owner: weakref.ref, key: int):
+    # drops an operand's entry when the operand dies; it holds the SumOfProducts
+    # weakly, so no reference cycle keeps a finished build's packs alive
+    def forget(_dead):
+        sums = owner()
+        if sums is not None:
+            sums._packs.pop(key, None)
+
+    return forget
+
+
+def _slot_size(bound: int) -> int:
+    """The fewest bytes per slot whose half, 2**(8*size-1), exceeds bound."""
+    return (bound.bit_length() + 8) // 8
 
 
 def _half_slots(size: int, length: int) -> int:

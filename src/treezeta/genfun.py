@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import CutViolationError, DomainError
 from .exact import IntPoly
-from .special_values import _POLY_RING, _quadratic_recurrence, value_polynomials
+from .special_values import _poly_ring, _quadratic_recurrence, value_polynomials
 from .validate import branching_number, finite_point, finite_result, integer_at_least
 
 EPS_CUT = 1e-3
@@ -116,9 +116,10 @@ def moment_genfun(q: int, z: complex) -> complex:
     q = branching_number(q)
     z = finite_point(z)
     half_radius = 1.0 / (2.0 * math.sqrt(q))
-    # branch rays of sqrt(1 - 4 q z^2): the real axis beyond +-1/(2 sqrt q)
+    # branch rays of sqrt(1 - 4 q z^2): the real axis beyond +-1/(2 sqrt q); the rays
+    # close in on the origin like 1/sqrt(q), and their clearance with them
     for ray in (SpectrumCut(half_radius, math.inf), SpectrumCut(-math.inf, -half_radius)):
-        ray.refuse_near(z)
+        ray.refuse_near(z, EPS_CUT * half_radius)
     radical = _psqrt(1 - 2 * math.sqrt(q) * z) * _psqrt(1 + 2 * math.sqrt(q) * z)
     return 2 * q / (q + 1) / (radical + (q - 1) / (q + 1))
 
@@ -215,5 +216,5 @@ def quadratic_residual_series(
     for p in table:
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
-    rhs = _quadratic_recurrence(table, 0, *_POLY_RING)
+    rhs = _quadratic_recurrence(table, 0, *_poly_ring())
     return tuple(r - t for t, r in zip(table, rhs))

@@ -28,8 +28,10 @@ quadratic route, the oracle the checks hold the two-step table to, runs the
 recurrence of the quadratic functional equation of their generating series.
 ``_quadratic_recurrence`` is its one implementation, with three users: that
 oracle table over Z[q], ``positive_value_sequence`` in integers at a fixed q,
-and ``genfun.quadratic_residual_series``.  Each route keeps one table that
-only ever grows.
+and ``genfun.quadratic_residual_series``.  Over Z[q] its sums of products,
+like the binomial transform of the ``moments`` route, run on one
+``exact.SumOfProducts`` per build.  Each route keeps one table that only
+ever grows.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import IntPoly, poly_eval
+from .exact import IntPoly, SumOfProducts, poly_eval
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -134,8 +136,11 @@ def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPo
         return tuple(_closed_form_table(m_max)[: m_max + 1])
     if method == "moments":
         walks = moment_polynomials(m_max)
-        lifts = [_QP1**k for k in range(m_max + 1)]
-        return tuple(_neg_value_from_moments(m, walks, lifts) for m in range(m_max + 1))
+        lifts = [_ONE]
+        for _ in range(m_max):
+            lifts.append(lifts[-1] * _QP1)
+        sums = SumOfProducts()
+        return tuple(_neg_value_from_moments(m, walks, lifts, sums) for m in range(m_max + 1))
     if method == "series":
         return _neg_values_series(m_max)
     raise DomainError(f"unknown method {method!r}; choose from {NEG_VALUE_METHODS}")
@@ -170,13 +175,11 @@ def _closed_form_table(m_max: int) -> list[IntPoly]:
     return table
 
 
-def _neg_value_from_moments(m: int, walks, lifts) -> IntPoly:
+def _neg_value_from_moments(m: int, walks, lifts, sum_of_products) -> IntPoly:
     # binomial transform of the walk counts against the powers lifts[k] = (q+1)^k
-    acc = IntPoly()
-    for j in range(m + 1):
-        term = walks[j] * lifts[m - j] * math.comb(m, j)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    return sum_of_products(
+        ((-1) ** j * math.comb(m, j), walks[j], lifts[m - j]) for j in range(m + 1)
+    )
 
 
 def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
@@ -191,30 +194,39 @@ def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
     return tuple(_series_quotient(half, (_ONE, _QP1 * -2)))
 
 
-def _quadratic_recurrence(table, start, q, qm1_sq, one, zero):
+def _quadratic_recurrence(table, start, q, qm1_sq, one, sum_of_products):
     """Yield T_k for k = start, start+1, ..., each formed from T_0..T_{k-1} in ``table``.
 
-    T_0 = one, T_k = q (2 S_{k-1} - qm1_sq S_{k-2}) + qm1_sq T_{k-1} with S_j = sum_i T_i T_{j-i},
-    in the caller's ring (``_POLY_RING``, or ints at a fixed q): each S_j once, each pair once.
+    T_0 = one, T_k = 2q S_{k-1} - q qm1_sq S_{k-2} + qm1_sq T_{k-1} with S_j = sum_i T_i T_{j-i},
+    in the caller's ring (``_poly_ring()``, or ints at a fixed q), whose ``sum_of_products``
+    sums c * a * b over (c, a, b) terms: each S_j once, each pair once.
     """
 
     def pair_sum(j):  # S_j; S_{-1} is the empty sum
-        s = 2 * sum((table[i] * table[j - i] for i in range((j + 1) // 2)), zero)
+        pairs = (j + 1) // 2  # T_i T_{j-i} for i < pairs, each unordered pair once
+        terms = zip(itertools.repeat(2), table[:pairs], table[j : j - pairs : -1])
         if j % 2 == 0:
-            s += table[j // 2] * table[j // 2]
-        return s
+            terms = itertools.chain(terms, [(1, table[j // 2], table[j // 2])])
+        return sum_of_products(terms)
 
     if start == 0:
         yield one
         start = 1
+    q_qm1_sq = q * qm1_sq
     before = pair_sum(start - 2)
     for k in itertools.count(start):
         s = pair_sum(k - 1)
-        yield q * (2 * s - qm1_sq * before) + qm1_sq * table[k - 1]
+        yield sum_of_products(((2, q, s), (-1, q_qm1_sq, before), (1, qm1_sq, table[k - 1])))
         before = s
 
 
-_POLY_RING = (IntPoly.variable(), _QM1_SQ, _ONE, IntPoly())  # q, (q-1)^2, one, zero over Z[q]
+def _poly_ring():
+    """q, (q-1)^2, one and a fresh packed sum of products over Z[q], for one table build."""
+    return IntPoly.variable(), _QM1_SQ, _ONE, SumOfProducts()
+
+
+def _int_sum_of_products(terms) -> int:
+    return sum(c * a * b for c, a, b in terms)
 
 
 def _grow(table: list, n_max: int, ring) -> list:
@@ -231,7 +243,7 @@ _quadratic_polys: list[IntPoly] = []
 
 def _quadratic_table(n_max: int) -> list[IntPoly]:
     """The live quadratic-route table, grown first to hold at least n_max polynomials."""
-    return _grow(_quadratic_polys, n_max, _POLY_RING)
+    return _grow(_quadratic_polys, n_max, _poly_ring())
 
 
 # P_1, P_2, ... as far as the two-step route has been asked for; only ever grown
@@ -290,7 +302,7 @@ def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     """
     q = branching_number(q)
     n_max = integer_at_least(n_max, 0, "n_max")
-    values = _grow([], n_max, (q, (q - 1) ** 2, 1, 0))  # P_1(q)..P_n_max(q)
+    values = _grow([], n_max, (q, (q - 1) ** 2, 1, _int_sum_of_products))  # P_1(q)..P_n_max(q)
     return [Fraction(1)] + [_pos_value(q, n, values[n - 1]) for n in range(1, n_max + 1)]
 
 

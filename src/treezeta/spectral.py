@@ -176,7 +176,13 @@ class _Grid:
         parts = [_level_angles(k) for k in range(MIN_CONVERGED_LEVEL + 1)]
         theta = np.concatenate([t for t, _ in parts])
         widths = np.concatenate([np.full(len(t), h) for t, h in parts])
-        self.head = _Nodes(q, theta, widths)
+        # a q whose weight factor q (q + 1) overflows a double is refused here, once,
+        # as the OverflowError that the entry points' finite_result reports
+        with np.errstate(over="raise"):
+            try:
+                self.head = _Nodes(q, theta, widths)
+            except FloatingPointError:
+                raise OverflowError("the quadrature weights overflow") from None
         self.head_starts = np.cumsum([0] + [len(t) for t, _ in parts[:-1]])
         self.levels: dict[int, _Nodes] = {}
 

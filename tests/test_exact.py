@@ -1,5 +1,6 @@
 """Exact integer polynomial arithmetic, the packed layout and the public exports."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import treezeta
 from treezeta import exact
 from treezeta.errors import ConsistencyError, DomainError
-from treezeta.exact import IntPoly, _pack, _unpack, poly_eval, poly_is_palindromic
+from treezeta.exact import IntPoly, SumOfProducts, _pack, _unpack, poly_eval, poly_is_palindromic
 
 
 class TestIntPoly:
@@ -52,12 +53,115 @@ def convolve(a, b):
     return out
 
 
-# small and ~400-bit signed coefficients; lengths 0..20 reach both sides of
+# small and ~400-bit signed coefficients; lengths 0..24 reach both sides of
 # KRONECKER_MIN_TERMS and the mixed case of one short and one long operand
 product_coefficient = st.one_of(st.integers(-50, 50), st.integers(-(2**400), 2**400))
-product_operand = st.integers(0, 20).flatmap(
+product_operand = st.integers(0, 24).flatmap(
     lambda n: st.lists(product_coefficient, min_size=n, max_size=n)
 )
+
+
+def test_cutoff_lies_inside_the_drawn_lengths():
+    assert 0 < exact.KRONECKER_MIN_TERMS <= 24
+
+
+def convolution_sum(terms):
+    """Sum of c * a * b over coefficient-sequence terms, by schoolbook convolutions."""
+    out = [0] * max((len(a) + len(b) - 1 for _, a, b in terms), default=0)
+    for c, a, b in terms:
+        for k, v in enumerate(convolve(a, b)):
+            out[k] += c * v
+    return out
+
+
+# terms index a small pool of operands, so an operand recurs, also as both
+# factors of one term (a is b); the multipliers include 0 and negatives
+product_terms = st.lists(product_operand, min_size=1, max_size=4).flatmap(
+    lambda pool: st.tuples(
+        st.just(pool),
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+                st.integers(0, len(pool) - 1),
+                st.integers(0, len(pool) - 1),
+            ),
+            max_size=6,
+        ),
+    )
+)
+
+
+@given(product_terms)
+@settings(max_examples=200)
+def test_sum_of_products_equals_convolution_sum(drawn):
+    pool, picks = drawn
+    polys = [IntPoly(p) for p in pool]
+    terms = [(c, polys[i], polys[j]) for c, i, j in picks]
+    want = IntPoly(convolution_sum([(c, pool[i], pool[j]) for c, i, j in picks]))
+    sums = SumOfProducts()
+    assert sums(terms) == want
+    # the same instance again, with its packs kept, and after a sum at another slot size
+    assert sums(terms) == want
+    assert sums([(2**300 + 1, p, p) for p in polys]) == IntPoly(
+        convolution_sum([(2**300 + 1, p, p) for p in pool])
+    )
+    assert sums(terms) == want
+
+
+def flat(c, n):
+    return IntPoly([c] * n)
+
+
+class TestSumOfProducts:
+    def test_empty_sums_and_operands(self):
+        sums = SumOfProducts()
+        assert sums([]) == IntPoly()
+        one = IntPoly([1, 2])
+        assert sums([(3, IntPoly(), one), (5, one, IntPoly()), (0, one, one)]) == IntPoly()
+
+    def test_packs_go_with_their_operands_and_the_instance(self):
+        sums = SumOfProducts()
+        a, b = IntPoly(range(1, 20)), IntPoly(range(20, 40))
+        assert sums([(1, a, b)]) == IntPoly(convolve(a.coeffs, b.coeffs))
+        assert len(sums._packs) == 2
+        del b
+        assert len(sums._packs) == 1
+        alive = weakref.ref(sums)
+        del sums
+        assert alive() is None  # freed at once: no reference cycle waits for the collector
+
+    def test_signs_and_a_is_b(self):
+        a, b = IntPoly([1, -2, 3]), IntPoly([-4, 5])
+        got = SumOfProducts()([(2, a, a), (-3, a, b), (1, b, b)])
+        assert got == 2 * a * a - 3 * a * b + b * b
+
+    # every coefficient of each operand at one extreme, so a coefficient of the
+    # sum reaches the bound the slot size is computed from; in the first two the
+    # sum is 2**127 exactly, which the length and the multiplier lift out of 16 bytes
+    EDGE_SUMS = [
+        [(1, flat(2**60, 256), flat(2**59, 256))],
+        [(-2, flat(2**63, 1), flat(-(2**63), 1))],
+        [(1, flat(2**61 - 1, 9), flat(2**61 - 1, 9))],
+        [(1, flat(1 - 2**61, 9), flat(2**61 - 1, 9))],
+        [(2, flat(-(2**200), 20), flat(2**200, 3)), (-1, flat(7, 30), flat(7, 30))],
+        [(3, flat(255, 17), flat(-255, 17)), (-3, flat(255, 17), flat(255, 17))],
+    ]
+
+    @pytest.mark.parametrize("terms", EDGE_SUMS)
+    def test_sum_at_the_slot_bound(self, terms):
+        want = IntPoly(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms]))
+        assert SumOfProducts()(terms) == want
+
+    @pytest.mark.parametrize("terms", EDGE_SUMS)
+    def test_a_slot_one_byte_short_does_not_pass_silently(self, terms, monkeypatch):
+        want = IntPoly(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms]))
+        slot_size = exact._slot_size
+        monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
+        try:
+            got = SumOfProducts()(terms)
+        except ConsistencyError:
+            return
+        assert got != want
 
 
 @given(product_operand, product_operand, st.integers(-20, 20))

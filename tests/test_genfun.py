@@ -126,6 +126,20 @@ class TestMomentGenfun:
         with pytest.raises(CutViolationError):
             moment_genfun(2, -5.0)
 
+    @pytest.mark.parametrize("q", [10**6, 10**12])
+    def test_origin_evaluates_however_close_the_rays(self, q):
+        # the rays start at +-1/(2 sqrt q), nearer the origin than a flat clearance
+        assert moment_genfun(q, 0) == 1
+        start = 1 / (2 * math.sqrt(q))
+        assert moment_genfun(q, 0.5j * start) == pytest.approx(2 / (1 + math.sqrt(1.25)), rel=1e-5)
+
+    @pytest.mark.parametrize("q", [2, 10**6, 10**12])
+    def test_clearance_scales_with_the_ray_start(self, q):
+        start = 1 / (2 * math.sqrt(q))
+        for z in (start * (1 - 1e-4), -start * (1 + 1e-4), complex(start, start * 1e-4)):
+            with pytest.raises(CutViolationError):
+                moment_genfun(q, z)
+
     def test_beyond_radius_via_continuation(self):
         # just off the ray the continuation is finite and conjugate-symmetric
         v = moment_genfun(2, 0.5 + 0.01j)

@@ -1,11 +1,15 @@
 """Quadrature engine, gamma machinery, and the two line-limit functions."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import treezeta
 from treezeta import spectral
 from treezeta.errors import (
     CutViolationError,
@@ -440,6 +444,33 @@ class TestNonFiniteAndOutOfRange:
     def test_integers_past_the_float_range_are_typed(self, call):
         with pytest.raises(OutOfRangeError, match="out of floating-point range"):
             call()
+
+    def test_huge_q_is_typed_under_warnings_as_errors(self):
+        # a fresh interpreter under -W error, whose first grid build for the q is
+        # the one that meets the overflow; in-process that warning can be swallowed
+        script = """if True:
+            from treezeta.errors import OutOfRangeError
+            from treezeta import spectral as sp
+            calls = ((sp.zeta_numeric, 0.5), (sp.xi_value, 2), (sp.heat_trace, 1.0),
+                     (sp.resolvent_transform, 1e210j))
+            for q in (10**155, 10**200):
+                for fn, arg in calls:
+                    try:
+                        fn(q, arg)
+                    except OutOfRangeError as e:
+                        assert str(e).startswith(fn.__name__), e
+                    else:
+                        raise AssertionError(fn.__name__)
+        """
+        src = os.path.dirname(os.path.dirname(treezeta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_of_range_is_a_domain_error(self):
         assert issubclass(OutOfRangeError, DomainError)
