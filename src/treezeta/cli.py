@@ -24,7 +24,13 @@ import numpy as np
 
 from . import dyck as dyck_mod
 from .errors import DomainError, NonConvergedError
-from .special_values import value_polynomials, zeta_integer, zeta_pos
+from .special_values import (
+    moment_polynomials,
+    negative_value_table,
+    value_polynomials,
+    zeta_integer,
+    zeta_pos,
+)
 from .spectral import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_NODES,
@@ -403,6 +409,8 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
     spec = _quad_spec(args, config)
     tol = args.tol if args.tol is not None else config.get("tol")
     names = None if args.suite == "all" else [args.suite]
+    builders = (negative_value_table, moment_polynomials)
+    before = [b.cache_info() for b in builders]
     results = run_battery(names, q=args.q, tol=tol, n_max=args.n_max, quad=spec)
     checks = []
     for r in results:
@@ -452,6 +460,11 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
     )
     if args.timings:
         report.timings = {"total_s": sum(r.elapsed for r in results)}
+        # the exact table builders' cache traffic during this battery run
+        for builder, old in zip(builders, before):
+            info = builder.cache_info()
+            report.timings[f"{builder.__name__}.hits"] = info.hits - old.hits
+            report.timings[f"{builder.__name__}.misses"] = info.misses - old.misses
     return report
 
 

@@ -8,18 +8,26 @@ half-length n coincides with the value polynomial of index n + 1; the
 verifier at the bottom checks that coincidence against two independent
 computations of the distribution.
 
-The two computations share no code.  The dynamic program walks prefixes by
-height and last letter, in three lists indexed by height, one per last
-letter.  Each entry packs the weight polynomial of its prefixes, divided by
-q**h at height h, into one Python int: coefficient k sits in the k-th bit
-slot and a change of degree is one shift.  The offset is exact because a
-prefix at height h weighs at least h (its R-runs never outnumber its
-down-steps), and with it no transition shifts down.  A coefficient counts
-prefixes that extend to distinct words, so it never exceeds
-Catalan(n) * 2**n, and a slot is just that number's bit length.  A carry
-between slots would show as a coefficient sum other than that number, which
-is checked.  Only heights from which the axis can still be reached are
-visited, and nothing is cached between calls.
+The two computations share no code.  The dynamic program works on runs,
+not letters.  Every maximal down-run follows a U, so its colouring starts
+fresh, and a run of length l adds +1 when it starts and ends in B, -1 when
+it starts and ends in R, and 0 otherwise.  Summed over its 2**l colourings
+that is f(1) = q + 1/q and f(l) = 2**(l-2) * (q + 1/q + 2) for l >= 2, so a
+path's colourings weigh q**n times the product of f over its runs, and the
+distribution is q**n * R_n(q + 1/q) for a polynomial R_n; its palindromy is
+built in.  The program walks uncoloured prefixes by height, in two lists
+indexed by height (last letter U, or inside a run of length two or more;
+a run of length one is the previous step's U list one height up).  Each
+entry packs its polynomial in y = q + 1/q into one Python int: coefficient
+k sits in the k-th bit slot and a factor y is one shift.  A state's degree
+in y is at most its number of closed runs, at most half the span of
+q-degrees its prefixes reach.  At y = 2 every run sums to 2**l, so R_n(2) =
+Catalan(n) * 2**n, which bounds every coefficient of every state, and a
+slot is just that number's bit length.  R_n is expanded back into q by
+Horner's rule in the same slots.  A carry between slots can only lower the
+coefficient sum below that number, which is checked.  Only heights from
+which the axis can still be reached are visited, and nothing is cached
+between calls.
 
 The brute-force oracle enumerates the Catalan(n) uncoloured paths as one
 bool array of up-steps and colours each in all 2**n ways: letters are
@@ -218,48 +226,65 @@ def _weight_poly_bruteforce(n: int) -> IntPoly:
 
 
 def _weight_poly_dp(n: int) -> IntPoly:
-    """Prefix dynamic programming over heights, one packed integer per state.
+    """Run-level dynamic programming over heights, in y = q + 1/q.
 
-    ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
-    the prefixes at height h whose last letter is U, B or R (the empty
-    prefix counts as ending in U), each divided by q**h.  A prefix at height
-    h weighs at least h: weight - height = downs + B-runs - R-runs, and
-    every R-run uses a down-step.  Each stored polynomial is one Python int
-    with coefficient k in the bit slot [k*width, (k+1)*width), so a change
-    of degree by one is a shift by ``width``.  Appending U raises weight and
-    height together, so its polynomial moves up a height unshifted.  A
-    down-step lowers the height, which multiplies the stored polynomial by
-    q; a B that opens a new B-run multiplies it by q once more, and an R
-    that opens a new R-run takes the factor back.  So no transition ever
-    shifts down, and the zero low slots are never stored.  After ``step``
-    letters only heights up to min(step, 2n - step) of the step's parity can
-    still return to the axis, and only those are visited.
+    A path's colourings weigh q**n times the product of its down-run sums
+    f(l), so the walk tracks only uncoloured prefixes and the closed runs'
+    product as a polynomial in y.  ``ups[h]`` holds the prefixes at height h
+    whose last letter is U (the empty prefix counts as one), and ``runs[h]``
+    those inside a down-run of length l >= 2, carrying 2**(l-2) of the
+    run's f(l) = 2**(l-2) * (y + 2).  A run of length one at height h is a U
+    one step back and one height up, so it is read from ``last_ups[h + 1]``
+    and needs no list of its own.  A run closes when U follows it or the
+    word ends: by y from length one, by y + 2 from the longer state.
+    Lengthening a run from one to two costs nothing, and every further down-
+    step doubles.  After ``step`` letters only heights up to
+    min(step, 2n - step) of the step's parity can still return to the axis,
+    and only those are visited.
 
-    Every state counts distinct prefixes that extend to distinct words, so
-    no coefficient exceeds Catalan(n) * 2**n, and ``width`` is that number's
-    bit length.  The result is read at height 0, where no offset is left.  A
-    carry between slots would lower the sum of the read coefficients by a
-    nonzero multiple of 2**width - 1, so a sum other than Catalan(n) * 2**n
-    raises ``ConsistencyError``.
+    Each stored polynomial is one Python int with the coefficient of y**k in
+    the bit slot [k*width, (k+1)*width), so a factor y is a shift by
+    ``width``.  A state's degree in y is at most its number of closed runs,
+    so at most its number of down-steps, where the same prefixes' weights
+    divided by q**h span twice that; a state holds about half the slots it
+    would in q.  At y = 2 every run sum is 2**l, so R_n(2) = Catalan(n) *
+    2**n.  A coefficient of a state is at most the state's value at y = 2,
+    at most 2**n per prefix, and a state holds at most Catalan(n) prefixes,
+    since distinct prefixes extend to distinct paths; ``width`` is the bit
+    length of that product.
+
+    The result R_n(y) is read from the slots and expanded back into q by
+    Horner's rule: q**n * R_n(q + 1/q) is the sum of r_k * q**(n-k) *
+    (q*q + 1)**k, and each step is one shift by two slots plus one
+    shifted r_k.  Every int is an exact evaluation at 2**width of a
+    polynomial with non-negative coefficients, so a carry out of slot k
+    only trades m * 2**width there for m in slot k + 1: the read
+    coefficients' sum at y = 2 (and then at q = 1) falls by
+    m * 2**k * (2**width - 2).  A sum other than Catalan(n) * 2**n
+    therefore raises ``ConsistencyError``.
     """
     words = catalan(n) << n
     width = words.bit_length()
-    ups, blues, reds = [1], [0], [0]
+    ups, runs, last_ups = [1] + [0] * (n + 1), [0] * (n + 2), [0] * (n + 2)
     for step in range(2 * n):
         top = min(step + 1, 2 * n - step - 1)
-        new_ups, new_blues, new_reds = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
-        for h in range(step % 2, len(ups), 2):
-            u, b, r = ups[h], blues[h], reds[h]
-            ub = u + b
+        new_ups, new_runs = [0] * (n + 2), [0] * (n + 2)
+        for h in range(step % 2, min(step, 2 * n - step) + 1, 2):
+            one, more = last_ups[h + 1], runs[h]
+            doubled = more << 1
             if h < top:
-                new_ups[h + 1] = ub + r
+                new_ups[h + 1] = ups[h] + ((one + more) << width) + doubled
             if h:
-                new_blues[h - 1] = (((u + r) << width) + b) << width
-                new_reds[h - 1] = ub + (r << width)
-        ups, blues, reds = new_ups, new_blues, new_reds
-    total = ups[0] + blues[0] + reds[0]
+                new_runs[h - 1] = one + doubled
+        last_ups, ups, runs = ups, new_ups, new_runs
+    one, more = last_ups[1], runs[0]
+    total = ups[0] + ((one + more) << width) + (more << 1)
     mask = (1 << width) - 1
-    coeffs = [(total >> (k * width)) & mask for k in range(2 * n + 1)]
+    packed = 0
+    for k in range(n, -1, -1):
+        r_k = (total >> (k * width)) & mask
+        packed += (packed << (2 * width)) + (r_k << ((n - k) * width))
+    coeffs = [(packed >> (k * width)) & mask for k in range(2 * n + 1)]
     if sum(coeffs) != words:
         raise ConsistencyError(f"packed weight polynomial {n} carried between slots")
     return IntPoly(coeffs)
@@ -306,6 +331,7 @@ def verify_weight_value_identity(
 
     A value-polynomial table may be injected, so corrupted data is reported
     rather than trusted; failures land in the report, never in an exception.
+    Its entries must be ``IntPoly``; anything else is an input error.
     """
     n_max = integer_at_least(n_max, 0, "n_max")
     brute_max = integer_at_least(brute_max, 0, "brute_max")
@@ -315,6 +341,9 @@ def verify_weight_value_identity(
         value_polys = value_polynomials(n_max + 1)
     if len(value_polys) < n_max + 1:
         raise DomainError("value polynomial table is too short")
+    for p in value_polys[: n_max + 1]:
+        if not isinstance(p, IntPoly):
+            raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
     mismatches = []
     mismatch_ns = []
     brute_checked = 0

@@ -293,6 +293,33 @@ class TestVerify:
         _, text, _ = run_cli(capsys, "verify", "twostep")
         assert "worst at" not in text
 
+    TIMING_KEYS = {
+        "total_s",
+        "negative_value_table.hits",
+        "negative_value_table.misses",
+        "moment_polynomials.hits",
+        "moment_polynomials.misses",
+    }
+
+    @pytest.mark.parametrize("suite", ["all", "negvals", "symmetry"])
+    def test_timings_keys_are_pinned(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", suite, "--timings", "--format", "json")
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert set(timings) == self.TIMING_KEYS
+        counts = [timings[k] for k in self.TIMING_KEYS - {"total_s"}]
+        assert all(type(c) is int and c >= 0 for c in counts)
+
+    def test_cache_counts_are_this_runs_own(self, capsys):
+        # a second identical run finds every table cached: hits only, no misses
+        run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
+        code, out, _ = run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert timings["negative_value_table.misses"] == 0
+        assert timings["moment_polynomials.misses"] == 0
+        assert timings["negative_value_table.hits"] + timings["moment_polynomials.hits"] > 0
+
     def test_timings_flag_adds_field(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
         assert code == 0

@@ -23,6 +23,34 @@ from treezeta.exact import IntPoly, poly_is_palindromic
 from treezeta.special_values import value_polynomials
 
 
+def letter_dp(n):
+    """Weight distribution by a letter-level prefix walk, the dp's own oracle.
+
+    ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
+    the prefixes at height h whose last letter is U, B or R (the empty prefix
+    counts as ending in U), divided by q**h, one bit slot per coefficient.
+    Appending U moves a polynomial up a height unshifted; a down-step
+    multiplies it by q, a B that opens a B-run by q once more, and an R that
+    opens an R-run takes that factor back.  No run-level algebra is used.
+    """
+    width = (catalan(n) << n).bit_length()
+    ups, blues, reds = [1], [0], [0]
+    for step in range(2 * n):
+        top = min(step + 1, 2 * n - step - 1)
+        new_ups, new_blues, new_reds = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+        for h in range(step % 2, len(ups), 2):
+            u, b, r = ups[h], blues[h], reds[h]
+            if h < top:
+                new_ups[h + 1] = u + b + r
+            if h:
+                new_blues[h - 1] = (((u + r) << width) + b) << width
+                new_reds[h - 1] = u + b + (r << width)
+        ups, blues, reds = new_ups, new_blues, new_reds
+    total = ups[0] + blues[0] + reds[0]
+    mask = (1 << width) - 1
+    return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
+
+
 def string_tally(n):
     """Weight distribution from one word_weight call per enumerated word."""
     tally = Counter(word_weight(w) for w in enumerate_dyck(n))
@@ -146,6 +174,14 @@ class TestWeightPolynomial:
     def test_deep_dp_equals_value_polynomial(self, n):
         assert weight_polynomial(n, "dp") == value_polynomials(n + 1)[n]
 
+    @pytest.mark.parametrize("n", [*range(61), 100, 150, DP_CAP])
+    def test_run_level_dp_equals_letter_level_dp(self, n):
+        assert weight_polynomial(n, "dp") == letter_dp(n)
+
+    def test_letter_dp_matches_string_definition(self):
+        for n in range(7):
+            assert list(letter_dp(n).coeffs) == string_tally(n)
+
     def test_caps_and_methods(self):
         with pytest.raises(DomainError):
             weight_polynomial(10, "bruteforce")
@@ -187,7 +223,7 @@ class TestCarryGuard:
         def bit_length(self):
             return int.bit_length(self) // 2
 
-    @pytest.mark.parametrize("n", [4, 12, 30])
+    @pytest.mark.parametrize("n", [4, 12, 30, DP_CAP])
     def test_too_narrow_slots_raise(self, monkeypatch, n):
         # the count is right but its slots are too narrow: the largest
         # coefficient carries, and only the coefficient sum can tell
@@ -230,6 +266,21 @@ class TestIdentity:
     def test_bad_depths_rejected(self, kwargs):
         with pytest.raises(DomainError):
             verify_weight_value_identity(**kwargs)
+
+    @pytest.mark.parametrize(
+        "entry", [lambda p: list(p.coeffs), lambda p: tuple(p.coeffs), lambda p: None]
+    )
+    def test_foreign_table_entries_rejected(self, entry):
+        # list, None or tuple entries are an input error, not a TypeError mid-check
+        polys = [entry(p) for p in value_polynomials(4)]
+        with pytest.raises(DomainError, match="IntPoly"):
+            verify_weight_value_identity(3, brute_max=0, value_polys=polys)
+
+    def test_one_foreign_entry_rejected(self):
+        polys = list(value_polynomials(7))
+        polys[5] = None
+        with pytest.raises(DomainError, match="NoneType"):
+            verify_weight_value_identity(6, brute_max=0, value_polys=polys)
 
     def test_short_table_rejected(self):
         with pytest.raises(DomainError):
