@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import CutViolationError, DomainError
 from .exact import IntPoly
-from .special_values import _poly_ring, _quadratic_recurrence, value_polynomials
+from .special_values import _ONE, _QM1_SQ, _poly_ring, _quadratic_recurrence, value_polynomials
 from .validate import branching_number, finite_point, finite_result, integer_at_least
 
 EPS_CUT = 1e-3
@@ -189,6 +189,30 @@ def entire_combination(q: int, z: complex) -> complex:
     return _neg_raw(q, z / (q - 1)) * (1 - 2 * k * z) + _pos_raw(q, (q - 1) * z) * (2 * k - z)
 
 
+# The z^k coefficient of 2 Delta G' = Delta' G over 4q (see quadratic_residual_series):
+#   2(k+1) T_k = ((k-1) C + 4(q^2+1)) T_{k-1} - (4k-5) D T_{k-2}
+#                + (k-2) D (q-1)^2 T_{k-3} + 2 [k = 0],
+# C = 5q^2 + 6q + 5, D = (q^2-1)^2; a term with a negative index is absent.
+_STEP_SLOPE = IntPoly((5, 6, 5))  # C
+_STEP_BASE = IntPoly((4, 0, 4))  # 4(q^2+1)
+_STEP_TWO = IntPoly((1, 0, -2, 0, 1))  # D
+_STEP_THREE = _STEP_TWO * _QM1_SQ  # D (q-1)^2
+
+
+def _linear_terms(table, k: int) -> list:
+    """The (c, a, b) terms whose sum of c * a * b is the linear recurrence's residual at k."""
+    terms = [(2 * k + 2, _ONE, table[k])]
+    if k == 0:
+        terms.append((-2, _ONE, _ONE))
+    if k >= 1:
+        terms.append((-1, _STEP_SLOPE * (k - 1) + _STEP_BASE, table[k - 1]))
+    if k >= 2:
+        terms.append((4 * k - 5, _STEP_TWO, table[k - 2]))
+    if k >= 3:
+        terms.append((2 - k, _STEP_THREE, table[k - 3]))
+    return terms
+
+
 def quadratic_residual_series(
     n_max: int, polys: Optional[Sequence[IntPoly]] = None
 ) -> tuple[IntPoly, ...]:
@@ -202,10 +226,23 @@ def quadratic_residual_series(
     may be injected to point the detector at foreign data; its entries must be
     ``IntPoly``.
 
-    The residual is R_k = rhs_k - T_k, with rhs_k what the quadratic
-    recurrence of ``special_values`` makes of the entries before T_k:
+    The series F = sum T_k z^k of the table, T_k = P_{k+1}, solves
+    A F^2 + B F + 1 = 0 with A = qz (2 - (q-1)^2 z) and B = (q-1)^2 z - 1.  The
+    residual is R_k = rhs_k - T_k, with rhs_k what the quadratic recurrence of
+    ``special_values`` makes of the entries before T_k:
     R_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} - T_k + (q-1)^2 T_{k-1} + [k = 0],
-    where T_k is the k-th table entry and S_j = sum_i T_i T_{j-i}.
+    where S_j = sum_i T_i T_{j-i}.  That costs O(k) polynomial products per k.
+
+    Most of them need not run.  G = 2AF + B squares to
+    Delta = B^2 - 4A = 1 - 2(q+1)^2 z + (q^2-1)^2 z^2, so 2 Delta G' = Delta' G,
+    an equation linear in F; its z^k coefficient over 4q is the recurrence of
+    ``_linear_terms``, at most four small-by-large products per k.  Both
+    recurrences fix T_k from T_0..T_{k-1} (T_k enters R_k with coefficient -1
+    and the linear one with 2(k+1), never zero), and the true series satisfies
+    both.  So if the first entry at which the linear residual is nonzero is m,
+    T_0..T_{m-1} are the true entries and T_m is not: R_k = 0 for k < m and
+    R_m != 0.  Only R_m onwards runs the quadratic recurrence, and a correct
+    table runs no pair sum at all.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
@@ -216,5 +253,7 @@ def quadratic_residual_series(
     for p in table:
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
-    rhs = _quadratic_recurrence(table, 0, *_poly_ring())
-    return tuple(r - t for t, r in zip(table, rhs))
+    q, qm1_sq, one, sum_of_products = _poly_ring()
+    m = next((k for k in range(n_max) if sum_of_products(_linear_terms(table, k))), n_max)
+    rhs = _quadratic_recurrence(table, m, q, qm1_sq, one, sum_of_products)
+    return (IntPoly(),) * m + tuple(r - t for t, r in zip(table[m:], rhs))

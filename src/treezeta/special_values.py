@@ -28,7 +28,9 @@ quadratic route, the oracle the checks hold the two-step table to, runs the
 recurrence of the quadratic functional equation of their generating series.
 ``_quadratic_recurrence`` is its one implementation, with three users: that
 oracle table over Z[q], ``positive_value_sequence`` in integers at a fixed q,
-and ``genfun.quadratic_residual_series``.  Over Z[q] its sums of products,
+and ``genfun.quadratic_residual_series``, which runs it only from the first
+entry its table breaks the series' linear recurrence at, so not at all on a
+correct table.  Over Z[q] its sums of products,
 like the binomial transform of the ``moments`` route, run on one
 ``exact.SumOfProducts`` per build.  Each route keeps one table that only
 ever grows.

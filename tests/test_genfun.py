@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treezeta.errors import CutViolationError, DomainError, OutOfRangeError
-from treezeta.exact import IntPoly, poly_eval
+from treezeta.exact import IntPoly, SumOfProducts, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
+    _linear_terms,
     _recip_radical,
     cut_sqrt,
     entire_combination,
@@ -24,6 +25,7 @@ from treezeta.genfun import (
     symmetry_defect,
 )
 from treezeta.special_values import (
+    _quadratic_table,
     count_closed_walks,
     negative_value_table,
     positive_value_sequence,
@@ -301,6 +303,14 @@ coefficient = st.one_of(st.integers(-3, 3), st.integers(-(2**400), 2**400))
 foreign_table = st.lists(st.lists(coefficient, max_size=7), min_size=1, max_size=7)
 
 
+# an edit of a real table: (entry, slot, delta), both indices reduced mod the
+# sizes they index; slot s puts delta on the coefficient s below two past the
+# entry's degree, so slots 0 and 1 raise the degree and slot 2 with delta -1
+# cancels the monic leading coefficient
+nonzero = st.one_of(st.integers(-3, 3), st.integers(-(2**400), 2**400)).filter(bool)
+table_edit = st.tuples(st.integers(0, 2**16), st.integers(0, 4) | st.integers(0, 2**16), nonzero)
+
+
 def corrupted(polys, k):
     out = list(polys)
     out[k] = out[k] - IntPoly([0, 0, 5])
@@ -333,6 +343,22 @@ class TestQuadraticResidual:
         n_max = data.draw(st.integers(1, len(polys)))
         assert quadratic_residual_series(n_max, polys) == series_residual(n_max, polys)
 
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_departure_on_edited_real_tables(self, n_max, data):
+        edits = data.draw(
+            st.lists(table_edit, min_size=1, max_size=3, unique_by=lambda e: e[0] % n_max)
+        )
+        bad = list(value_polynomials(n_max))
+        for entry, slot, delta in edits:
+            k = entry % n_max
+            coeffs = list(bad[k].coeffs) + [0, 0]
+            coeffs[len(coeffs) - 1 - slot % len(coeffs)] += delta
+            bad[k] = IntPoly(coeffs)
+        residual = quadratic_residual_series(n_max, bad)
+        assert residual == series_residual(n_max, bad)
+        assert first_nonzero(residual) == min(entry % n_max for entry, _, _ in edits)
+
     @pytest.mark.parametrize("n_max", [1, 2])
     def test_shallowest_orders(self, n_max):
         real = value_polynomials(n_max)
@@ -362,6 +388,86 @@ class TestQuadraticResidual:
         polys[2] = entry
         with pytest.raises(DomainError):
             quadratic_residual_series(4, polys)
+
+
+# polynomials in z over Z[q] as lists of rows: row j holds the q-coefficients of z^j
+def bi_mul(a, b):
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = add(out[i + j], convolve(ai, bj))
+    return out
+
+
+def bi_add(*terms):
+    return [add(*(t[j] for t in terms if j < len(t))) for j in range(max(map(len, terms)))]
+
+
+def bi_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def bi_diff(a):  # d/dz
+    return [[j * x for x in row] for j, row in enumerate(a)][1:]
+
+
+def over_4q(row):
+    """A q-coefficient list divided by 4q, which must divide it."""
+    assert not row or (row[0] == 0 and all(x % 4 == 0 for x in row))
+    return IntPoly([x // 4 for x in row[1:]])
+
+
+class TestLinearRecurrence:
+    """The linear recurrence that lets the residual skip the pair sums of a correct table.
+
+    A slipped coefficient would leave every residual correct, because the
+    quadratic recurrence takes over from the first entry it rejects, and
+    would only bring the pair sums back; these tests are what notice.
+    """
+
+    @staticmethod
+    def linear_residuals(table):
+        sums = SumOfProducts()
+        return [sums(_linear_terms(table, k)) for k in range(len(table))]
+
+    def test_vanishes_on_the_two_step_table(self):
+        assert self.linear_residuals(value_polynomials(201)) == [IntPoly()] * 201
+
+    def test_vanishes_on_the_quadratic_oracle_table(self):
+        assert self.linear_residuals(_quadratic_table(80)[:80]) == [IntPoly()] * 80
+
+    def test_coefficients_follow_from_the_quadratic(self):
+        # A F^2 + B F + 1 = 0, G = 2AF + B, G^2 = Delta = B^2 - 4A, and
+        # 2 Delta G' - Delta' G = 4 Delta A F' + (4 Delta A' - 2 Delta' A) F
+        # + 2 Delta B' - Delta' B = 0, read at z^k over 4q
+        a = [[], [0, 2], [0, -1, 2, -1]]
+        b = [[-1], [1, -2, 1]]
+        delta = bi_add(bi_mul(b, b), bi_scale(-4, a))
+        assert [IntPoly(r) for r in delta] == [
+            IntPoly((1,)),
+            IntPoly((-2, -4, -2)),
+            IntPoly((1, 0, -2, 0, 1)),
+        ]
+        d_delta = bi_diff(delta)
+        of_derivative = bi_scale(4, bi_mul(delta, a))
+        of_value = bi_add(bi_scale(4, bi_mul(delta, bi_diff(a))), bi_scale(-2, bi_mul(d_delta, a)))
+        constant = bi_add(bi_scale(2, bi_mul(delta, bi_diff(b))), bi_scale(-1, bi_mul(d_delta, b)))
+        assert not any(of_derivative[0]) and all(not any(r) for r in constant[1:])
+        for k in range(8):
+            markers = [object() for _ in range(k + 1)]
+            index = {id(t): i for i, t in enumerate(markers)}
+            got = {}
+            for c, poly, t in _linear_terms(markers, k):
+                key = k - index[id(t)] if id(t) in index else "constant"
+                got[key] = got.get(key, IntPoly()) + poly * c
+            # T_{k-i} collects (k-i) z^(i+1) from F' and z^i from F
+            want = {
+                i: over_4q(add(bi_scale(k - i, of_derivative)[i + 1], of_value[i]))
+                for i in range(min(k, 3) + 1)
+            }
+            want["constant"] = over_4q(constant[0]) if k == 0 else IntPoly()
+            got.setdefault("constant", IntPoly())
+            assert got == want
 
 
 class TestArgumentValidation:
