@@ -342,7 +342,7 @@ def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
             ev = zeta_numeric(args.q, args.s, spec)
             ev.require(f"zeta({args.q}, {args.s})")
             value = ev.value
-            results = {"nodes": ev.nodes, "est_error": ev.est_error}
+            results = {"nodes": ev.nodes, "levels": ev.levels, "est_error": ev.est_error}
     results["value"] = value
     name = "xi" if args.xi else "zeta"
     return Report(

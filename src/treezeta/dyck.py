@@ -29,16 +29,23 @@ coefficient sum below that number, which is checked.  Only heights from
 which the axis can still be reached are visited, and nothing is cached
 between calls.
 
-The brute-force oracle enumerates the Catalan(n) uncoloured paths as one
-bool array of up-steps and colours each in all 2**n ways: letters are
-signed codes (U = 0, B = +1, R = -1) gathered from a table with one column
-per colouring, whose down-steps are B or R by the bits of the column index.
-Paths go through numpy in batches capped near ``_BATCH_LETTERS`` letters,
-each batch one (paths, 2n, 2**n) array.  It counts run starts literally, by
-comparing every letter with the one before it, so a word's B-runs minus
-R-runs is the sum of its letters at run starts.  The string-level
-definition (``enumerate_dyck`` with ``word_weight``) is kept as the
-oracle's own reference.
+The brute-force oracle stays letter-level.  It enumerates the Catalan(n)
+uncoloured paths as one bool array of up-steps and colours each in all 2**n
+ways, colouring k making down-step j an R when bit j of k is set.  A word's
+weight is n plus its B-run starts minus its R-run starts, and a down-step
+starts a run exactly when the letter before it is U or a down-step of the
+other colour.  So its run starts are the bits of
+opens | ((k ^ (k << 1)) & (2**n - 1)), where ``opens`` marks the down-steps
+that directly follow a U, and its weight is two popcounts away.  Its run
+starts depend on its path only through ``opens``, since a U is what
+separates two down-runs: grouping the paths by ``opens`` only counts words
+with the same run starts together, which is still the definition letter by
+letter, not the run-level sum the dynamic program uses.  There are
+2**(n-1) patterns, one per composition of n into down-runs, so n = 9 takes
+256 * 512 (pattern, colouring) cells rather than 2.49 M words of 18
+letters; chunks of patterns are capped near ``_CHUNK_CELLS`` cells.  The
+string-level definition (``enumerate_dyck`` with ``word_weight``) is kept
+as the oracle's own reference.
 """
 
 from __future__ import annotations
@@ -168,9 +175,10 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
         yield DyckWord(s)
 
 
-# Letters held by one batch of the brute force: a batch of paths is sized so
-# that its (paths, 2n, 2**n) letter array stays near this many int8 entries.
-_BATCH_LETTERS = 1 << 18
+# (pattern, colouring) cells one chunk of the brute force evaluates: a chunk
+# of block-opening patterns is sized so that its (patterns, 2**n) arrays
+# stay near this many entries.
+_CHUNK_CELLS = 1 << 14
 
 
 def _up_masks(n: int) -> np.ndarray:
@@ -192,36 +200,60 @@ def _up_masks(n: int) -> np.ndarray:
     return masks
 
 
-def _weight_poly_bruteforce(n: int) -> IntPoly:
-    """Weight distribution by exhausting every coloured word, a batch of paths at a time.
+def _open_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct block-opening patterns of the paths of half-length n, with multiplicities.
 
-    Letters are signed codes, U = 0, B = +1 and R = -1.  Row 0 of an
-    (n + 1, 2**n) table is U in every colouring, and row j + 1 holds
-    down-step j, which in colouring k is B or R as bit j of k is 0 or 1.  A
-    path's letters are one gather from that table: position i reads row 0
-    if it is an up-step and row j + 1 if it is down-step j.  A batch of
-    paths gathers into one (paths, 2n, 2**n) int8 array, letter-major per
-    path, so that each word is a column and its sums run over axis 1.  A
-    letter starts a run when it differs from the letter before it (the
-    first letter always does), so each word weighs
-    n + (B-run starts) - (R-run starts) = n + (letters * starts).sum(axis=1).
-    That sum lies in [-n, n], so it is taken in int8.  The weights of a
-    batch are tallied with ``np.bincount``; batches hold at most
-    ``_BATCH_LETTERS`` letters, or one path when a path has more.
+    A path's pattern is the n-bit mask of its down-steps whose letter
+    before them is U.  Selecting "the letter before is U" at the path's
+    down-steps gives one row of n flags in down-step order, and bit j of
+    the pattern is flag j.  Patterns are below 2**n, so one ``np.bincount``
+    counts the paths per pattern.  Returns the patterns in increasing order
+    and how many of the Catalan(n) paths have each.
+    """
+    masks = _up_masks(n)
+    after_up = np.zeros_like(masks)
+    after_up[:, 1:] = masks[:, :-1]
+    flags = after_up[~masks].reshape(len(masks), n)  # every path has n down-steps
+    paths = np.bincount((flags << np.arange(n)).sum(axis=1), minlength=1 << n)
+    opens = np.flatnonzero(paths)
+    return opens, paths[opens]
+
+
+def _weight_poly_bruteforce(n: int) -> IntPoly:
+    """Weight distribution by exhausting every coloured word, from bits.
+
+    Colouring k makes down-step j an R when bit j of k is set, and a B
+    otherwise; the letter before a down-step is U when its bit of the
+    path's pattern ``opens`` is set, and down-step j - 1 otherwise.  A
+    down-step starts a run when the letter before it differs from it, so
+    the word's run starts among its down-steps are
+    starts = opens | ((k ^ (k << 1)) & (2**n - 1)), and it weighs
+    n + popcount(starts & ~k) - popcount(starts & k)
+    = n + popcount(starts) - 2 * popcount(starts & k),
+    with popcount read from a 2**n-entry table.  Two paths with the same
+    pattern give, under one colouring, words with the same run starts in
+    the same colours, so each pattern is coloured once and its tally
+    weighted by how many paths have it.
+
+    A chunk of patterns is one (patterns, 2**n) array of weights, offset
+    by 2n + 1 per row so that one ``np.bincount`` tallies every row, and
+    the rows are summed with the multiplicities as weights.  Chunks hold at
+    most ``_CHUNK_CELLS`` cells, or one pattern when a pattern has more.
     """
     cols = 1 << n
-    table = np.zeros((n + 1, cols), dtype=np.int8)
-    table[1:] = 1 - 2 * ((np.arange(cols) >> np.arange(n)[:, None]) & 1)
-    masks = _up_masks(n)
-    rows = np.where(masks, 0, np.cumsum(~masks, axis=1))
-    per_batch = max(1, _BATCH_LETTERS // max(1, 2 * n * cols))  # n = 0: one empty path
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for lo in range(0, len(rows), per_batch):
-        letters = table[rows[lo : lo + per_batch]]
-        starts = np.ones(letters.shape, dtype=bool)
-        np.not_equal(letters[:, 1:], letters[:, :-1], out=starts[:, 1:])
-        weights = n + (letters * starts).sum(axis=1, dtype=np.int8)
-        counts += np.bincount(weights.ravel(), minlength=2 * n + 1)
+    width = 2 * n + 1
+    ones = np.array([k.bit_count() for k in range(cols)], dtype=np.int8)
+    colours = np.arange(cols)
+    flips = (colours ^ (colours << 1)) & (cols - 1)
+    opens, paths = _open_patterns(n)
+    per_chunk = max(1, _CHUNK_CELLS // cols)
+    counts = np.zeros(width, dtype=np.int64)
+    for lo in range(0, len(opens), per_chunk):
+        starts = opens[lo : lo + per_chunk, None] | flips
+        rows = len(starts)
+        bins = ones[starts] - 2 * ones[starts & colours] + (n + width * np.arange(rows))[:, None]
+        tallies = np.bincount(bins.ravel(), minlength=rows * width).reshape(rows, width)
+        counts += (paths[lo : lo + per_chunk, None] * tallies).sum(axis=0)
     return IntPoly(counts.tolist())
 
 
@@ -315,6 +347,7 @@ class IdentityReport:
     dp_checked: int
     brute_checked: int
     brute_words: int  # coloured words the brute force exhausted, Catalan(n) * 2**n summed
+    brute_cells: int  # (pattern, colouring) cells it evaluated, 2**(2n-1) summed (1 at n = 0)
     mismatches: tuple[str, ...]
     mismatch_ns: tuple[int, ...]  # the half-length n of each mismatch, in the same order
 
@@ -348,6 +381,7 @@ def verify_weight_value_identity(
     mismatch_ns = []
     brute_checked = 0
     brute_words = 0
+    brute_cells = 0
     for n in range(n_max + 1):
         dp = weight_polynomial(n, "dp")
         expected = value_polys[n]
@@ -363,6 +397,7 @@ def verify_weight_value_identity(
             brute = weight_polynomial(n, "bruteforce")
             brute_checked += 1
             brute_words += catalan(n) << n
+            brute_cells += 1 << max(2 * n - 1, 0)  # 2**(n-1) patterns by 2**n colourings
             if brute != dp:
                 mismatches.append(f"dp and bruteforce disagree at n = {n}")
                 mismatch_ns.append(n)
@@ -371,6 +406,7 @@ def verify_weight_value_identity(
         dp_checked=n_max + 1,
         brute_checked=brute_checked,
         brute_words=brute_words,
+        brute_cells=brute_cells,
         mismatches=tuple(mismatches),
         mismatch_ns=tuple(mismatch_ns),
     )

@@ -77,6 +77,11 @@ class ZetaEval:
     nodes: int
     converged: bool
 
+    @property
+    def levels(self) -> int:
+        """Doublings of the first level's intervals: nodes = 16 * 2**levels + 1."""
+        return ((self.nodes - 1) // FIRST_LEVEL_INTERVALS).bit_length() - 1
+
     def require(self, context: str = "quadrature") -> complex:
         if not self.converged:
             raise NonConvergedError(

@@ -181,7 +181,7 @@ def check_dyck_identity(n_max: int = 30, brute_max: int = 9) -> CheckResult:
     report = verify_weight_value_identity(n_max, brute_max=brute_max)
     detail = (
         f"dp through n={n_max}, bruteforce through n={min(brute_max, n_max)} "
-        f"({report.brute_words} words), exact"
+        f"({report.brute_words} words) in {report.brute_cells} cells, exact"
     )
     points = report.dp_checked + report.brute_checked
     bad = [(n,) for n in report.mismatch_ns]

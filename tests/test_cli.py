@@ -118,6 +118,12 @@ class TestZeta:
         assert "non-converged" in out
         assert "node budget" in err
 
+    def test_json_reports_levels_next_to_nodes(self, capsys):
+        code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "1.7", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["nodes"] == 16 * 2 ** results["levels"] + 1
+
     def test_non_converged_json_reports_best(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "2,40",
                                "--max-nodes", "64", "--format", "json")

@@ -15,6 +15,7 @@ from treezeta.dyck import (
     weight_polynomial,
     weight_profile,
     word_weight,
+    _open_patterns,
     _up_masks,
 )
 from treezeta import dyck
@@ -144,9 +145,9 @@ class TestWeightPolynomial:
     def test_dp_equals_bruteforce(self, n):
         assert weight_polynomial(n, "dp") == weight_polynomial(n, "bruteforce")
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(8))
     def test_bruteforce_matches_string_definition(self, n):
-        # the batched colouring arrays against one word_weight call per word
+        # the (pattern, colouring) bit counts against one word_weight call per word
         assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
 
     @pytest.mark.parametrize("method", ["dp", "bruteforce"])
@@ -192,13 +193,34 @@ class TestWeightPolynomial:
 
 
 class TestBruteforceBatches:
-    @pytest.mark.parametrize("paths_per_batch", [1, 3])
+    @pytest.mark.parametrize("patterns_per_chunk", [1, 3])
     @pytest.mark.parametrize("n", range(8))
-    def test_small_batches_keep_every_word(self, monkeypatch, n, paths_per_batch):
-        # one path per batch, then three: Catalan(n) = 2, 5, 14 at n = 2..4,
-        # so there the last batch is ragged
-        monkeypatch.setattr(dyck, "_BATCH_LETTERS", paths_per_batch * 2 * n << n)
+    def test_small_batches_keep_every_word(self, monkeypatch, n, patterns_per_chunk):
+        # one pattern per chunk, then three: 2**(n-1) = 2, 4, 8, ... patterns
+        # from n = 2 on, never a multiple of three, so the last chunk is ragged
+        monkeypatch.setattr(dyck, "_CHUNK_CELLS", patterns_per_chunk << n)
         assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_one_pattern_per_composition(self, n):
+        # a pattern marks where the down-runs start, so it is a composition
+        # of n, and U^l1 D^l1 U^l2 D^l2 ... realises every composition
+        opens, paths = _open_patterns(n)
+        assert paths.sum() == catalan(n)
+        assert len(opens) == len(set(opens.tolist())) == 1 << (n - 1)
+        assert all(p & 1 for p in opens.tolist())
+        assert opens.max() < 1 << n
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_patterns_match_the_words(self, n):
+        # each path's pattern read off its letters, one path at a time
+        tally = Counter()
+        for row in _up_masks(n).tolist():
+            letters = ["U" if up else "D" for up in row]
+            downs = [i for i, ch in enumerate(letters) if ch == "D"]
+            tally[sum(1 << j for j, i in enumerate(downs) if letters[i - 1] == "U")] += 1
+        opens, paths = _open_patterns(n)
+        assert dict(zip(opens.tolist(), paths.tolist())) == dict(tally)
 
     @pytest.mark.parametrize("n", range(10))
     def test_paths_are_every_dyck_path_once(self, n):
@@ -249,6 +271,13 @@ class TestIdentity:
         assert report.ok
         assert report.brute_checked == brute_max + 1
         assert report.brute_words == words
+
+    # 2**(n-1) patterns by 2**n colourings, summed: 1, then 1 + 2 + 8 + 32 + 128 + 512
+    @pytest.mark.parametrize("brute_max, cells", [(0, 1), (5, 683), (9, 174763)])
+    def test_brute_cells_counted(self, brute_max, cells):
+        report = verify_weight_value_identity(9, brute_max=brute_max)
+        assert report.brute_cells == cells
+        assert cells == sum(len(_open_patterns(n)[0]) << n for n in range(brute_max + 1))
 
     def test_corrupted_table_is_flagged(self):
         polys = list(value_polynomials(7))

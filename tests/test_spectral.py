@@ -128,6 +128,15 @@ class TestPeriodicTrapezoid:
         assert errs[0] > errs[1] > errs[2]
         assert max(errs[2:]) < 1e-12
 
+    def test_levels_count_doublings(self):
+        evals = [
+            zeta_numeric(2, 1.7, QuadratureSpec(max_nodes=FIRST_LEVEL_INTERVALS << k))
+            for k in range(3)
+        ]
+        assert [(ev.nodes, ev.levels) for ev in evals] == [(17, 0), (33, 1), (65, 2)]
+        ev = zeta_numeric(2, 1.7)
+        assert ev.nodes == (FIRST_LEVEL_INTERVALS << ev.levels) + 1
+
 
 class TestZetaNumeric:
     def test_value_at_zero_is_one(self):
