@@ -44,7 +44,6 @@ from .spectral import (
     zeta_line,
     zeta_numeric,
     zeta_sato_tate,
-    zeta_sato_tate_quad,
 )
 from .dyck import (
     DyckWord,
@@ -102,5 +101,4 @@ __all__ = [
     "zeta_numeric",
     "zeta_pos",
     "zeta_sato_tate",
-    "zeta_sato_tate_quad",
 ]

@@ -29,12 +29,12 @@ coefficient sum below that number, which is checked.  Only heights from
 which the axis can still be reached are visited, and nothing is cached
 between calls.
 
-The brute-force oracle stays letter-level.  It enumerates the Catalan(n)
-uncoloured paths as one bool array of up-steps and colours each in all 2**n
-ways, colouring k making down-step j an R when bit j of k is set.  A word's
-weight is n plus its B-run starts minus its R-run starts, and a down-step
-starts a run exactly when the letter before it is U or a down-step of the
-other colour.  So its run starts are the bits of
+The brute-force oracle stays letter-level.  It grows the Catalan(n)
+uncoloured paths letter by letter as numpy arrays and colours each in all
+2**n ways, colouring k making down-step j an R when bit j of k is set.  A
+word's weight is n plus its B-run starts minus its R-run starts, and a
+down-step starts a run exactly when the letter before it is U or a
+down-step of the other colour.  So its run starts are the bits of
 opens | ((k ^ (k << 1)) & (2**n - 1)), where ``opens`` marks the down-steps
 that directly follow a U, and its weight is two popcounts away.  Its run
 starts depend on its path only through ``opens``, since a U is what
@@ -181,40 +181,30 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
 _CHUNK_CELLS = 1 << 14
 
 
-def _up_masks(n: int) -> np.ndarray:
-    """Uncoloured Dyck paths of half-length n, one row of up-step flags each.
-
-    The (Catalan(n), 2n) bool array is grown breadth-first, one column per
-    step: every prefix that still has an up-step left is extended by U, and
-    every prefix above the axis by a down-step.
-    """
-    masks = np.zeros((1, 0), dtype=bool)
-    height = np.zeros(1, dtype=np.int64)
-    for step in range(2 * n):
-        rise = np.flatnonzero((step + height) // 2 < n)  # ups so far: (step + height) / 2
-        fall = np.flatnonzero(height > 0)
-        is_up = np.arange(rise.size + fall.size) < rise.size
-        keep = np.concatenate([rise, fall])
-        masks = np.column_stack([masks[keep], is_up])
-        height = height[keep] + np.where(is_up, 1, -1)
-    return masks
-
-
 def _open_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct block-opening patterns of the paths of half-length n, with multiplicities.
 
-    A path's pattern is the n-bit mask of its down-steps whose letter
-    before them is U.  Selecting "the letter before is U" at the path's
-    down-steps gives one row of n flags in down-step order, and bit j of
-    the pattern is flag j.  Patterns are below 2**n, so one ``np.bincount``
-    counts the paths per pattern.  Returns the patterns in increasing order
-    and how many of the Catalan(n) paths have each.
+    A path's pattern is the n-bit mask of its down-steps whose letter before
+    them is U: bit j is set when down-step j follows a U.  The paths grow
+    breadth-first, one step for all of them at a time, each carrying its
+    down-steps so far, whether its last letter is U, and its pattern: after
+    ``step`` letters a path with d down-steps has step - d up-steps and
+    height step - 2d, so it can rise while step - d < n and fall while
+    2d < step, and a fall sets bit d when it follows a U.  Patterns are below
+    2**n, so one ``np.bincount`` counts the paths per pattern.  Returns the
+    patterns in increasing order and how many of the Catalan(n) paths have
+    each.
     """
-    masks = _up_masks(n)
-    after_up = np.zeros_like(masks)
-    after_up[:, 1:] = masks[:, :-1]
-    flags = after_up[~masks].reshape(len(masks), n)  # every path has n down-steps
-    paths = np.bincount((flags << np.arange(n)).sum(axis=1), minlength=1 << n)
+    downs = np.zeros(1, dtype=np.int64)
+    last_up = np.zeros(1, dtype=np.int64)
+    pattern = np.zeros(1, dtype=np.int64)
+    for step in range(2 * n):
+        rise = np.flatnonzero(step - downs < n)
+        fall = np.flatnonzero(2 * downs < step)
+        pattern = np.concatenate([pattern[rise], pattern[fall] | last_up[fall] << downs[fall]])
+        downs = np.concatenate([downs[rise], downs[fall] + 1])
+        last_up = (np.arange(len(downs)) < len(rise)).astype(np.int64)
+    paths = np.bincount(pattern, minlength=1 << n)
     opens = np.flatnonzero(paths)
     return opens, paths[opens]
 

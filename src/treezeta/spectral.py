@@ -1,8 +1,8 @@
 """Numeric evaluation of the spectral zeta function and its relatives.
 
-The workhorse is a nested periodic trapezoid rule on the spectral-angle form
-of the defining integral: lambda = 2 sqrt(q) cos(theta) turns the spectral
-measure into the weight
+The package's one quadrature engine is a nested periodic trapezoid rule on
+the spectral-angle form of the defining integral: lambda = 2 sqrt(q)
+cos(theta) turns the spectral measure into the weight
 
     (2/pi) q (q+1) sin^2(theta) / ((q+1)^2 - 4 q cos^2(theta))
 
@@ -24,6 +24,8 @@ Alongside the tree engine live the two limiting line functions (the integer
 lattice and its continuous companion), evaluated in log space from the
 reflection-completed Lanczos log-gamma, plus the completed symmetric
 combinations whose functional equations the verification battery exercises.
+They take no quadrature: the battery holds them to their exact values at the
+non-positive integers and to a Stirling log-gamma of its own.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class ZetaEval:
                 est_error=self.est_error,
             )
         return self.value
-
-
-@lru_cache(maxsize=None)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _nested_trapezoid(level_sum: Callable[[int], complex], spec: QuadratureSpec) -> ZetaEval:
@@ -375,39 +372,6 @@ def zeta_sato_tate(w: complex) -> complex:
         (1 - w) * math.log(4) - 0.5 * math.log(math.pi) + _log_gamma(1.5 - w) - _log_gamma(3 - w),
         w,
     )
-
-
-SATO_TATE_QUAD_PANELS = 40
-SATO_TATE_QUAD_NODES = 24
-SATO_TATE_MAX_RE = 1.4
-
-
-@finite_result
-def zeta_sato_tate_quad(s: complex) -> complex:
-    """Direct quadrature check of the semicircle zeta for Re s < 1.4.
-
-    The integrand degenerates like phi^(2 - 2s) at the left endpoint, so the
-    mesh is graded dyadically toward it and the innermost sliver is summed by
-    its leading power law; past Re s = 1.4 that tail treatment loses accuracy,
-    hence the hard validity bound.
-    """
-    s = finite_point(s)
-    if s.real >= SATO_TATE_MAX_RE:
-        raise DomainError(f"direct quadrature is only valid for Re s < {SATO_TATE_MAX_RE}")
-    x, w = _gl_rule(SATO_TATE_QUAD_NODES)
-    total = 0j
-    hi = math.pi
-    for _ in range(SATO_TATE_QUAD_PANELS):
-        lo = hi / 2
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        pts = mid + half * x
-        # 2 - 2 cos(phi) = 4 sin^2(phi/2), immune to cancellation at tiny phi
-        vals = np.exp(-s * (math.log(4.0) + 2.0 * np.log(np.sin(pts / 2)))) * np.sin(pts) ** 2
-        total += complex(half * np.dot(vals, w))
-        hi = lo
-    tail = hi ** (3 - 2 * s) / (3 - 2 * s)
-    return (2.0 / math.pi) * (total + tail)
 
 
 @finite_result

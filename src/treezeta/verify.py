@@ -13,12 +13,14 @@ exceptions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyck import verify_weight_value_identity
+from .dyck import catalan, verify_weight_value_identity
 from .errors import DomainError
 from .exact import IntPoly, poly_eval, poly_is_palindromic
 from .genfun import (
@@ -49,7 +51,6 @@ from .spectral import (
     zeta_line,
     zeta_numeric,
     zeta_sato_tate,
-    zeta_sato_tate_quad,
 )
 from .validate import finite_result, integer_at_least, tolerance
 
@@ -202,19 +203,24 @@ def _geom_radii(lo: float, hi: float, count: int) -> list[float]:
     return [lo * step**k for k in range(count)]
 
 
+def _take(pool: Iterable[complex], count: int) -> list[complex]:
+    """The first count points of a fixed pool: exactly count, or DomainError."""
+    count = integer_at_least(count, 1, "grid size")
+    pts = list(islice(pool, count))
+    if len(pts) < count:
+        raise DomainError(f"grid pool exhausted at {len(pts)} points, {count} asked for")
+    return pts
+
+
 def symmetry_grid(q: int, count: int = 200) -> list[complex]:
     """Fixed off-cut grid for the reflection identity, both variables clear."""
-    pts = []
     cut, back = spectrum_cut(q), reciprocal_cut(q)
-    for z in _ring_grid(_geom_radii(0.1, 100.0, 25), 16):
-        if cut.distance(z) <= CUT_CLEARANCE or back.distance(1 / z) <= CUT_CLEARANCE:
-            continue
-        pts.append(z)
-        if len(pts) == count:
-            break
-    if len(pts) < count:
-        raise DomainError(f"grid pool exhausted at {len(pts)} points")
-    return pts
+    pool = (
+        z
+        for z in _ring_grid(_geom_radii(0.1, 100.0, 25), 16)
+        if cut.distance(z) > CUT_CLEARANCE and back.distance(1 / z) > CUT_CLEARANCE
+    )
+    return _take(pool, count)
 
 
 @finite_result
@@ -222,6 +228,7 @@ def check_symmetry(
     qs: Sequence[int] = TREE_QS, points: int = 200, tol: float = SYMMETRY_TOL
 ) -> CheckResult:
     """Positive series at z cancels negative series at 1/z, off the cuts."""
+    points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (
         ((q, z), abs(symmetry_defect(q, z)), tol) for q in qs for z in symmetry_grid(q, points)
@@ -231,7 +238,7 @@ def check_symmetry(
 
 def entire_grid(count: int = 100) -> list[complex]:
     """Radius/angle lattice including on-axis points that cross the cut."""
-    return _ring_grid(_geom_radii(0.05, 10.0, 10), 10, offset=0.0)[:count]
+    return _take(_ring_grid(_geom_radii(0.05, 10.0, 10), 10, offset=0.0), count)
 
 
 @finite_result
@@ -239,6 +246,7 @@ def check_entire(
     qs: Sequence[int] = TREE_QS, points: int = 100, tol: float = ENTIRE_TOL
 ) -> CheckResult:
     """The cross combination equals z + 1 everywhere, cut included."""
+    points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (
         ((q, z), abs(entire_combination(q, z) - (z + 1)), tol)
@@ -261,7 +269,7 @@ def check_two_step(qs: Sequence[int] = TREE_QS, n_abs: int = 20) -> CheckResult:
 
 def fe_grid(count: int = 50) -> list[complex]:
     """Fixed complex points with modulus at most five."""
-    return _ring_grid([0.6 * k for k in range(1, 9)], 7)[:count]
+    return _take(_ring_grid([0.6 * k for k in range(1, 9)], 7), count)
 
 
 def _fe_defect(q: int, s: complex, quad: Optional[QuadratureSpec]) -> float:
@@ -277,6 +285,7 @@ def check_functional_equation(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Completed combination is symmetric under s -> 1 - s, numerically."""
+    points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (((q, s), _fe_defect(q, s, quad), tol) for q in qs for s in fe_grid(points))
     return _scan("fe", tol, f"{points} points per q in {tuple(qs)}, |s| <= 5", rows)
@@ -295,6 +304,7 @@ def check_integer_agreement(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Quadrature values match the exact integer-point values."""
+    s_max = integer_at_least(s_max, 0, "s_max")
     tolerance(rel_tol, "rel_tol")
     rows = (
         ((q, k), _integer_defect(q, k, quad), rel_tol)
@@ -306,8 +316,10 @@ def check_integer_agreement(
 
 
 def laplace_grids(q: int, points: int = 20) -> tuple[list[complex], list[complex]]:
+    """Two rings inside the small disc and two outside the spectrum, points on each side."""
+    points = integer_at_least(points, 1, "points")
     lo, hi = spectral_edges(q)
-    per_ring = points // 2
+    per_ring = (points + 1) // 2
     inside = _ring_grid([0.3 * lo, 0.6 * lo], per_ring)
     outside = _ring_grid([1.8 * hi, 4.0 * hi], per_ring)
     return inside[:points], outside[:points]
@@ -334,30 +346,55 @@ def check_laplace(
     Inside the small disc the transform times z is the positive series;
     outside the spectrum it is minus the reflected negative series.
     """
+    points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     detail = f"{points} inside and {points} outside points per q in {tuple(qs)}"
     return _scan("laplace", tol, detail, _laplace_rows(qs, points, tol, quad))
 
 
 def sato_fe_grid(count: int = 20) -> list[complex]:
-    return _ring_grid([0.7, 1.6, 2.9, 3.8], 5)[:count]
+    return _take(_ring_grid([0.7, 1.6, 2.9, 3.8], 5), count)
 
 
 def sato_quad_grid(count: int = 10) -> list[complex]:
     pts = [-2.5, -1.5, -0.5, 0.25, 0.7, 1.1, 0.3 + 0.4j, -1 + 1j, 0.9 + 2j, 1.15 - 0.6j]
-    return [complex(p) for p in pts[:count]]
+    return _take(map(complex, pts), count)
+
+
+# B_2k / (2k (2k - 1)) for k = 1..8, the coefficients of Stirling's series
+_STIRLING_COEFFS = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400
+)
+
+
+def _stirling_log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z) for Re z > 0, by Stirling's series; shares nothing with Lanczos.
+
+    Gamma(z) = Gamma(z + 1) / z moves z past Re z = 12, where eight terms of
+    the series leave an error near 1e-19.
+    """
+    shift = 0j
+    while z.real < 12:
+        shift -= cmath.log(z)
+        z += 1
+    series = sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING_COEFFS))
+    return shift + (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series
 
 
 def _boundary_rows(m_max, fe_points, quad_points, line_tol, fe_tol, quad_tol):
     for m in range(m_max + 1):
         want = math.comb(2 * m, m)
         yield ("line", -m), abs(zeta_line(-m) - want) / want, line_tol
+        want = catalan(m + 1)  # the semicircle moments
+        yield ("catalan", -m), abs(zeta_sato_tate(-m) - want) / want, line_tol
     for s in sato_fe_grid(fe_points):
         rel = abs(xi_sato_tate_defect(s)) / max(1.0, abs(xi_sato_tate(s)))
         yield ("reflection", s), rel, fe_tol
     for s in sato_quad_grid(quad_points):
         a = zeta_sato_tate(s)
-        yield ("quadrature", s), abs(zeta_sato_tate_quad(s) - a) / max(1.0, abs(a)), quad_tol
+        log_b = (1 - s) * math.log(4) - 0.5 * math.log(math.pi)
+        b = cmath.exp(log_b + _stirling_log_gamma(1.5 - s) - _stirling_log_gamma(3 - s))
+        yield ("stirling", s), abs(a - b) / max(1.0, abs(a)), quad_tol
 
 
 @finite_result
@@ -369,17 +406,27 @@ def check_boundary(
     fe_tol: float = SATO_FE_TOL,
     quad_tol: float = SATO_QUAD_TOL,
 ) -> CheckResult:
-    """The two limiting line functions behave: binomials, symmetry, quadrature.
+    """The two limiting line functions behave: binomials, moments, symmetry, Stirling.
 
-    Each sub-check is held to its own tolerance; the largest of the three is
-    the one reported.
+    line holds the integer line's values at -m to the central binomials and
+    catalan the semicircle zeta's to Catalan(m + 1), its moments, both to
+    line_tol; reflection holds the semicircle's completed combination to its
+    s -> 1 - s symmetry at fe_points points, to fe_tol.  stirling compares
+    the semicircle closed form at quad_points points with the same gamma
+    quotient from a Stirling log-gamma that shares no code with the Lanczos
+    one, to quad_tol; the two keep the names they had when a second
+    quadrature stood in its place.  Each row is held to its own tolerance;
+    the largest of the three tolerances is the one reported.
     """
+    m_max = integer_at_least(m_max, 0, "m_max")
+    fe_points = integer_at_least(fe_points, 1, "fe_points")
+    quad_points = integer_at_least(quad_points, 1, "quad_points")
     tolerance(line_tol, "line_tol")
     tolerance(fe_tol, "fe_tol")
     tolerance(quad_tol, "quad_tol")
     detail = (
-        f"central binomials m<={m_max}, {fe_points} reflection points, "
-        f"{quad_points} quadrature cross-checks"
+        f"central binomials and Catalan moments m<={m_max}, {fe_points} reflection points, "
+        f"{quad_points} Stirling cross-checks"
     )
     rows = _boundary_rows(m_max, fe_points, quad_points, line_tol, fe_tol, quad_tol)
     return _scan("boundary", max(line_tol, fe_tol, quad_tol), detail, rows)

@@ -16,7 +16,6 @@ from treezeta.dyck import (
     weight_profile,
     word_weight,
     _open_patterns,
-    _up_masks,
 )
 from treezeta import dyck
 from treezeta.errors import ConsistencyError, DomainError
@@ -213,26 +212,16 @@ class TestBruteforceBatches:
 
     @pytest.mark.parametrize("n", range(8))
     def test_patterns_match_the_words(self, n):
-        # each path's pattern read off its letters, one path at a time
+        # each uncoloured path is a word without R; its pattern read off its letters
         tally = Counter()
-        for row in _up_masks(n).tolist():
-            letters = ["U" if up else "D" for up in row]
-            downs = [i for i, ch in enumerate(letters) if ch == "D"]
+        for word in enumerate_dyck(n):
+            letters = word.letters
+            if "R" in letters:
+                continue
+            downs = [i for i, ch in enumerate(letters) if ch == "B"]
             tally[sum(1 << j for j, i in enumerate(downs) if letters[i - 1] == "U")] += 1
         opens, paths = _open_patterns(n)
         assert dict(zip(opens.tolist(), paths.tolist())) == dict(tally)
-
-    @pytest.mark.parametrize("n", range(10))
-    def test_paths_are_every_dyck_path_once(self, n):
-        masks = _up_masks(n)
-        assert masks.shape == (catalan(n), 2 * n)
-        assert len({tuple(row) for row in masks.tolist()}) == catalan(n)
-        for row in masks.tolist():
-            assert sum(row) == n
-            height = 0
-            for up in row:
-                height += 1 if up else -1
-                assert height >= 0
 
 
 class TestCarryGuard:

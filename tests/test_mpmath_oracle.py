@@ -1,13 +1,15 @@
 """High-precision oracle for the gamma function and the quadrature engine.
 
 mpmath shares no code with treezeta: its gamma and its tanh-sinh quadrature
-at 25 digits give references for the log-space Lanczos gamma and for the
-nested trapezoid.  Skipped where mpmath is not installed.
+at 25 digits give references for the log-space Lanczos gamma, for the
+semicircle zeta's closed form and for the nested trapezoid.  Skipped where
+mpmath is not installed.
 """
 
 import pytest
 
-from treezeta.spectral import complex_gamma, zeta_numeric
+from treezeta.spectral import complex_gamma, zeta_numeric, zeta_sato_tate
+from treezeta.verify import sato_quad_grid
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -61,3 +63,17 @@ def test_zeta_numeric(q, s):
     assert err < 1e-20 * abs(want)
     got = zeta_numeric(q, s).require()
     assert abs(got - complex(want)) <= 1e-11 * abs(complex(want))
+
+
+@pytest.mark.parametrize("s", sato_quad_grid())
+def test_zeta_sato_tate_is_its_defining_integral(s):
+    # (2/pi) int_0^pi (2 - 2 cos phi)^-s sin^2 phi dphi, with 2 - 2 cos phi = 4 sin^2(phi/2)
+    w = mp.mpc(s)
+
+    def f(phi):
+        return (4 * mp.sin(phi / 2) ** 2) ** (-w) * mp.sin(phi) ** 2
+
+    integral, err = mp.quad(f, [0, mp.pi], error=True)
+    want = complex(2 / mp.pi * integral)
+    assert err < 1e-20 * abs(integral)
+    assert abs(zeta_sato_tate(s) - want) <= 1e-13 * abs(want)

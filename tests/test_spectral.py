@@ -41,7 +41,6 @@ from treezeta.spectral import (
     zeta_line,
     zeta_numeric,
     zeta_sato_tate,
-    zeta_sato_tate_quad,
 )
 
 
@@ -334,16 +333,6 @@ class TestZetaSatoTate:
             want = zeta_line(w - 1) / (2 - w)
             assert zeta_sato_tate(w) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "s", [0.0, 0.5, -1.0, 1.2, 0.3 + 0.4j, -2.5, 1.3 - 0.2j]
-    )
-    def test_quadrature_route_agrees(self, s):
-        assert zeta_sato_tate_quad(s) == pytest.approx(zeta_sato_tate(s), rel=1e-8, abs=1e-8)
-
-    def test_quadrature_validity_bound(self):
-        with pytest.raises(DomainError):
-            zeta_sato_tate_quad(1.4)
-
 
 class TestXiSatoTate:
     def test_defect_small(self):
@@ -385,9 +374,7 @@ class TestNonFiniteAndOutOfRange:
             zeta_numeric(q, 0.5)
 
     @pytest.mark.parametrize("s", [math.nan, complex(0.5, math.nan), math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "fn", [zeta_line, zeta_sato_tate, zeta_sato_tate_quad, xi_sato_tate, complex_gamma]
-    )
+    @pytest.mark.parametrize("fn", [zeta_line, zeta_sato_tate, xi_sato_tate, complex_gamma])
     def test_line_functions_refuse_non_finite(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from treezeta import verify
+from treezeta import spectral, verify
 from treezeta.errors import DomainError
 from treezeta.exact import IntPoly
 from treezeta.genfun import symmetry_defect
@@ -227,7 +227,15 @@ class TestWorstAt:
 
     def test_boundary_names_its_sub_check(self):
         r = check_boundary()
-        assert r.worst_at[0] in ("line", "reflection", "quadrature")
+        assert r.worst_at[0] in ("line", "reflection", "catalan", "stirling")
+
+    def test_perturbed_lanczos_coefficient_fails_the_stirling_rows(self, monkeypatch):
+        coeffs = list(spectral._LANCZOS_COEFFS)
+        coeffs[2] *= 1 + 1e-6
+        monkeypatch.setattr(spectral, "_LANCZOS_COEFFS", tuple(coeffs))
+        r = check_boundary()
+        assert not r.passed
+        assert r.worst_at[0] == "stirling"
 
     def test_each_row_is_held_to_its_own_bound(self):
         rows = [(("a",), 5.0, 10.0), (("b",), 2.0, 1.0)]
@@ -259,6 +267,56 @@ class TestToleranceValidation:
     def test_every_numeric_tolerance_is_validated(self, check, kwargs):
         with pytest.raises(DomainError):
             check(**kwargs)
+
+
+class TestGridSizeValidation:
+    @pytest.mark.parametrize(
+        "check, kwargs",
+        [
+            pytest.param(check_symmetry, {"points": 0}, id="symmetry-zero"),
+            pytest.param(check_symmetry, {"points": -5}, id="symmetry-negative"),
+            pytest.param(check_symmetry, {"points": 2.5}, id="symmetry-float"),
+            pytest.param(check_entire, {"points": 200}, id="entire-past-pool"),
+            pytest.param(check_entire, {"points": 0}, id="entire-zero"),
+            pytest.param(check_functional_equation, {"points": 57}, id="fe-past-pool"),
+            pytest.param(check_functional_equation, {"points": -1}, id="fe-negative"),
+            pytest.param(check_integer_agreement, {"s_max": -2}, id="integers-negative"),
+            pytest.param(check_integer_agreement, {"s_max": 1.5}, id="integers-float"),
+            pytest.param(check_laplace, {"points": -4}, id="laplace-negative"),
+            pytest.param(check_laplace, {"points": True}, id="laplace-bool"),
+            pytest.param(check_boundary, {"m_max": 2.5}, id="boundary-m-float"),
+            pytest.param(check_boundary, {"m_max": -1}, id="boundary-m-negative"),
+            pytest.param(check_boundary, {"fe_points": 21}, id="boundary-fe-past-pool"),
+            pytest.param(check_boundary, {"quad_points": 11}, id="boundary-quad-past-pool"),
+            pytest.param(check_boundary, {"quad_points": 0}, id="boundary-quad-zero"),
+        ],
+    )
+    def test_bad_grid_size_refused(self, check, kwargs):
+        with pytest.raises(DomainError):
+            check(**kwargs)
+
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            (lambda k: symmetry_grid(2, k), 0),
+            (entire_grid, 101),
+            (fe_grid, 57),
+            (lambda k: laplace_grids(3, k), 0),
+            (sato_fe_grid, 21),
+            (sato_quad_grid, 11),
+            (sato_quad_grid, -1),
+        ],
+    )
+    def test_grid_past_its_pool_or_below_one_refused(self, grid, count):
+        with pytest.raises(DomainError):
+            grid(count)
+
+    @pytest.mark.parametrize("points", [1, 21])
+    def test_odd_laplace_size_is_not_rounded_down(self, points):
+        inside, outside = laplace_grids(3, points)
+        assert len(inside) == len(outside) == points
+        r = check_laplace(qs=(2,), points=points)
+        assert r.passed and r.points == 2 * points
 
 
 class TestDepthValidation:
