@@ -8,26 +8,24 @@ half-length n coincides with the value polynomial of index n + 1; the
 verifier at the bottom checks that coincidence against two independent
 computations of the distribution.
 
-The two computations share no code.  The dynamic program works on runs,
+The two computations share no code.  The closed-form count works on runs,
 not letters.  Every maximal down-run follows a U, so its colouring starts
 fresh, and a run of length l adds +1 when it starts and ends in B, -1 when
 it starts and ends in R, and 0 otherwise.  Summed over its 2**l colourings
 that is f(1) = q + 1/q and f(l) = 2**(l-2) * (q + 1/q + 2) for l >= 2, so a
-path's colourings weigh q**n times the product of f over its runs, and the
-distribution is q**n * R_n(q + 1/q) for a polynomial R_n; its palindromy is
-built in.  The program walks uncoloured prefixes by height, in two lists
-indexed by height (last letter U, or inside a run of length two or more;
-a run of length one is the previous step's U list one height up).  Each
-entry packs its polynomial in y = q + 1/q into one Python int: coefficient
-k sits in the k-th bit slot and a factor y is one shift.  A state's degree
-in y is at most its number of closed runs, at most half the span of
-q-degrees its prefixes reach.  At y = 2 every run sums to 2**l, so R_n(2) =
-Catalan(n) * 2**n, which bounds every coefficient of every state, and a
-slot is just that number's bit length.  R_n is expanded back into q by
-Horner's rule in the same slots.  A carry between slots can only lower the
-coefficient sum below that number, which is checked.  Only heights from
-which the axis can still be reached are visited, and nothing is cached
-between calls.
+path's colourings weigh the product of g(l) = q**l * f(l) over its runs.
+Written backwards with U and the down-steps swapped, a path's down-runs
+become up-runs; the up-run just before each down-step (empty after another
+down-step), read as a node's number of children, plus a final leaf, is the
+Lukasiewicz code of a plane tree with n + 1 nodes.  Raney's cycle lemma
+(Lagrange inversion) counts such weighted trees: W_n(q) = [t**n]
+psi(t)**(n+1) / (n+1) with psi(t) = 1 + sum of g(l) * t**l =
+(1 + (q-1)**2 * t * (1 - q*t)) / (1 - 2*q*t).  Expanded, W_n is a sum of
+non-negative integers a_k times q**(n-k) * (q-1)**(2k), palindromic by
+construction, evaluated by a signed but exact Horner's rule at a power of
+two whose slots hold the coefficients; a carry between slots lowers their
+sum below W_n(1) = Catalan(n) * 2**n, which is checked.  It takes O(n**2)
+small integer steps, and nothing is cached between calls.
 
 The brute-force oracle stays letter-level.  It grows the Catalan(n)
 uncoloured paths letter by letter as numpy arrays and colours each in all
@@ -40,7 +38,7 @@ that directly follow a U, and its weight is two popcounts away.  Its run
 starts depend on its path only through ``opens``, since a U is what
 separates two down-runs: grouping the paths by ``opens`` only counts words
 with the same run starts together, which is still the definition letter by
-letter, not the run-level sum the dynamic program uses.  There are
+letter, not the run-level sum the closed-form count uses.  There are
 2**(n-1) patterns, one per composition of n into down-runs, so n = 9 takes
 256 * 512 (pattern, colouring) cells rather than 2.49 M words of 18
 letters; chunks of patterns are capped near ``_CHUNK_CELLS`` cells.  The
@@ -247,65 +245,54 @@ def _weight_poly_bruteforce(n: int) -> IntPoly:
     return IntPoly(counts.tolist())
 
 
+def _cycle_coefficients(n: int) -> list[int]:
+    """The a_k of W_n(q) = sum over k of a_k * q**(n-k) * (q-1)**(2k), k = 0..n.
+
+    With z = (q-1)**2, psi(t) = (1 + z*t*(1 - q*t)) / (1 - 2*q*t) and
+    (1 - q*t) / (1 - 2*q*t) = 1 + t / (1 - 2*q*t), the binomial theorem
+    twice gives [t**n] psi**(n+1) / (n+1) = sum of a_k * q**(n-k) * z**k
+    with a_k = C(n+1, k) / (n+1) * S_k and, for m = n - k,
+    S_k = sum over i of C(k, i) * C(2m, m-i) * 2**(m-i).  Every term is
+    non-negative, and a_0 = C(2n, n) * 2**n / (n+1) = Catalan(n) * 2**n.
+    The terms of S_k go by the ratio (k-i)(m-i) / (2(i+1)(m+i+1)), and as
+    each is an integer, one floor division per term is exact.  So is the
+    one for a_k: every f(l), so W_n / q**n, is a polynomial over the
+    integers in y = q + 1/q, and q**(n-k) * z**k = q**n * (y - 2)**k.
+    """
+    coeffs = []
+    for k in range(n + 1):
+        m = n - k
+        term = math.comb(2 * m, m) << m
+        total = term
+        for i in range(min(k, m)):
+            term = term * (k - i) * (m - i) // (2 * (i + 1) * (m + i + 1))
+            total += term
+        coeffs.append(math.comb(n + 1, k) * total // (n + 1))
+    return coeffs
+
+
 def _weight_poly_dp(n: int) -> IntPoly:
-    """Run-level dynamic programming over heights, in y = q + 1/q.
+    """Weight distribution by the cycle lemma (module docstring), in one packed int.
 
-    A path's colourings weigh q**n times the product of its down-run sums
-    f(l), so the walk tracks only uncoloured prefixes and the closed runs'
-    product as a polynomial in y.  ``ups[h]`` holds the prefixes at height h
-    whose last letter is U (the empty prefix counts as one), and ``runs[h]``
-    those inside a down-run of length l >= 2, carrying 2**(l-2) of the
-    run's f(l) = 2**(l-2) * (y + 2).  A run of length one at height h is a U
-    one step back and one height up, so it is read from ``last_ups[h + 1]``
-    and needs no list of its own.  A run closes when U follows it or the
-    word ends: by y from length one, by y + 2 from the longer state.
-    Lengthening a run from one to two costs nothing, and every further down-
-    step doubles.  After ``step`` letters only heights up to
-    min(step, 2n - step) of the step's parity can still return to the axis,
-    and only those are visited.
-
-    Each stored polynomial is one Python int with the coefficient of y**k in
-    the bit slot [k*width, (k+1)*width), so a factor y is a shift by
-    ``width``.  A state's degree in y is at most its number of closed runs,
-    so at most its number of down-steps, where the same prefixes' weights
-    divided by q**h span twice that; a state holds about half the slots it
-    would in q.  At y = 2 every run sum is 2**l, so R_n(2) = Catalan(n) *
-    2**n.  A coefficient of a state is at most the state's value at y = 2,
-    at most 2**n per prefix, and a state holds at most Catalan(n) prefixes,
-    since distinct prefixes extend to distinct paths; ``width`` is the bit
-    length of that product.
-
-    The result R_n(y) is read from the slots and expanded back into q by
-    Horner's rule: q**n * R_n(q + 1/q) is the sum of r_k * q**(n-k) *
-    (q*q + 1)**k, and each step is one shift by two slots plus one
-    shifted r_k.  Every int is an exact evaluation at 2**width of a
-    polynomial with non-negative coefficients, so a carry out of slot k
-    only trades m * 2**width there for m in slot k + 1: the read
-    coefficients' sum at y = 2 (and then at q = 1) falls by
-    m * 2**k * (2**width - 2).  A sum other than Catalan(n) * 2**n
-    therefore raises ``ConsistencyError``.
+    With the a_k of ``_cycle_coefficients``, W_n is evaluated at
+    X = 2**width by Horner's rule over k from n down:
+    packed = packed * (X - 1)**2 + a_k * X**(n-k), that is three shifts and
+    adds per step.  The partial sums are polynomials with signed
+    coefficients, but Python ints are exact, so the final int is W_n(X)
+    whatever the signs on the way.  Every coefficient of W_n is at most
+    W_n(1) = a_0 = Catalan(n) * 2**n, and ``width`` is that number's bit
+    length, so the coefficients lie in [0, X) and are read off the slots
+    [k*width, (k+1)*width).  Were the slots too narrow, each carry out of a
+    slot would trade m * X there for m in the next one, and the read
+    coefficients' sum would fall below Catalan(n) * 2**n by a multiple of
+    X - 1: a sum other than that number raises ``ConsistencyError``.
     """
     words = catalan(n) << n
     width = words.bit_length()
-    ups, runs, last_ups = [1] + [0] * (n + 1), [0] * (n + 2), [0] * (n + 2)
-    for step in range(2 * n):
-        top = min(step + 1, 2 * n - step - 1)
-        new_ups, new_runs = [0] * (n + 2), [0] * (n + 2)
-        for h in range(step % 2, min(step, 2 * n - step) + 1, 2):
-            one, more = last_ups[h + 1], runs[h]
-            doubled = more << 1
-            if h < top:
-                new_ups[h + 1] = ups[h] + ((one + more) << width) + doubled
-            if h:
-                new_runs[h - 1] = one + doubled
-        last_ups, ups, runs = ups, new_ups, new_runs
-    one, more = last_ups[1], runs[0]
-    total = ups[0] + ((one + more) << width) + (more << 1)
-    mask = (1 << width) - 1
     packed = 0
-    for k in range(n, -1, -1):
-        r_k = (total >> (k * width)) & mask
-        packed += (packed << (2 * width)) + (r_k << ((n - k) * width))
+    for k, a in reversed(list(enumerate(_cycle_coefficients(n)))):
+        packed += (packed << 2 * width) - (packed << width + 1) + (a << (n - k) * width)
+    mask = (1 << width) - 1
     coeffs = [(packed >> (k * width)) & mask for k in range(2 * n + 1)]
     if sum(coeffs) != words:
         raise ConsistencyError(f"packed weight polynomial {n} carried between slots")
@@ -360,6 +347,10 @@ def verify_weight_value_identity(
     brute_max = integer_at_least(brute_max, 0, "brute_max")
     if n_max > DP_CAP:
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
+    if min(brute_max, n_max) > ENUM_CAP:
+        raise DomainError(
+            f"brute_max = {brute_max} asks the bruteforce route past its cap n = {ENUM_CAP}"
+        )
     if value_polys is None:
         value_polys = value_polynomials(n_max + 1)
     if len(value_polys) < n_max + 1:

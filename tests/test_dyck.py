@@ -1,6 +1,8 @@
 """Coloured Dyck words, block weights, and the identity with value polynomials."""
 
 from collections import Counter
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from treezeta.dyck import (
     weight_polynomial,
     weight_profile,
     word_weight,
+    _cycle_coefficients,
     _open_patterns,
 )
 from treezeta import dyck
@@ -174,9 +177,32 @@ class TestWeightPolynomial:
     def test_deep_dp_equals_value_polynomial(self, n):
         assert weight_polynomial(n, "dp") == value_polynomials(n + 1)[n]
 
+    # the cycle-lemma count rests on the per-run colour sums; the letter walk
+    # uses none of that run algebra
     @pytest.mark.parametrize("n", [*range(61), 100, 150, DP_CAP])
     def test_run_level_dp_equals_letter_level_dp(self, n):
         assert weight_polynomial(n, "dp") == letter_dp(n)
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_cycle_coefficients_expand_to_the_weight_polynomial(self, n):
+        # a_k from the plain binomial sums in Fractions, not the term ratio
+        a = _cycle_coefficients(n)
+        plain = [
+            Fraction(comb(n + 1, k), n + 1)
+            * sum(comb(k, i) * comb(2 * (n - k), n - k - i) * 2 ** (n - k - i)
+                  for i in range(min(k, n - k) + 1))
+            for k in range(n + 1)
+        ]
+        assert all(x.denominator == 1 for x in plain)
+        assert a == [int(x) for x in plain]
+        assert all(type(x) is int and x >= 0 for x in a)
+        assert a[0] == catalan(n) << n
+        # schoolbook: q**(n-k) * (q-1)**(2k) has C(2k, j) * (-1)**j at q**(n+k-j)
+        coeffs = [0] * (2 * n + 1)
+        for k, a_k in enumerate(a):
+            for j in range(2 * k + 1):
+                coeffs[n + k - j] += a_k * comb(2 * k, j) * (-1) ** j
+        assert IntPoly(coeffs) == weight_polynomial(n)
 
     def test_letter_dp_matches_string_definition(self):
         for n in range(7):
@@ -299,6 +325,20 @@ class TestIdentity:
         polys[5] = None
         with pytest.raises(DomainError, match="NoneType"):
             verify_weight_value_identity(6, brute_max=0, value_polys=polys)
+
+    def test_brute_max_past_the_cap_refused_up_front(self, monkeypatch):
+        def no_work(n, method="dp"):
+            raise AssertionError("the check ran before refusing")
+
+        monkeypatch.setattr(dyck, "weight_polynomial", no_work)
+        with pytest.raises(DomainError, match="brute_max = 10"):
+            verify_weight_value_identity(12, brute_max=10)
+
+    def test_brute_max_past_the_cap_allowed_when_n_max_is_within(self):
+        # only min(brute_max, n_max) words are exhausted
+        report = verify_weight_value_identity(4, brute_max=12)
+        assert report.ok
+        assert report.brute_checked == 5
 
     def test_short_table_rejected(self):
         with pytest.raises(DomainError):
