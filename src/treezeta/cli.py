@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-import numpy as np
-
 from . import dyck as dyck_mod
 from .errors import DomainError, NonConvergedError
 from .special_values import (
@@ -340,7 +338,7 @@ def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
             value = xi_value(args.q, args.s, spec)
         else:
             ev = zeta_numeric(args.q, args.s, spec)
-            ev.require(f"zeta({args.q}, {args.s})")
+            ev.require("zeta({}, {})", args.q, args.s)
             value = ev.value
             results = {"nodes": ev.nodes, "levels": ev.levels, "est_error": ev.est_error}
     results["value"] = value
@@ -479,20 +477,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         config = _load_config(args.config) if args.config else {}
-        # an overflowing integrand ends in OutOfRangeError; numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "poly":
-                report = _cmd_poly(args, config)
-            elif args.command == "values":
-                report = _cmd_values(args, config)
-            elif args.command == "zeta":
-                report = _cmd_zeta(args, config)
-            elif args.command == "heat":
-                report = _cmd_heat(args, config)
-            elif args.command == "dyck":
-                report = _cmd_dyck(args, config)
-            else:
-                report = _cmd_verify(args, config, color)
+        if args.command == "poly":
+            report = _cmd_poly(args, config)
+        elif args.command == "values":
+            report = _cmd_values(args, config)
+        elif args.command == "zeta":
+            report = _cmd_zeta(args, config)
+        elif args.command == "heat":
+            report = _cmd_heat(args, config)
+        elif args.command == "dyck":
+            report = _cmd_dyck(args, config)
+        else:
+            report = _cmd_verify(args, config, color)
     except NonConvergedError as exc:
         results: dict[str, Any] = {"error": str(exc)}
         if exc.best is not None:

@@ -20,6 +20,16 @@ second log weight, the heat trace is exp(log W - t base) and the resolvent
 W / (base - z).  Working in log space keeps each h-scaled term finite
 whenever the value is, so real s up to about 409 evaluates at q = 2.
 
+The three levels every call runs sit in one head array, so a call evaluates
+its integrand there once and takes the three level sums from one reduceat as
+plain Python numbers; the level loop runs on floats for a real integrand, and
+each finer level is one np.add.reduce.  The cached grid also holds the
+tree's spectral cut, which the resolvent keeps its distance from, and bounds
+on log W and |log base|.  A call whose bound keeps every term and sum finite
+runs in numpy's default error state; only one whose bound allows an overflow
+silences numpy's overflow warnings, so that under any warnings filter the
+overflow reaches the caller as OutOfRangeError naming the function called.
+
 Alongside the tree engine live the two limiting line functions (the integer
 lattice and its continuous companion), evaluated in log space from the
 reflection-completed Lanczos log-gamma, plus the completed symmetric
@@ -38,9 +48,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonConvergedError, OutOfRangeError, PoleError
-from .genfun import spectrum_cut
-from .validate import branching_number, finite_point, finite_result, tolerance
+from .errors import DomainError, NonConvergedError, PoleError
+from .genfun import SpectrumCut, _edges
+from .validate import branching_number, finite_point, finite_result, nonnegative_real, tolerance
 
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
@@ -84,10 +94,16 @@ class ZetaEval:
         """Doublings of the first level's intervals: nodes = 16 * 2**levels + 1."""
         return ((self.nodes - 1) // FIRST_LEVEL_INTERVALS).bit_length() - 1
 
-    def require(self, context: str = "quadrature") -> complex:
+    def require(self, context: str = "quadrature", *args) -> complex:
+        """The value once converged; else NonConvergedError naming context.format(*args).
+
+        The context is formatted on failure only, so a converged call formats
+        nothing; without args it is taken as it stands.
+        """
         if not self.converged:
+            what = context.format(*args) if args else context
             raise NonConvergedError(
-                f"{context} did not converge within the node budget "
+                f"{what} did not converge within the node budget "
                 f"(estimated error {self.est_error:.3g})",
                 best=self.value,
                 est_error=self.est_error,
@@ -95,22 +111,34 @@ class ZetaEval:
         return self.value
 
 
-def _nested_trapezoid(level_sum: Callable[[int], complex], spec: QuadratureSpec) -> ZetaEval:
+def _nested_trapezoid(
+    sums: list,
+    spec: QuadratureSpec,
+    integrand: Optional[Callable[[_Nodes], np.ndarray]] = None,
+    grid: Optional[_Grid] = None,
+) -> ZetaEval:
     """The level loop of the nested trapezoid rule on [0, pi].
 
-    Level k has N = 16 * 2^k <= spec.max_nodes intervals of width h, and
-    level_sum(k) is h times the integrand summed over the nodes level k
-    adds: the interior nodes at level 0, the N / 2 new midpoints after it.
+    Level k has N = 16 * 2^k <= spec.max_nodes intervals of width h, and its
+    level sum is h times the integrand summed over the nodes level k adds:
+    the interior nodes at level 0, the N / 2 new midpoints after it.  sums
+    holds the first levels' sums as plain Python numbers (the grid's head,
+    taken in one pass); a level past them sums integrand(grid.level(k)).
+    The loop runs on floats for a real integrand and on complex numbers
+    otherwise, and converts the value to complex once, on return.
+
     The integrand vanishes at both ends, so level k's integral is half of
-    level k - 1's plus level_sum(k), and the N + 1 nodes of the last level
+    level k - 1's plus its level sum, and the N + 1 nodes of the last level
     are every sample taken.  Convergence means two doublings have happened
     and the last one moved the value by no more than the tolerance; the last
     move is the error estimate either way.  A level that overflows double
-    precision raises OutOfRangeError at once, before the next is asked for.
+    precision raises OverflowError at once, before the next is asked for;
+    the entry points' finite_result reports it as OutOfRangeError naming
+    the function called.
     """
     k = 0
-    integral = level_sum(0)
-    prev: Optional[complex] = None
+    integral = sums[0]
+    prev = None
     est = math.inf
     while True:
         n = FIRST_LEVEL_INTERVALS << k
@@ -119,20 +147,22 @@ def _nested_trapezoid(level_sum: Callable[[int], complex], spec: QuadratureSpec)
         except OverflowError:
             size = math.inf
         if not size < math.inf:  # also refuses NaN
-            raise OutOfRangeError(f"integral out of floating-point range (|value| = {size})")
+            raise OverflowError(f"integral out of floating-point range (|value| = {size})")
         if prev is not None:
             try:
                 est = abs(integral - prev)
             except OverflowError:  # two representable levels too far apart to subtract
                 est = math.inf
-            converged = est <= max(spec.abs_tol, spec.rel_tol * size)
-            if converged and k >= MIN_CONVERGED_LEVEL:
-                return ZetaEval(integral, est, n + 1, True)
+            if k >= MIN_CONVERGED_LEVEL and est <= max(spec.abs_tol, spec.rel_tol * size):
+                return ZetaEval(complex(integral), est, n + 1, True)
         if 2 * n > spec.max_nodes:
-            return ZetaEval(integral, est, n + 1, False)
+            return ZetaEval(complex(integral), est, n + 1, False)
         prev = integral
         k += 1
-        integral = 0.5 * integral + level_sum(k)
+        if k < len(sums):
+            integral = 0.5 * integral + sums[k]
+        else:  # np.add.reduce is np.sum's pairwise sum without its Python wrapper
+            integral = 0.5 * integral + np.add.reduce(integrand(grid.level(k))).item()
 
 
 def _level_angles(k: int) -> tuple[np.ndarray, float]:
@@ -163,18 +193,30 @@ class _Nodes:
         self.log_xi_weight = self.log_weight + np.log(2 * (q + 1) - self.base)
 
 
+# exp of less than this, summed over fewer than 2**80 nodes, stays below the largest double
+_LOG_IN_RANGE = 650.0
+# below this, |Im s| log base, t base and weight / (base - z) stay finite with room to spare
+_MAGNITUDE_IN_RANGE = 1e300
+
+
 class _Grid:
-    """The nodes of one tree, built on first use.
+    """The nodes of one tree, built on first use, and the bounds its calls check.
 
     Levels 0..MIN_CONVERGED_LEVEL run on every call, so they sit in one
     concatenated head, evaluated at once and split by head_starts.  Finer
     levels up to CACHED_MAX_INTERVALS intervals are kept once built; finer
     ones than that are rebuilt per call, so a large node budget adds no
     resident memory.
+
+    cut is the spectrum [lo, hi] the resolvent refuses to come near.  The
+    spectral weight peaks at theta = pi / 2, a node of level 0, so the head's
+    largest log weight bounds every level's, and log_term_max adds log(hi) to
+    cover the xi weight too; log_base_max bounds |log base| over [lo, hi].
     """
 
     def __init__(self, q: int):
         self.q = q
+        self.cut = SpectrumCut(*_edges(q))
         parts = [_level_angles(k) for k in range(MIN_CONVERGED_LEVEL + 1)]
         theta = np.concatenate([t for t, _ in parts])
         widths = np.concatenate([np.full(len(t), h) for t, h in parts])
@@ -187,6 +229,9 @@ class _Grid:
                 raise OverflowError("the quadrature weights overflow") from None
         self.head_starts = np.cumsum([0] + [len(t) for t, _ in parts[:-1]])
         self.levels: dict[int, _Nodes] = {}
+        log_lo, log_hi = math.log(self.cut.lo), math.log(self.cut.hi)
+        self.log_term_max = float(self.head.log_weight.max()) + log_hi
+        self.log_base_max = max(-log_lo, log_hi)
 
     def level(self, k: int) -> _Nodes:
         nodes = self.levels.get(k)
@@ -196,6 +241,13 @@ class _Grid:
                 self.levels[k] = nodes
         return nodes
 
+    def power_in_range(self, s: complex) -> bool:
+        """Whether every term of the zeta and xi integrands at s, and every level sum, is finite."""
+        return (
+            self.log_term_max + abs(s.real) * self.log_base_max < _LOG_IN_RANGE
+            and abs(s.imag) < _MAGNITUDE_IN_RANGE
+        )
+
 
 @lru_cache(maxsize=GRID_CACHE_QS)
 def _grid(q: int) -> _Grid:
@@ -203,18 +255,23 @@ def _grid(q: int) -> _Grid:
 
 
 def _quadrature(
-    q: int, integrand: Callable[[_Nodes], np.ndarray], spec: Optional[QuadratureSpec]
+    grid: _Grid,
+    integrand: Callable[[_Nodes], np.ndarray],
+    spec: Optional[QuadratureSpec],
+    in_range: bool,
 ) -> ZetaEval:
-    """Integrate over [0, pi] an integrand given as h-scaled values at a set of nodes."""
-    grid = _grid(q)
-    head = np.add.reduceat(integrand(grid.head), grid.head_starts)
+    """Integrate over [0, pi] an integrand given as h-scaled values at a set of nodes.
 
-    def level_sum(k: int) -> complex:
-        if k <= MIN_CONVERGED_LEVEL:
-            return complex(head[k])
-        return complex(np.sum(integrand(grid.level(k))))
-
-    return _nested_trapezoid(level_sum, spec or _DEFAULT_SPEC)
+    The head's three level sums come from one reduceat.  in_range is the
+    caller's word that its integrand, and every sum of it, stays finite;
+    otherwise numpy's overflow and invalid-value warnings are silenced around
+    the rule, and the loop's own finiteness test reports what overflowed.
+    """
+    if not in_range:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _quadrature(grid, integrand, spec, True)
+    sums = np.add.reduceat(integrand(grid.head), grid.head_starts).tolist()
+    return _nested_trapezoid(sums, spec or _DEFAULT_SPEC, integrand, grid)
 
 
 def _real_if_real(s: complex):
@@ -235,7 +292,9 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     q = branching_number(q)
     s = finite_point(s)
     e = _real_if_real(s)
-    return _quadrature(q, lambda g: np.exp(g.log_weight - e * g.log_base), spec)
+    grid = _grid(q)
+    in_range = grid.power_in_range(s)
+    return _quadrature(grid, lambda g: np.exp(g.log_weight - e * g.log_base), spec, in_range)
 
 
 @finite_result
@@ -248,19 +307,22 @@ def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> compl
     q = branching_number(q)
     s = finite_point(s)
     e = _real_if_real(s)
-    ev = _quadrature(q, lambda g: np.exp(g.log_xi_weight - e * g.log_base), spec)
-    combo = ev.require(f"xi at {s}")
-    return cmath.exp(s * math.log(q - 1)) * combo
+    grid = _grid(q)
+    in_range = grid.power_in_range(s)
+    ev = _quadrature(grid, lambda g: np.exp(g.log_xi_weight - e * g.log_base), spec, in_range)
+    return cmath.exp(s * math.log(q - 1)) * ev.require("xi at {}", s)
 
 
 @finite_result
 def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Return-probability-weighted heat kernel trace per vertex at time t."""
+    """Return-probability-weighted heat kernel trace per vertex at time t, a real number >= 0."""
     q = branching_number(q)
-    if not t >= 0:  # also refuses NaN
-        raise DomainError(f"heat time must be non-negative, got {t}")
-    ev = _quadrature(q, lambda g: np.exp(g.log_weight - t * g.base), spec)
-    return ev.require(f"heat trace at t={t}").real
+    t = nonnegative_real(t, "heat time")
+    grid = _grid(q)
+    # exp(log W - t base) is at most W, so only the product t base can overflow
+    in_range = t * grid.cut.hi < _MAGNITUDE_IN_RANGE
+    ev = _quadrature(grid, lambda g: np.exp(g.log_weight - t * g.base), spec, in_range)
+    return ev.require("heat trace at t={}", t).real
 
 
 @finite_result
@@ -268,8 +330,11 @@ def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = Non
     """Stieltjes transform of the spectral measure at a point off the spectrum."""
     q = branching_number(q)
     z = finite_point(z)
-    spectrum_cut(q).refuse_near(z)
-    return _quadrature(q, lambda g: g.weight / (g.base - z), spec).require(f"resolvent at z={z}")
+    grid = _grid(q)
+    grid.cut.refuse_near(z)
+    in_range = abs(z.real) + abs(z.imag) < _MAGNITUDE_IN_RANGE
+    ev = _quadrature(grid, lambda g: g.weight / (g.base - z), spec, in_range)
+    return ev.require("resolvent at z={}", z)
 
 
 # Lanczos approximation, g = 7, nine coefficients; accurate to roughly

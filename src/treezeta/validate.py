@@ -1,11 +1,13 @@
 """Argument validators shared by the public functions.
 
-Each returns its argument in canonical form (a Python ``int`` or a
+Each returns its argument in canonical form (a Python ``int``, ``float`` or
 ``complex``; a tolerance comes back as given) or raises ``DomainError``, in
 O(1) work.  Integers are taken through ``operator.index``, so numpy integers
 pass and floats, even integral ones, are refused; ``bool`` is refused
-although it is an ``int`` subclass.  ``finite_result`` wraps a function so
-that a float overflow inside it raises ``OutOfRangeError``.
+although it is an ``int`` subclass.  Points and real numbers are taken from
+any number type (numpy scalars, ``Fraction``, ``Decimal``), and refused when
+they are strings, bools or any other object.  ``finite_result`` wraps a
+function so that a float overflow inside it raises ``OutOfRangeError``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numbers
 import operator
 import reprlib
 import sys
+from decimal import Decimal
 from typing import Callable
 
 from .errors import DomainError, OutOfRangeError
@@ -69,12 +72,39 @@ def finite_result(fn: Callable) -> Callable:
     return checked
 
 
+_PLAIN_NUMBERS = (float, complex, int)
+
+
 def finite_point(z) -> complex:
     """Return the evaluation point z as a complex number with finite parts."""
-    z = complex(z)
+    if type(z) in _PLAIN_NUMBERS:
+        z = complex(z)
+    elif isinstance(z, bool) or not isinstance(z, numbers.Number):
+        raise DomainError(f"evaluation point must be a number, got {type(z).__name__}")
+    else:
+        z = _to(complex, z)
     if not cmath.isfinite(z):
         raise DomainError(f"evaluation point must be finite, got {z}")
     return z
+
+
+def nonnegative_real(x, name: str) -> float:
+    """Return the real number x >= 0 as a float; NaN is refused."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, (numbers.Real, Decimal)):
+            raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+        x = _to(float, x)
+    if not x >= 0:  # also refuses NaN
+        raise DomainError(f"{name} must be non-negative, got {x}")
+    return x
+
+
+def _to(kind, x):
+    """kind(x), with a signalling-NaN Decimal read as NaN rather than raising ValueError."""
+    try:
+        return kind(x)
+    except ValueError:
+        return kind(math.nan)
 
 
 def tolerance(x, name: str):

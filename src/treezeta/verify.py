@@ -293,7 +293,7 @@ def check_functional_equation(
 
 def _integer_defect(q: int, k: int, quad: Optional[QuadratureSpec]) -> float:
     exact = float(zeta_integer(q, k))
-    return abs(zeta_numeric(q, k, quad).require(f"zeta({q}, {k})").real - exact) / abs(exact)
+    return abs(zeta_numeric(q, k, quad).require("zeta({}, {})", q, k).real - exact) / abs(exact)
 
 
 @finite_result

@@ -1,10 +1,14 @@
 """Quadrature engine, gamma machinery, and the two line-limit functions."""
 
+import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from treezeta.spectral import (
     CACHED_MAX_INTERVALS,
     FIRST_LEVEL_INTERVALS,
     GRID_CACHE_QS,
+    MIN_CONVERGED_LEVEL,
     QuadratureSpec,
     _grid,
     _nested_trapezoid,
@@ -75,7 +80,7 @@ class TestQuadratureSpec:
 
 
 def _level_sums(f):
-    """level_sum(k) of the nested trapezoid for f on [0, pi], endpoints included."""
+    """The nested trapezoid's first level sums for f on [0, pi], endpoints included."""
 
     def level_sum(k):
         n = FIRST_LEVEL_INTERVALS << k
@@ -85,7 +90,7 @@ def _level_sums(f):
             return complex(h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
         return complex(h * np.sum(f(h * np.arange(1, n, 2))))
 
-    return level_sum
+    return [level_sum(k) for k in range(MIN_CONVERGED_LEVEL + 1)]
 
 
 def _trapezoid(f, n=512):
@@ -356,11 +361,9 @@ class TestXiSatoTate:
 
 
 def _no_quadrature(*args):
-    raise AssertionError("quadrature ran on a non-finite point")
+    raise AssertionError("quadrature ran on a point it should refuse")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestNonFiniteAndOutOfRange:
     """Every public evaluator returns a finite value or raises a typed error."""
 
@@ -385,22 +388,74 @@ class TestNonFiniteAndOutOfRange:
         with pytest.raises(DomainError):
             resolvent_transform(2, z)
 
+    @pytest.mark.parametrize("s", [None, "1", "0.5", b"1", [0.5], True, False, np.bool_(True)])
+    @pytest.mark.parametrize("fn", [zeta_numeric, xi_value, resolvent_transform])
+    def test_non_number_point_refused(self, fn, s, monkeypatch):
+        monkeypatch.setattr(spectral, "_quadrature", _no_quadrature)
+        with pytest.raises(DomainError, match="evaluation point must be a number"):
+            fn(3, s)
+
+    @pytest.mark.parametrize(
+        "s",
+        [Fraction(1, 2), Decimal("0.5"), np.float64(0.5), np.float32(0.5), np.int64(2), np.complex128(1j)],
+    )
+    def test_numbers_of_other_types_are_points(self, s):
+        assert zeta_numeric(3, s) == zeta_numeric(3, complex(s))
+
+    @pytest.mark.parametrize(
+        "s", [Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), np.float64(math.inf)]
+    )
+    def test_non_finite_numbers_of_other_types_refused(self, s):
+        with pytest.raises(DomainError, match="must be finite"):
+            zeta_numeric(3, s)
+
+    @pytest.mark.parametrize(
+        "t", [None, "1", "0.5", True, False, np.bool_(False), 1j, complex(0.5, 0), np.complex128(0.5)]
+    )
+    def test_heat_time_must_be_a_real_number(self, t, monkeypatch):
+        monkeypatch.setattr(spectral, "_quadrature", _no_quadrature)
+        with pytest.raises(DomainError, match="heat time must be a real number"):
+            heat_trace(3, t)
+
+    @pytest.mark.parametrize(
+        "t", [Fraction(3, 10), Decimal("0.3"), np.float64(0.3), np.float32(0.25), np.int64(0), 0]
+    )
+    def test_real_numbers_of_other_types_are_heat_times(self, t):
+        assert heat_trace(3, t) == heat_trace(3, float(t))
+
+    @pytest.mark.parametrize(
+        "t", [Decimal("-1"), Decimal("NaN"), Decimal("sNaN"), Fraction(-1, 3), np.float64(math.nan)]
+    )
+    def test_negative_or_nan_heat_time_of_other_types_refused(self, t):
+        with pytest.raises(DomainError, match="heat time must be non-negative"):
+            heat_trace(3, t)
+
+    def test_heat_time_past_the_float_range_is_typed(self):
+        with pytest.raises(OutOfRangeError, match="^heat_trace at "):
+            heat_trace(3, 10**400)
+
     @pytest.mark.parametrize("s", [410.0, 450.0, 500.0, -500.0, -600.0])
     def test_zeta_overflow_is_typed(self, s):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="^zeta_numeric at "):
             zeta_numeric(2, s)
 
     def test_overflow_stops_at_first_level(self):
         asked = []
 
-        def level_sum(k):
-            asked.append(k)
-            return complex(math.inf, 0) if k == 0 else 1j
+        class LevelSums(list):
+            def __getitem__(self, k):
+                asked.append(k)
+                return super().__getitem__(k)
 
-        with pytest.raises(OutOfRangeError):
-            _nested_trapezoid(level_sum, QuadratureSpec())
+        def integrand(nodes):
+            raise AssertionError("a level past the head was summed")
+
+        sums = LevelSums([complex(math.inf, 0), 1j, 1j])
+        # the loop raises OverflowError, which the entry points' finite_result reports
+        with pytest.raises(OverflowError):
+            _nested_trapezoid(sums, QuadratureSpec(), integrand, _grid(2))
         assert asked == [0]
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="^zeta_numeric at "):
             zeta_numeric(2, 600.0)
 
     def test_levels_too_far_apart_to_subtract_do_not_raise(self):
@@ -410,7 +465,7 @@ class TestNonFiniteAndOutOfRange:
         sums = [math.pi * c * (1 + 1j), -1.5 * math.pi * c * (1 + 1j)]
 
         spec = QuadratureSpec(max_nodes=2 * FIRST_LEVEL_INTERVALS)
-        ev = _nested_trapezoid(sums.__getitem__, spec)
+        ev = _nested_trapezoid(sums, spec)
         assert not ev.converged
         assert ev.est_error == math.inf
         assert ev.value == pytest.approx(-math.pi * c * (1 + 1j), rel=1e-14)
@@ -445,6 +500,7 @@ class TestNonFiniteAndOutOfRange:
         # a fresh interpreter under -W error, whose first grid build for the q is
         # the one that meets the overflow; in-process that warning can be swallowed
         script = """if True:
+            import cmath, math
             from treezeta.errors import OutOfRangeError
             from treezeta import spectral as sp
             calls = ((sp.zeta_numeric, 0.5), (sp.xi_value, 2), (sp.heat_trace, 1.0),
@@ -457,6 +513,20 @@ class TestNonFiniteAndOutOfRange:
                         assert str(e).startswith(fn.__name__), e
                     else:
                         raise AssertionError(fn.__name__)
+            # past the double range at q = 2, or a zero that underflows
+            for fn, q, arg in ((sp.zeta_numeric, 2, 410.0), (sp.zeta_numeric, 2, -600.0),
+                               (sp.zeta_numeric, 2, 1e308), (sp.xi_value, 2, 420.0),
+                               (sp.xi_value, 2, -600.0)):
+                try:
+                    fn(q, arg)
+                except OutOfRangeError as e:
+                    assert str(e).startswith(fn.__name__), e
+                else:
+                    raise AssertionError(fn.__name__)
+            assert sp.heat_trace(3, 1e308) == 0.0
+            assert sp.heat_trace(3, math.inf) == 0.0
+            for z in (-1e308 - 1e308j, 1e308 + 1e308j, 1.7e308):
+                assert cmath.isfinite(sp.resolvent_transform(2, z)), z
         """
         src = os.path.dirname(os.path.dirname(treezeta.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -504,3 +574,143 @@ class TestGridCache:
             _grid.cache_clear()
             cold = zeta_numeric(q, s)
             assert cold == warm
+
+
+def _reference_loop(level_sum, spec):
+    """The generic level loop the one-pass head replaced: complex() on every level sum."""
+    k = 0
+    integral = level_sum(0)
+    prev = None
+    est = math.inf
+    while True:
+        n = FIRST_LEVEL_INTERVALS << k
+        size = abs(integral)
+        assert size < math.inf
+        if prev is not None:
+            est = abs(integral - prev)
+            converged = est <= max(spec.abs_tol, spec.rel_tol * size)
+            if converged and k >= MIN_CONVERGED_LEVEL:
+                return spectral.ZetaEval(integral, est, n + 1, True)
+        if 2 * n > spec.max_nodes:
+            return spectral.ZetaEval(integral, est, n + 1, False)
+        prev = integral
+        k += 1
+        integral = 0.5 * integral + level_sum(k)
+
+
+def _reference_eval(kind, q, x, spec):
+    """The rule at x as the entry point of that kind ran it before: np.sum per level."""
+    e = x.real if not x.imag else x
+    integrand = {
+        "zeta": lambda g: np.exp(g.log_weight - e * g.log_base),
+        "xi": lambda g: np.exp(g.log_xi_weight - e * g.log_base),
+        "heat": lambda g: np.exp(g.log_weight - x.real * g.base),
+        "resolvent": lambda g: g.weight / (g.base - x),
+    }[kind]
+    grid = _grid(q)
+    head = np.add.reduceat(integrand(grid.head), grid.head_starts)
+
+    def level_sum(k):
+        if k <= MIN_CONVERGED_LEVEL:
+            return complex(head[k])
+        return complex(np.sum(integrand(grid.level(k))))
+
+    return _reference_loop(level_sum, spec or QuadratureSpec())
+
+
+def _oracle_cases():
+    rng = random.Random("one-pass head")
+
+    def disc(lo, hi):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2 * math.pi))
+
+    cases = []
+    for q in (2, 3, 5, 7, 11):
+        lo, hi = spectral_edges(q)
+        hard = complex(rng.uniform(-1.0, 3.0), rng.choice((-1, 1)) * rng.uniform(20.0, 60.0))
+        cases += [
+            ("zeta", q, complex(rng.randint(-8, 8)), None),
+            ("zeta", q, complex(rng.uniform(-3.0, 5.0)), None),
+            ("zeta", q, disc(0.2, 5.0), None),
+            ("zeta", q, hard, None),
+            ("xi", q, complex(rng.uniform(-3.0, 5.0)), None),
+            ("xi", q, disc(0.2, 5.0), None),
+            ("xi", q, hard, None),
+            ("heat", q, complex(rng.uniform(0.05, 0.5)), None),
+            ("resolvent", q, disc(0.2 * lo, 0.7 * lo), None),
+            ("resolvent", q, disc(1.5 * hi, 5.0 * hi), None),
+        ]
+    budget = QuadratureSpec(max_nodes=64)
+    cases += [
+        ("zeta", 2, 2 + 50j, budget),
+        ("xi", 3, 1 + 40j, budget),
+        ("heat", 2, 0.3 + 0j, QuadratureSpec(max_nodes=16)),
+        ("resolvent", 2, 0.05 + 0.01j, budget),
+    ]
+    deep = QuadratureSpec(max_nodes=1 << 14)
+    cases += [
+        ("zeta", 2, 0.5 + 2000j, deep),
+        ("xi", 2, 0.5 + 1500j, deep),
+        ("resolvent", 2, 3 + 0.001j, deep),
+    ]
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+_ENTRY = {"zeta": zeta_numeric, "xi": xi_value, "heat": heat_trace, "resolvent": resolvent_transform}
+
+
+def _oracle_id(value):
+    if isinstance(value, QuadratureSpec):
+        return f"max_nodes={value.max_nodes}"
+    return None
+
+
+def _bits(ev):
+    return (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.nodes, ev.converged)
+
+
+class TestOnePassHeadOracle:
+    """Every entry point gives, bit for bit, what the generic per-level loop gave."""
+
+    @staticmethod
+    def _run(kind, q, x, spec, monkeypatch):
+        """The entry point's output (or its NonConvergedError) and the ZetaEval its rule returned."""
+        seen = []
+        loop = spectral._nested_trapezoid
+        monkeypatch.setattr(spectral, "_nested_trapezoid", lambda *a: seen.append(loop(*a)) or seen[-1])
+        arg = x.real if kind == "heat" else x
+        try:
+            out = _ENTRY[kind](q, arg, spec)
+        except NonConvergedError as exc:
+            out = exc
+        assert len(seen) == 1
+        return out, seen[0]
+
+    @pytest.mark.parametrize("kind, q, x, spec", _ORACLE_CASES, ids=_oracle_id)
+    def test_bit_identical_to_the_per_level_loop(self, kind, q, x, spec, monkeypatch):
+        want = _reference_eval(kind, q, x, spec)
+        out, ev = self._run(kind, q, x, spec, monkeypatch)
+        assert _bits(ev) == _bits(want)
+        if kind == "zeta":
+            assert _bits(out) == _bits(want)
+        elif not want.converged:
+            assert isinstance(out, NonConvergedError)
+            assert (out.best, out.est_error) == (want.value, want.est_error)
+        else:
+            expected = {
+                "xi": cmath.exp(x * math.log(q - 1)) * want.value,
+                "heat": want.value.real,
+                "resolvent": want.value,
+            }[kind]
+            assert repr(out) == repr(expected)
+
+    def test_cases_reach_every_regime(self):
+        evals = [(kind, x, _reference_eval(kind, q, x, spec)) for kind, q, x, spec in _ORACLE_CASES]
+        assert {kind for kind, _, ev in evals if not ev.converged} == set(_ENTRY)
+        past_cache = {kind for kind, _, ev in evals if ev.nodes > CACHED_MAX_INTERVALS + 1}
+        assert past_cache == {"zeta", "xi", "resolvent"}
+        head_nodes = (FIRST_LEVEL_INTERVALS << MIN_CONVERGED_LEVEL) + 1
+        hard = [ev for kind, x, ev in evals if kind == "zeta" and 20 <= abs(x.imag) <= 60]
+        assert sum(ev.converged and ev.nodes > head_nodes for ev in hard) >= 4
+        assert any(not x.imag for kind, x, _ in evals if kind in ("zeta", "xi"))
