@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
+from .validate import integer
 
 NEG_INFINITY = float("-inf")
 # the shorter operand's length from which a product packs its operands; below
@@ -203,11 +204,13 @@ class IntPoly:
 def poly_eval(p, x) -> Fraction:
     """Evaluate a polynomial at a rational point, exactly.
 
-    At an integer point an ``IntPoly`` runs Horner in integers, and the
-    result is wrapped in a Fraction once, at the end.
+    The point is a ``Fraction`` or an integer by the validators' rule (numpy
+    integers pass, bools are refused).  At an integer point an ``IntPoly``
+    runs Horner in integers, and the result is wrapped in a Fraction once, at
+    the end.
     """
-    if not isinstance(x, (int, Fraction)):
-        raise DomainError("evaluation point must be an integer or Fraction")
+    if not isinstance(x, Fraction):
+        x = integer(x, "evaluation point")
     return Fraction(p.evaluate(x))
 
 

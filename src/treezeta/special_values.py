@@ -23,17 +23,16 @@ the two-step functional relation between the values at n and at -n into
 
     2q(q+1) P_n = q(q-1)^2(q+1) P_{n-1} - (q+1)^n (N_n - 2(q+1) N_{n-1}),
 
-one exact division per polynomial, fed by the closed-form N_m.  The internal
-quadratic route, the oracle the checks hold the two-step table to, runs the
-recurrence of the quadratic functional equation of their generating series.
-``_quadratic_recurrence`` is its one implementation, with three users: that
-oracle table over Z[q], ``positive_value_sequence`` in integers at a fixed q,
-and ``genfun.quadratic_residual_series``, which runs it only from the first
-entry its table breaks the series' linear recurrence at, so not at all on a
-correct table.  Over Z[q] its sums of products,
-like the binomial transform of the ``moments`` route, run on one
-``exact.SumOfProducts`` per build.  Each route keeps one table that only
-ever grows.
+one exact division per polynomial, fed by the closed-form N_m.  The quadratic
+functional equation of their generating series gives a second recurrence,
+``_quadratic_recurrence``, with three users: ``positive_value_sequence`` and
+``two_step_defect`` run it in integers at their q, O(n^2) products per call
+and nothing cached, and ``genfun.quadratic_residual_series`` runs it over
+Z[q] only from the first entry its table breaks the series' linear
+recurrence at, so not at all on a correct table.  Over Z[q] the residual's
+sums of products, like the binomial transform of the ``moments`` route, run
+on one ``exact.SumOfProducts`` per build.  The two-step and closed-form
+tables only ever grow.
 """
 
 from __future__ import annotations
@@ -231,21 +230,18 @@ def _int_sum_of_products(terms) -> int:
     return sum(c * a * b for c, a, b in terms)
 
 
-def _grow(table: list, n_max: int, ring) -> list:
-    """``table`` grown in place by the quadratic recurrence to hold n_max entries."""
-    steps = _quadratic_recurrence(table, len(table), *ring)
+def _grow(n_max: int, ring) -> list:
+    """A fresh list of the first n_max entries of the quadratic recurrence in ``ring``."""
+    table: list = []
+    steps = _quadratic_recurrence(table, 0, *ring)
     while len(table) < n_max:
         table.append(next(steps))
     return table
 
 
-# P_1, P_2, ... as far as the quadratic route has been asked for; only ever grown
-_quadratic_polys: list[IntPoly] = []
-
-
-def _quadratic_table(n_max: int) -> list[IntPoly]:
-    """The live quadratic-route table, grown first to hold at least n_max polynomials."""
-    return _grow(_quadratic_polys, n_max, _poly_ring())
+def _values_at(q: int, n_max: int) -> list[int]:
+    """P_1(q)..P_n_max(q) by the quadratic recurrence in integers at this q."""
+    return _grow(n_max, (q, (q - 1) ** 2, 1, _int_sum_of_products))
 
 
 # P_1, P_2, ... as far as the two-step route has been asked for; only ever grown
@@ -275,8 +271,7 @@ def value_polynomials(n_max: int) -> tuple[IntPoly, ...]:
 
     Index k of the returned tuple holds the polynomial for the value at k+1.
     Each polynomial is built from the one before and two closed-form negative
-    values by the two-step relation (the ``quadratic`` route stays internal,
-    as the oracle of the checks).  The table only grows, exactly as deep as
+    values by the two-step relation.  The table only grows, exactly as deep as
     the deepest call so far; a call returns a prefix of it, each polynomial
     built and wrapped once.
     """
@@ -299,12 +294,12 @@ def zeta_pos(q: int, n: int) -> Fraction:
 def positive_value_sequence(q: int, n_max: int) -> list[Fraction]:
     """Positive-integer zeta values a_0..a_n_max via the quadratic recursion.
 
-    Shares the quadratic oracle's recurrence, run in integers at this q, and no
-    code with the two-step table behind ``zeta_pos``, which it cross-checks.
+    Runs the quadratic recurrence in integers at this q, in O(n_max^2) products, and
+    shares no code with the two-step table behind ``zeta_pos``, which it cross-checks.
     """
     q = branching_number(q)
     n_max = integer_at_least(n_max, 0, "n_max")
-    values = _grow([], n_max, (q, (q - 1) ** 2, 1, _int_sum_of_products))  # P_1(q)..P_n_max(q)
+    values = _values_at(q, n_max)
     return [Fraction(1)] + [_pos_value(q, n, values[n - 1]) for n in range(1, n_max + 1)]
 
 
@@ -326,17 +321,19 @@ def two_step_defect(q: int, n: int) -> Fraction:
 
     Zero for every integer n; computed with exact rationals on both sides so
     a nonzero result is a genuine counterexample, not round-off.  The
-    positive values come from the quadratic route and the negative ones from
-    the closed form: the default value-polynomial table is built from this
-    very relation, so reading it here would check the identity with itself.
+    positive values come from the quadratic recurrence in integers at this q,
+    run afresh to N = max(n, 1 - n) in O(N^2) products (a check over every
+    |n| <= N costs O(N^3)), and the negative ones from the closed form: the
+    default value-polynomial table is built from this very relation, so
+    reading it here would check the identity with itself.
     """
     q = branching_number(q)
     n = integer(n, "n")
-    polys = _quadratic_table(max(n, 1 - n))
+    values = _values_at(q, max(n, 1 - n))
 
     def value(k: int) -> Fraction:
         if k >= 1:
-            return _pos_value(q, k, polys[k - 1].evaluate(q))
+            return _pos_value(q, k, values[k - 1])
         return poly_eval(zeta_neg(-k), q)
 
     lhs = value(-n) - 2 * (q + 1) * value(1 - n)

@@ -96,11 +96,17 @@ class CheckResult:
         return self.exact_defect if self.exact_defect is not None else repr(self.max_defect)
 
 
+def _require_points(name: str, points: int) -> None:
+    if points == 0:
+        raise DomainError(f"the {name} check would cover no points")
+
+
 def _scan(name: str, tol: float, detail: str, rows: Iterable[tuple]) -> CheckResult:
     """Run a grid check over its rows (where, defect, bound) and time it.
 
     The check passes when every defect is within its bound, so a NaN defect
-    fails.  Only the running worst keeps its location.
+    fails.  Only the running worst keeps its location.  A check with no rows,
+    an empty q set say, raises DomainError rather than pass on nothing.
     """
     start = time.perf_counter()
     points, passed, worst, worst_at = 0, True, 0.0, None
@@ -109,6 +115,7 @@ def _scan(name: str, tol: float, detail: str, rows: Iterable[tuple]) -> CheckRes
         passed = passed and defect <= bound
         if worst_at is None or defect > worst:
             worst, worst_at = defect, where
+    _require_points(name, points)
     elapsed = time.perf_counter() - start
     return CheckResult(name, passed, points, worst, tol, detail, elapsed, worst_at=worst_at)
 
@@ -119,8 +126,9 @@ def _exact(
     """Finish an exact check begun at start from its failing locations, in order.
 
     The first failure is the one reported: its location, and defect as the
-    exact defect.
+    exact defect.  A check over no points raises DomainError, as in _scan.
     """
+    _require_points(name, points)
     elapsed = time.perf_counter() - start
     if not bad:
         return CheckResult(name, True, points, 0.0, 0.0, detail, elapsed, "0")

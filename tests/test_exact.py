@@ -3,6 +3,7 @@
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,18 @@ class TestPolyEval:
     def test_returns_fraction(self):
         v = poly_eval(IntPoly([1, 1]), Fraction(1, 3))
         assert isinstance(v, Fraction) and v == Fraction(4, 3)
+
+    @pytest.mark.parametrize(
+        "x, expect", [(2, 17), (np.int64(2), 17), (Fraction(1, 3), Fraction(2))]
+    )
+    def test_takes_integers_and_fractions(self, x, expect):
+        v = poly_eval(IntPoly([1, 2, 3]), x)
+        assert type(v) is Fraction and v == expect
+
+    @pytest.mark.parametrize("x", [True, 2.5])
+    def test_refuses_bools_and_floats(self, x):
+        with pytest.raises(DomainError):
+            poly_eval(IntPoly([1, 2, 3]), x)
 
 
 class TestPalindromic:

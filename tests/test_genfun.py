@@ -25,7 +25,8 @@ from treezeta.genfun import (
     symmetry_defect,
 )
 from treezeta.special_values import (
-    _quadratic_table,
+    _grow,
+    _poly_ring,
     count_closed_walks,
     negative_value_table,
     positive_value_sequence,
@@ -434,7 +435,7 @@ class TestLinearRecurrence:
         assert self.linear_residuals(value_polynomials(201)) == [IntPoly()] * 201
 
     def test_vanishes_on_the_quadratic_oracle_table(self):
-        assert self.linear_residuals(_quadratic_table(80)[:80]) == [IntPoly()] * 80
+        assert self.linear_residuals(_grow(80, _poly_ring())) == [IntPoly()] * 80
 
     def test_coefficients_follow_from_the_quadratic(self):
         # A F^2 + B F + 1 = 0, G = 2AF + B, G^2 = Delta = B^2 - 4A, and

@@ -220,11 +220,16 @@ class TestIntegerValues:
         assert two_step_defect(q, n) == 0
 
 
+def quadratic_polys(n_max):
+    """P_1..P_n_max by the quadratic recurrence over Z[q]: the oracle of the two-step table."""
+    return sv._grow(n_max, sv._poly_ring())
+
+
 class TestTwoStepRoute:
     """The default value-polynomial route against the quadratic oracle."""
 
     def test_equals_quadratic_route(self):
-        assert value_polynomials(48) == tuple(sv._quadratic_table(48)[:48])
+        assert value_polynomials(48) == tuple(quadratic_polys(48))
 
     def test_short_call_is_prefix_of_deeper_call(self):
         deep = value_polynomials(40)
@@ -253,7 +258,7 @@ class TestTwoStepRoute:
         with pytest.raises(ConsistencyError):
             value_polynomials(6)
         # the polynomials built before the failure stay as they were
-        assert sv._value_polys == sv._quadratic_table(4)[:4]
+        assert sv._value_polys == quadratic_polys(4)
 
     def test_reads_the_closed_form_memo(self, monkeypatch):
         def refuse(m):
@@ -262,7 +267,7 @@ class TestTwoStepRoute:
         sv._closed_form_table(30)
         monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
         monkeypatch.setattr(sv, "_neg_value_closed_form", refuse)
-        assert value_polynomials(30) == tuple(sv._quadratic_table(30)[:30])
+        assert value_polynomials(30) == tuple(quadratic_polys(30))
 
     def test_two_step_check_does_not_read_the_two_step_table(self, monkeypatch):
         from treezeta.verify import check_two_step
@@ -281,14 +286,25 @@ class TestTwoStepRoute:
         residual = quadratic_residual_series(12)
         assert any(not c.is_zero() for c in residual)
 
-    def test_quadratic_table_grown_in_steps_equals_one_build(self, monkeypatch):
-        monkeypatch.setattr(sv, "_quadratic_polys", [])
-        for n in (1, 2, 5, 21, 48):
-            assert len(sv._quadratic_table(n)) == n
-        stepped = list(sv._quadratic_polys)
-        monkeypatch.setattr(sv, "_quadratic_polys", [])
-        assert stepped == sv._quadratic_table(48)
-        assert tuple(stepped) == value_polynomials(48)
+    @pytest.mark.parametrize("q, n", [(3, 200), (5, -150)])
+    def test_deep_two_step_defect_is_fast(self, q, n, monkeypatch):
+        import time
+
+        monkeypatch.setattr(sv, "_closed_forms", [])
+        negative_value_table.cache_clear()
+        start = time.perf_counter()
+        assert two_step_defect(q, n) == 0
+        assert time.perf_counter() - start < 2.0  # ~10 ms on a 2-core machine
+
+    def test_two_step_check_builds_no_polynomial(self, monkeypatch):
+        from treezeta.verify import check_two_step
+
+        def refuse():
+            raise AssertionError("a Z[q] ring was built")
+
+        monkeypatch.setattr(sv, "_poly_ring", refuse)
+        result = check_two_step(qs=(2, 3, 64), n_abs=30)
+        assert result.passed and result.points == 3 * 61
 
     def test_depth_129_builds_fast(self, monkeypatch):
         import time

@@ -311,6 +311,14 @@ class TestGridSizeValidation:
         with pytest.raises(DomainError):
             grid(count)
 
+    @pytest.mark.parametrize(
+        "name", ["moments", "symmetry", "entire", "twostep", "fe", "integers", "laplace"]
+    )
+    @pytest.mark.parametrize("qs", [(), []])
+    def test_empty_q_set_refused(self, name, qs):
+        with pytest.raises(DomainError, match="would cover no points"):
+            ALL_CHECKS[name](qs=qs)
+
     @pytest.mark.parametrize("points", [1, 21])
     def test_odd_laplace_size_is_not_rounded_down(self, points):
         inside, outside = laplace_grids(3, points)
