@@ -22,10 +22,12 @@ Lukasiewicz code of a plane tree with n + 1 nodes.  Raney's cycle lemma
 psi(t)**(n+1) / (n+1) with psi(t) = 1 + sum of g(l) * t**l =
 (1 + (q-1)**2 * t * (1 - q*t)) / (1 - 2*q*t).  Expanded, W_n is a sum of
 non-negative integers a_k times q**(n-k) * (q-1)**(2k), palindromic by
-construction, evaluated by a signed but exact Horner's rule at a power of
-two whose slots hold the coefficients; a carry between slots lowers their
-sum below W_n(1) = Catalan(n) * 2**n, which is checked.  It takes O(n**2)
-small integer steps, and nothing is cached between calls.
+construction.  The a_k come from a three-term recurrence in k, one exact
+division per step, whose last value must come out as a_n = 1.  W_n is then
+evaluated by a signed but exact Horner's rule at a power of two whose slots
+hold the coefficients; a carry between slots lowers their sum below
+W_n(1) = Catalan(n) * 2**n, which is checked.  Both passes take O(n) steps
+on Python ints, and nothing is cached between calls.
 
 The brute-force oracle stays letter-level.  It grows the Catalan(n)
 uncoloured paths letter by letter as numpy arrays and colours each in all
@@ -245,6 +247,21 @@ def _weight_poly_bruteforce(n: int) -> IntPoly:
     return IntPoly(counts.tolist())
 
 
+def _cycle_seeds(n: int) -> list[int]:
+    """a_0 = Catalan(n) * 2**n and, from n = 1 on, a_1, the recurrence's two seeds.
+
+    At k = 1 the sum S_1 (see ``_cycle_coefficients``) has the two terms
+    C(2m, m) * 2**m + C(2m, m-1) * 2**(m-1) with m = n - 1, and
+    a_1 = C(n+1, 1) / (n+1) * S_1 = S_1; at n = 1 only the first term is
+    there, and a_1 = 1.
+    """
+    seeds = [catalan(n) << n]
+    if n:
+        m = n - 1
+        seeds.append((math.comb(2 * m, m) << m) + (math.comb(2 * m, m - 1) << m - 1) if m else 1)
+    return seeds
+
+
 def _cycle_coefficients(n: int) -> list[int]:
     """The a_k of W_n(q) = sum over k of a_k * q**(n-k) * (q-1)**(2k), k = 0..n.
 
@@ -253,21 +270,37 @@ def _cycle_coefficients(n: int) -> list[int]:
     twice gives [t**n] psi**(n+1) / (n+1) = sum of a_k * q**(n-k) * z**k
     with a_k = C(n+1, k) / (n+1) * S_k and, for m = n - k,
     S_k = sum over i of C(k, i) * C(2m, m-i) * 2**(m-i).  Every term is
-    non-negative, and a_0 = C(2n, n) * 2**n / (n+1) = Catalan(n) * 2**n.
-    The terms of S_k go by the ratio (k-i)(m-i) / (2(i+1)(m+i+1)), and as
-    each is an integer, one floor division per term is exact.  So is the
-    one for a_k: every f(l), so W_n / q**n, is a polynomial over the
-    integers in y = q + 1/q, and q**(n-k) * z**k = q**n * (y - 2)**k.
+    non-negative, and each a_k is an integer: every f(l), so W_n / q**n, is
+    a polynomial over the integers in y = q + 1/q, and
+    q**(n-k) * z**k = q**n * (y - 2)**k.
+
+    The sums are not formed.  The a_k follow a three-term recurrence in k:
+    with m = n - k and 0 <= k <= n - 2,
+    8(k+2)(m-1)(2m-3) * a_{k+2}
+    = m**2 (m+1) * a_k + m (3m**2 - 6km - k**2 - 13m + k + 6) * a_{k+1},
+    run from the seeds of ``_cycle_seeds``.  Its left factor is nonzero as
+    m >= 2, and every division must be exact: a remainder raises
+    ``ConsistencyError``.  So does a last value other than a_n = 1 (at
+    k = n the sum S_n is the single term 1), which the recurrence computes
+    and nothing forces, a free end check.  The recurrence was found by
+    fitting a nullspace of polynomial coefficients to the a_k of n <= 40
+    and is not proved here; it was held equal to the sums, a_n = 1
+    included, for every n <= 400, and the tests hold it to them for every
+    n <= ``DP_CAP``, so raising ``DP_CAP`` means raising that range with
+    it.  An a_1 off by one fails the division or the end check at every
+    such n.  That is O(n) small-by-large steps.
     """
-    coeffs = []
-    for k in range(n + 1):
+    coeffs = _cycle_seeds(n)
+    for k in range(n - 1):
         m = n - k
-        term = math.comb(2 * m, m) << m
-        total = term
-        for i in range(min(k, m)):
-            term = term * (k - i) * (m - i) // (2 * (i + 1) * (m + i + 1))
-            total += term
-        coeffs.append(math.comb(n + 1, k) * total // (n + 1))
+        middle = m * (3 * m * m - 6 * k * m - k * k - 13 * m + k + 6)
+        total = m * m * (m + 1) * coeffs[k] + middle * coeffs[k + 1]
+        a, rest = divmod(total, 8 * (k + 2) * (m - 1) * (2 * m - 3))
+        if rest:
+            raise ConsistencyError(f"cycle coefficient {k + 2} of {n} is not an integer")
+        coeffs.append(a)
+    if coeffs[-1] != 1:
+        raise ConsistencyError(f"cycle coefficient {n} of {n} is {coeffs[-1]}, not 1")
     return coeffs
 
 

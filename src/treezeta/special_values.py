@@ -316,26 +316,36 @@ def zeta_integer(q: int, k: int) -> Fraction:
     return poly_eval(zeta_neg(-k), q)
 
 
+def _two_step_residual(q: int, n: int, pos: list[int], neg) -> Fraction:
+    """``two_step_defect`` at offset n, given pos[k-1] = P_k(q) and neg[m] = N_m(q).
+
+    With N = max(n, 1 - n), the offset reads P_k for k <= N and N_m only at
+    m = N - 1 and m = N, so ``neg`` may be a list or a dict of those two; one
+    pair of lists reaching N serves every offset with |n| < N.
+    """
+
+    def value(k: int) -> Fraction:
+        return _pos_value(q, k, pos[k - 1]) if k >= 1 else neg[-k]
+
+    lhs = value(-n) - 2 * (q + 1) * value(1 - n)
+    rhs = Fraction(q - 1) ** (2 * n - 1) * (value(n - 1) - 2 * (q + 1) * value(n))
+    return lhs - rhs
+
+
 def two_step_defect(q: int, n: int) -> Fraction:
     """Residual of the exact two-step functional relation at integer offset n.
 
     Zero for every integer n; computed with exact rationals on both sides so
     a nonzero result is a genuine counterexample, not round-off.  The
     positive values come from the quadratic recurrence in integers at this q,
-    run afresh to N = max(n, 1 - n) in O(N^2) products (a check over every
-    |n| <= N costs O(N^3)), and the negative ones from the closed form: the
-    default value-polynomial table is built from this very relation, so
-    reading it here would check the identity with itself.
+    run afresh to N = max(n, 1 - n) in O(N^2) products, and the negative ones
+    from the closed form: the default value-polynomial table is built from
+    this very relation, so reading it here would check the identity with
+    itself.  A check over every |n| <= N reuses one run per q through
+    ``_two_step_residual`` and so costs O(N^2) as well.
     """
     q = branching_number(q)
     n = integer(n, "n")
-    values = _values_at(q, max(n, 1 - n))
-
-    def value(k: int) -> Fraction:
-        if k >= 1:
-            return _pos_value(q, k, values[k - 1])
-        return poly_eval(zeta_neg(-k), q)
-
-    lhs = value(-n) - 2 * (q + 1) * value(1 - n)
-    rhs = Fraction(q - 1) ** (2 * n - 1) * (value(n - 1) - 2 * (q + 1) * value(n))
-    return lhs - rhs
+    depth = max(n, 1 - n)
+    neg = {m: poly_eval(zeta_neg(m), q) for m in (depth - 1, depth)}
+    return _two_step_residual(q, n, _values_at(q, depth), neg)

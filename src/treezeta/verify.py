@@ -38,9 +38,10 @@ from .special_values import (
     count_closed_walks,
     moment_polynomials,
     negative_value_table,
-    two_step_defect,
     value_polynomials,
     zeta_integer,
+    _two_step_residual,
+    _values_at,
 )
 from .spectral import (
     QuadratureSpec,
@@ -52,7 +53,7 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
-from .validate import finite_result, integer_at_least, tolerance
+from .validate import branching_number, finite_result, integer_at_least, tolerance
 
 TREE_QS = (2, 3, 5)
 WALK_QS = (1, 2, 3, 4)
@@ -269,8 +270,15 @@ def check_two_step(qs: Sequence[int] = TREE_QS, n_abs: int = 20) -> CheckResult:
     """The exact two-step relation holds at every integer offset."""
     n_abs = integer_at_least(n_abs, 0, "n_abs")
     start = time.perf_counter()
-    bad = [(q, n) for q in qs for n in range(-n_abs, n_abs + 1) if two_step_defect(q, n) != 0]
-    defect = str(two_step_defect(*bad[0])) if bad else "0"
+    residuals = []
+    for q in map(branching_number, qs):
+        # one run of each route per q reaches max(n, 1 - n) = n_abs + 1 for every offset
+        pos = _values_at(q, n_abs + 1)
+        neg = [poly_eval(p, q) for p in negative_value_table(n_abs + 1)]
+        offsets = range(-n_abs, n_abs + 1)
+        residuals += [((q, n), _two_step_residual(q, n, pos, neg)) for n in offsets]
+    bad = [at for at, r in residuals if r != 0]
+    defect = next((str(r) for _, r in residuals if r != 0), "0")
     detail = f"|n| <= {n_abs}, q in {tuple(qs)}, exact rational arithmetic"
     return _exact("twostep", start, len(qs) * (2 * n_abs + 1), detail, bad, defect)
 

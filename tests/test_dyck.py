@@ -18,6 +18,7 @@ from treezeta.dyck import (
     weight_profile,
     word_weight,
     _cycle_coefficients,
+    _cycle_seeds,
     _open_patterns,
 )
 from treezeta import dyck
@@ -52,6 +53,26 @@ def letter_dp(n):
     total = ups[0] + blues[0] + reds[0]
     mask = (1 << width) - 1
     return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
+
+
+def term_ratio_cycle_coefficients(n):
+    """The a_k of the dp summed term by term, the recurrence's oracle.
+
+    a_k = C(n+1, k) / (n+1) * S_k with, for m = n - k,
+    S_k = sum over i of C(k, i) * C(2m, m-i) * 2**(m-i); the terms of S_k go
+    by the ratio (k-i)(m-i) / (2(i+1)(m+i+1)), and as each is an integer,
+    one floor division per term is exact.  O(n**2) steps.
+    """
+    coeffs = []
+    for k in range(n + 1):
+        m = n - k
+        term = comb(2 * m, m) << m
+        total = term
+        for i in range(min(k, m)):
+            term = term * (k - i) * (m - i) // (2 * (i + 1) * (m + i + 1))
+            total += term
+        coeffs.append(comb(n + 1, k) * total // (n + 1))
+    return coeffs
 
 
 def string_tally(n):
@@ -203,6 +224,23 @@ class TestWeightPolynomial:
             for j in range(2 * k + 1):
                 coeffs[n + k - j] += a_k * comb(2 * k, j) * (-1) ** j
         assert IntPoly(coeffs) == weight_polynomial(n)
+
+    def test_recurrence_equals_term_ratio_sums(self):
+        # the recurrence was fitted, not proved: every n the dp accepts
+        for n in range(DP_CAP + 1):
+            assert _cycle_coefficients(n) == term_ratio_cycle_coefficients(n), n
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 57, DP_CAP])
+    def test_wrong_first_seed_raises(self, monkeypatch, n):
+        true_seeds = _cycle_seeds
+
+        def off_by_one(k):
+            a0, a1 = true_seeds(k)
+            return [a0, a1 + 1]
+
+        monkeypatch.setattr(dyck, "_cycle_seeds", off_by_one)
+        with pytest.raises(ConsistencyError, match="cycle coefficient"):
+            weight_polynomial(n, "dp")
 
     def test_letter_dp_matches_string_definition(self):
         for n in range(7):

@@ -5,11 +5,11 @@ import math
 
 import pytest
 
-from treezeta import spectral, verify
+from treezeta import special_values, spectral, verify
 from treezeta.errors import DomainError
 from treezeta.exact import IntPoly
 from treezeta.genfun import symmetry_defect
-from treezeta.special_values import value_polynomials
+from treezeta.special_values import two_step_defect, value_polynomials
 from treezeta.spectral import QuadratureSpec
 from treezeta.verify import (
     ALL_CHECKS,
@@ -220,6 +220,38 @@ class TestWorstAt:
         r = check_dyck_identity(n_max=6, brute_max=2)
         assert not r.passed and r.worst_at == (3,)
         assert r.exact_defect.startswith("weight polynomial 3 differs")
+
+    def test_two_step_runs_the_quadratic_recurrence_once_per_q(self, monkeypatch):
+        real = verify._values_at
+        calls = []
+
+        def counted(q, n_max):
+            calls.append((q, n_max))
+            return real(q, n_max)
+
+        monkeypatch.setattr(verify, "_values_at", counted)
+        assert check_two_step(qs=(2, 3, 5), n_abs=7).passed
+        assert calls == [(2, 8), (3, 8), (5, 8)]
+
+    def test_two_step_failure_matches_the_per_offset_defect(self, monkeypatch):
+        real = special_values._values_at
+
+        def corrupted(q, n_max):
+            values = real(q, n_max)
+            if n_max >= 5:
+                values[4] += 1  # P_5(q)
+            return values
+
+        # the public function reads its module's name, the check its own import
+        monkeypatch.setattr(special_values, "_values_at", corrupted)
+        monkeypatch.setattr(verify, "_values_at", corrupted)
+        qs, n_abs = (2, 3), 6
+        r = check_two_step(qs=qs, n_abs=n_abs)
+        offsets = [(q, n) for q in qs for n in range(-n_abs, n_abs + 1)]
+        first = next(at for at in offsets if two_step_defect(*at) != 0)
+        assert not r.passed
+        assert r.worst_at == first == (2, -5)
+        assert r.exact_defect == str(two_step_defect(*first)) != "0"
 
     def test_passing_exact_check_has_no_location(self):
         r = check_two_step(qs=(2,), n_abs=3)
