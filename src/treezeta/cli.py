@@ -4,15 +4,21 @@ Subcommands map onto the library one-to-one: poly and values print exact
 tables, zeta and heat run the quadrature engine, dyck exposes the lattice-word
 side, verify runs the identity battery.  Output formats are json, csv, latex
 and text; json is canonical (sorted keys, two-space indent, big integers and
-rationals as decimal strings) so that parsing and re-serializing reproduces
-the bytes.  Exit codes: 0 success, 1 a verification check failed, 2 bad
-usage or invalid input, 3 quadrature budget exhausted.
+rationals as decimal strings, no NaN or Infinity) so that parsing and
+re-serializing reproduces the bytes.  Exit codes: 0 success, 1 a
+verification check failed, 2 bad usage or invalid input, 3 quadrature budget
+exhausted.
+
+poly and values refuse a depth past DEPTH_CAP before building any table.
+Each subcommand imports the modules it runs when it runs, so a quadrature
+call never loads the exact tables, the Dyck code or the battery.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,15 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import dyck as dyck_mod
 from .errors import DomainError, NonConvergedError
-from .special_values import (
-    moment_polynomials,
-    negative_value_table,
-    value_polynomials,
-    zeta_integer,
-    zeta_pos,
-)
 from .spectral import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_NODES,
@@ -42,10 +40,31 @@ from .spectral import (
     zeta_sato_tate,
 )
 from .validate import tolerance
-from .verify import ALL_CHECKS, run_battery
 
 FORMATS = ("json", "csv", "latex", "text")
-VERIFY_SUITES = ("all", *ALL_CHECKS)
+# Literal, so that building the parser imports neither module; a test pins
+# them to verify.ALL_CHECKS and dyck.WEIGHT_POLY_METHODS.
+VERIFY_SUITES = (
+    "all",
+    "value_polys",
+    "negvals",
+    "moments",
+    "dyck",
+    "symmetry",
+    "entire",
+    "twostep",
+    "fe",
+    "integers",
+    "laplace",
+    "boundary",
+    "residual",
+)
+DYCK_METHODS = ("dp", "bruteforce")
+# Deepest index that poly --n, values --neg and values --pos take.  The exact
+# tables behind them cost more than linearly in their depth (on a 2-core VM,
+# values --q 3 --neg 1000 took 2.7 s and 124 MB, against 0.5 s at this cap),
+# and a refused depth builds none of them.
+DEPTH_CAP = 256
 
 _CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
 
@@ -198,12 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", parents=[common], help="value polynomial table")
-    p.add_argument("--n", type=_int_arg, required=True, help="polynomial index, from 1")
+    p.add_argument(
+        "--n", type=_int_arg, required=True, help=f"polynomial index, 1 to {DEPTH_CAP}"
+    )
 
     p = sub.add_parser("values", parents=[common], help="exact special values")
     p.add_argument("--q", type=_int_arg, required=True, help="branching number, at least 2")
-    p.add_argument("--neg", type=_int_arg, default=5, metavar="M", help="depth at and below zero")
-    p.add_argument("--pos", type=_int_arg, default=5, metavar="N", help="depth above zero")
+    p.add_argument(
+        "--neg", type=_int_arg, default=5, metavar="M",
+        help=f"depth at and below zero, at most {DEPTH_CAP}",
+    )
+    p.add_argument(
+        "--pos", type=_int_arg, default=5, metavar="N",
+        help=f"depth above zero, at most {DEPTH_CAP}",
+    )
 
     p = sub.add_parser("zeta", parents=[common, quad], help="zeta at a point")
     which = p.add_mutually_exclusive_group(required=True)
@@ -217,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", parents=[common, quad], help="heat trace at a time")
     p.add_argument("--q", type=_int_arg, required=True, help="branching number, at least 2")
-    p.add_argument("--t", type=float, required=True, help="time, nonnegative")
+    p.add_argument("--t", type=float, required=True, help="time, nonnegative and finite")
 
     p = sub.add_parser("dyck", parents=[common], help="two-coloured lattice words")
     p.add_argument("--n", type=_int_arg, required=True, help="half-length")
     p.add_argument("--list", action="store_true", help="list the words instead of the polynomial")
     p.add_argument(
         "--method",
-        choices=dyck_mod.WEIGHT_POLY_METHODS,
+        choices=DYCK_METHODS,
         default="dp",
         help="which weight-polynomial route to use",
     )
@@ -277,6 +304,10 @@ def _quad_tolerances(spec: QuadratureSpec) -> dict[str, Any]:
 def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
     if args.n < 1:
         raise DomainError("--n must be at least 1")
+    if args.n > DEPTH_CAP:
+        raise DomainError(f"--n is capped at {DEPTH_CAP}")
+    from .special_values import value_polynomials
+
     poly = value_polynomials(args.n)[args.n - 1]
     rendered = latex_poly(poly.coeffs, "q")
     return Report(
@@ -296,6 +327,10 @@ def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
 def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
     if args.neg < 0 or args.pos < 0:
         raise DomainError("--neg and --pos must be nonnegative")
+    if max(args.neg, args.pos) > DEPTH_CAP:
+        raise DomainError(f"--neg and --pos are capped at {DEPTH_CAP}")
+    from .special_values import zeta_integer, zeta_pos
+
     neg = [zeta_integer(args.q, -m).numerator for m in range(args.neg + 1)]
     pos = [zeta_pos(args.q, n) for n in range(1, args.pos + 1)]
     rows: list[tuple[int, Any]] = [(-m, neg[m]) for m in range(args.neg + 1)]
@@ -355,6 +390,8 @@ def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
 
 
 def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
+    if math.isinf(args.t):  # JSON has no infinity; the library's heat_trace(q, inf) is 0
+        raise DomainError(f"--t must be finite, got {args.t}")
     spec = _quad_spec(args, config)
     value = heat_trace(args.q, args.t, spec)
     return Report(
@@ -369,8 +406,10 @@ def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
 
 
 def _cmd_dyck(args: argparse.Namespace, config: dict[str, float]) -> Report:
+    from .dyck import enumerate_dyck, weight_polynomial
+
     if args.list:
-        words = [str(w) for w in dyck_mod.enumerate_dyck(args.n)]
+        words = [str(w) for w in enumerate_dyck(args.n)]
         body = " \\\\\n".join(f"\\texttt{{{w}}}" for w in words)
         return Report(
             command="dyck",
@@ -380,7 +419,7 @@ def _cmd_dyck(args: argparse.Namespace, config: dict[str, float]) -> Report:
             latex="\\begin{tabular}{l}\n" + body + "\n\\end{tabular}" if words else "",
             text="\n".join(words) if words else "(empty word)",
         )
-    poly = dyck_mod.weight_polynomial(args.n, method=args.method)
+    poly = weight_polynomial(args.n, method=args.method)
     rendered = latex_poly(poly.coeffs, "t")
     return Report(
         command="dyck",
@@ -404,6 +443,9 @@ def _status_word(ok: bool, color: bool) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool) -> Report:
+    from .special_values import moment_polynomials, negative_value_table
+    from .verify import run_battery
+
     spec = _quad_spec(args, config)
     tol = args.tol if args.tol is not None else config.get("tol")
     names = None if args.suite == "all" else [args.suite]

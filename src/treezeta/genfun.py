@@ -23,45 +23,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CutViolationError, DomainError
+from .errors import DomainError
 from .exact import IntPoly
 from .special_values import _ONE, _QM1_SQ, _poly_ring, _quadratic_recurrence, value_polynomials
-from .validate import branching_number, finite_point, finite_result, integer_at_least
-
-EPS_CUT = 1e-3
-
-
-def _edges(q: int) -> tuple[float, float]:
-    rq = math.sqrt(q)
-    return ((rq - 1) ** 2, (rq + 1) ** 2)
+from .validate import (
+    EPS_CUT,
+    SpectrumCut,
+    _edges,
+    branching_number,
+    finite_point,
+    finite_result,
+    integer_at_least,
+)
 
 
 @finite_result
 def spectral_edges(q: int) -> tuple[float, float]:
     """Endpoints of the Laplacian spectrum of the (q+1)-regular tree."""
     return _edges(branching_number(q))
-
-
-@dataclass(frozen=True)
-class SpectrumCut:
-    """A closed real segment acting as a branch cut."""
-
-    lo: float
-    hi: float
-
-    def distance(self, z: complex) -> float:
-        x = min(max(z.real, self.lo), self.hi)
-        return math.hypot(z.real - x, z.imag)
-
-    def refuse_near(self, z: complex, eps: float = EPS_CUT) -> None:
-        d = self.distance(z)
-        if d < eps:
-            raise CutViolationError(
-                f"point {z} lies within {eps} of the cut [{self.lo}, {self.hi}] (distance {d:.3g})"
-            )
 
 
 @finite_result

@@ -49,8 +49,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonConvergedError, PoleError
-from .genfun import SpectrumCut, _edges
-from .validate import branching_number, finite_point, finite_result, nonnegative_real, tolerance
+from .validate import (
+    SpectrumCut,
+    _edges,
+    branching_number,
+    finite_point,
+    finite_result,
+    nonnegative_real,
+    tolerance,
+)
 
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11

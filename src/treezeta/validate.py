@@ -8,6 +8,11 @@ although it is an ``int`` subclass.  Points and real numbers are taken from
 any number type (numpy scalars, ``Fraction``, ``Decimal``), and refused when
 they are strings, bools or any other object.  ``finite_result`` wraps a
 function so that a float overflow inside it raises ``OutOfRangeError``.
+
+A point near a branch cut is refused here too: ``SpectrumCut`` is a closed
+real segment that raises ``CutViolationError`` for a point within its
+clearance, and ``_edges`` gives the spectral segment of the (q+1)-regular
+tree that the quadrature and the generating functions both cut along.
 """
 
 from __future__ import annotations
@@ -19,10 +24,13 @@ import numbers
 import operator
 import reprlib
 import sys
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable
 
-from .errors import DomainError, OutOfRangeError
+from .errors import CutViolationError, DomainError, OutOfRangeError
+
+EPS_CUT = 1e-3
 
 
 def integer(n, name: str) -> int:
@@ -118,3 +126,27 @@ def tolerance(x, name: str):
     if not 0 < x <= sys.float_info.max:
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
     return x
+
+
+def _edges(q: int) -> tuple[float, float]:
+    rq = math.sqrt(q)
+    return ((rq - 1) ** 2, (rq + 1) ** 2)
+
+
+@dataclass(frozen=True)
+class SpectrumCut:
+    """A closed real segment acting as a branch cut."""
+
+    lo: float
+    hi: float
+
+    def distance(self, z: complex) -> float:
+        x = min(max(z.real, self.lo), self.hi)
+        return math.hypot(z.real - x, z.imag)
+
+    def refuse_near(self, z: complex, eps: float = EPS_CUT) -> None:
+        d = self.distance(z)
+        if d < eps:
+            raise CutViolationError(
+                f"point {z} lies within {eps} of the cut [{self.lo}, {self.hi}] (distance {d:.3g})"
+            )

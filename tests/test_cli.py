@@ -7,8 +7,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treezeta import spectral
-from treezeta.cli import latex_poly, main
+from treezeta import cli, dyck, special_values, spectral, verify
+from treezeta.cli import DEPTH_CAP, FORMATS, latex_poly, main
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} has no RFC 8259 JSON form")
+
+
+def strict_loads(text):
+    """json.loads, refusing the NaN and Infinity that Python's json emits for non-finite floats."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def run_cli(capsys, *argv):
@@ -26,7 +35,7 @@ class TestPoly:
     def test_json_coefficients_low_to_high(self, capsys):
         code, out, _ = run_cli(capsys, "poly", "--n", "3", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["results"]["coefficients"] == ["1", "1", "4", "1", "1"]
         assert payload["results"]["degree"] == 4
         assert payload["status"] == "pass"
@@ -41,6 +50,24 @@ class TestPoly:
         code, _, err = run_cli(capsys, "poly", "--n", "0")
         assert code == 2
         assert "error" in err
+
+    def test_depth_past_the_cap_is_input_error_before_any_table(self, capsys, monkeypatch):
+        built = []
+
+        def fake_table(n):
+            built.append(n)
+            return [special_values.IntPoly((1,))] * n
+
+        monkeypatch.setattr(special_values, "value_polynomials", fake_table)
+        code, out, err = run_cli(capsys, "poly", "--n", str(DEPTH_CAP + 1))
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: --n is capped at {DEPTH_CAP}\n"
+        code, _, _ = run_cli(capsys, "poly", "--n", str(DEPTH_CAP))
+        assert (code, built) == (0, [DEPTH_CAP])
+
+    def test_cap_admits_the_dyck_dp_cap_plus_one(self):
+        # CI compares dyck --n DP_CAP with poly --n DP_CAP + 1
+        assert DEPTH_CAP >= dyck.DP_CAP + 1
 
     def test_large_exponents_get_braces(self):
         coeffs = (0,) * 12 + (3,)
@@ -62,7 +89,7 @@ class TestValues:
         code, out, _ = run_cli(capsys, "values", "--q", "2", "--neg", "1", "--pos", "1",
                                "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["results"]["negative"] == [
             {"s": 0, "value": "1"},
             {"s": -1, "value": "3"},
@@ -70,6 +97,31 @@ class TestValues:
         assert payload["results"]["positive"] == [
             {"s": 1, "value": {"den": "3", "num": "2"}},
         ]
+
+    @pytest.mark.parametrize(
+        "depths", [(DEPTH_CAP + 1, 1), (1, DEPTH_CAP + 1), (100000, 1)]
+    )
+    def test_depth_past_the_cap_is_input_error_before_any_table(
+        self, capsys, monkeypatch, depths
+    ):
+        def no_table(*args):
+            raise AssertionError("a value was computed past the cap")
+
+        monkeypatch.setattr(special_values, "zeta_integer", no_table)
+        monkeypatch.setattr(special_values, "zeta_pos", no_table)
+        neg, pos = map(str, depths)
+        code, out, err = run_cli(capsys, "values", "--q", "3", "--neg", neg, "--pos", pos)
+        assert (code, out) == (2, "")
+        assert err == f"error: --neg and --pos are capped at {DEPTH_CAP}\n"
+
+    def test_depth_at_the_cap_is_served(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(special_values, "zeta_integer", lambda q, s: seen.append(s) or 1)
+        monkeypatch.setattr(special_values, "zeta_pos", lambda q, n: seen.append(n) or 1)
+        code, _, _ = run_cli(capsys, "values", "--q", "3", "--neg", str(DEPTH_CAP),
+                             "--pos", str(DEPTH_CAP), "--format", "csv")
+        assert code == 0
+        assert min(seen) == -DEPTH_CAP and max(seen) == DEPTH_CAP
 
     def test_invalid_branching_number(self, capsys):
         code, _, err = run_cli(capsys, "values", "--q", "1")
@@ -121,14 +173,14 @@ class TestZeta:
     def test_json_reports_levels_next_to_nodes(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "1.7", "--format", "json")
         assert code == 0
-        results = json.loads(out)["results"]
+        results = strict_loads(out)["results"]
         assert results["nodes"] == 16 * 2 ** results["levels"] + 1
 
     def test_non_converged_json_reports_best(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "2,40",
                                "--max-nodes", "64", "--format", "json")
         assert code == 3
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["status"] == "non-converged"
         assert "best" in payload["results"]
         assert payload["results"]["est_error"] > 0
@@ -136,13 +188,13 @@ class TestZeta:
     def test_line_value_past_the_gamma_overflow(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--line", "--s=-200,0", "--format", "json")
         assert code == 0
-        value = json.loads(out)["results"]["value"]
+        value = strict_loads(out)["results"]["value"]
         assert value["re"] == pytest.approx(math.comb(400, 200), rel=1e-9)
 
     def test_value_near_the_top_of_the_double_range(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "405", "--format", "json")
         assert code == 0
-        value = json.loads(out)["results"]["value"]
+        value = strict_loads(out)["results"]["value"]
         assert value["re"] == pytest.approx(9.8174e304, rel=1e-4)
 
     def test_nan_point_is_input_error(self, capsys, monkeypatch):
@@ -201,6 +253,12 @@ class TestHeat:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_infinite_time_rejected(self, capsys):
+        # the library's heat_trace(q, inf) is 0, but JSON has no Infinity for the input echo
+        code, out, err = run_cli(capsys, "heat", "--q", "3", "--t", "inf", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: --t must be finite, got inf\n"
+
 
 class TestDyck:
     def test_polynomial(self, capsys):
@@ -240,7 +298,7 @@ class TestVerify:
     def test_json_report_structure(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "twostep", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["status"] == "pass"
         checks = payload["results"]["checks"]
         assert len(checks) == 1
@@ -250,7 +308,7 @@ class TestVerify:
     def test_q_restriction(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "twostep", "--q", "2", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["results"]["checks"][0]["points"] == 41
         assert payload["inputs"]["q"] == 2
 
@@ -284,7 +342,7 @@ class TestVerify:
         argv = ["verify", "all", "--format", "json"] + (["--timings"] if timings else [])
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         want = self.ROW_KEYS | ({"elapsed_s"} if timings else set())
         assert [set(row) for row in payload["results"]["checks"]] == [want] * 12
         assert ("timings" in payload) == timings
@@ -292,7 +350,7 @@ class TestVerify:
     def test_worst_point_is_named(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "integers", "--q", "2", "--format", "json")
         assert code == 0
-        q, k = json.loads(out)["results"]["checks"][0]["worst_at"]
+        q, k = strict_loads(out)["results"]["checks"][0]["worst_at"]
         assert q == 2 and -8 <= k <= 8
         _, text, _ = run_cli(capsys, "verify", "integers", "--q", "2")
         assert f"; worst at (2, {k})" in text
@@ -311,7 +369,7 @@ class TestVerify:
     def test_timings_keys_are_pinned(self, capsys, suite):
         code, out, _ = run_cli(capsys, "verify", suite, "--timings", "--format", "json")
         assert code == 0
-        timings = json.loads(out)["timings"]
+        timings = strict_loads(out)["timings"]
         assert set(timings) == self.TIMING_KEYS
         counts = [timings[k] for k in self.TIMING_KEYS - {"total_s"}]
         assert all(type(c) is int and c >= 0 for c in counts)
@@ -321,7 +379,7 @@ class TestVerify:
         run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
         code, out, _ = run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
         assert code == 0
-        timings = json.loads(out)["timings"]
+        timings = strict_loads(out)["timings"]
         assert timings["negative_value_table.misses"] == 0
         assert timings["moment_polynomials.misses"] == 0
         assert timings["negative_value_table.hits"] + timings["moment_polynomials.hits"] > 0
@@ -329,12 +387,22 @@ class TestVerify:
     def test_timings_flag_adds_field(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "negvals", "--timings", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert "timings" in payload
         assert payload["results"]["checks"][0]["elapsed_s"] >= 0
 
 
 class TestFormatsAndPlumbing:
+    def test_parser_choices_match_the_library(self):
+        assert cli.VERIFY_SUITES == ("all", *verify.ALL_CHECKS)
+        assert cli.DYCK_METHODS == dyck.WEIGHT_POLY_METHODS
+
+    def test_strict_parse_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            strict_loads('{"t": Infinity}')
+        with pytest.raises(ValueError):
+            strict_loads('{"t": NaN}')
+
     def test_json_round_trips_byte_identically(self, capsys):
         for argv in (
             ["poly", "--n", "6", "--format", "json"],
@@ -344,7 +412,7 @@ class TestFormatsAndPlumbing:
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
-            reserialized = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+            reserialized = json.dumps(strict_loads(out), indent=2, sort_keys=True) + "\n"
             assert reserialized == out
 
     def test_identical_invocations_identical_output(self, capsys):
@@ -358,7 +426,7 @@ class TestFormatsAndPlumbing:
                                "--output", str(target))
         assert code == 0
         assert out == ""
-        assert json.loads(target.read_text())["command"] == "poly"
+        assert strict_loads(target.read_text())["command"] == "poly"
 
     def test_config_supplies_quadrature_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -449,7 +517,7 @@ _CHEAP_ARGV = st.one_of(
     st.builds(
         lambda q, t: ["heat", "--q", str(q), "--t", t],
         st.integers(1, 6),
-        st.one_of(st.sampled_from(["nan", "-1", "0", "1e3"]), st.floats(0, 5).map(repr)),
+        st.one_of(st.sampled_from(["nan", "inf", "-1", "0", "1e3"]), st.floats(0, 5).map(repr)),
     ),
     st.integers(-2, 12).map(lambda n: ["dyck", "--n", str(n)]),
     st.sampled_from([["verify", "integers", "--q", "2"], ["verify", "laplace", "--q", "2"]]),
@@ -461,13 +529,16 @@ _CHEAP_ARGV = st.one_of(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(argv=_CHEAP_ARGV)
-def test_exit_code_contract(capsys, argv):
-    """Every invocation exits 0/1/2/3 and never ends in a traceback."""
+@given(argv=_CHEAP_ARGV, fmt=st.sampled_from(FORMATS))
+def test_exit_code_contract(capsys, argv, fmt):
+    """Every invocation exits 0/1/2/3 and never ends in a traceback; its JSON is strict."""
+    argv = [*argv, "--format", fmt]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
+    if fmt == "json" and out:
+        strict_loads(out)
