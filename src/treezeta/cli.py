@@ -9,7 +9,8 @@ re-serializing reproduces the bytes.  Exit codes: 0 success, 1 a
 verification check failed, 2 bad usage or invalid input, 3 quadrature budget
 exhausted.
 
-poly and values refuse a depth past DEPTH_CAP before building any table.
+poly, values and verify --n-max refuse a depth past their cap before building
+any table, and values refuses a value too long to print before rendering any.
 Each subcommand imports the modules it runs when it runs, so a quadrature
 call never loads the exact tables, the Dyck code or the battery.
 """
@@ -60,10 +61,10 @@ VERIFY_SUITES = (
     "residual",
 )
 DYCK_METHODS = ("dp", "bruteforce")
-# Deepest index that poly --n, values --neg and values --pos take.  The exact
-# tables behind them cost more than linearly in their depth (on a 2-core VM,
-# values --q 3 --neg 1000 took 2.7 s and 124 MB, against 0.5 s at this cap),
-# and a refused depth builds none of them.
+# Deepest index that poly --n, values --neg/--pos and verify --n-max take (verify
+# twostep, in integers at each q, takes twice it).  The exact tables cost more
+# than linearly in their depth (on a 2-core VM, values --q 3 --neg 1000 took
+# 2.7 s and 124 MB, against 0.5 s at this cap); a refused depth builds none.
 DEPTH_CAP = 256
 
 _CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
@@ -260,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=VERIFY_SUITES, help="which checks to run")
     p.add_argument("--q", type=_int_arg, help="restrict tree checks to one branching number")
     p.add_argument("--tol", type=float, help="tolerance override for the selected checks")
-    p.add_argument("--n-max", type=_int_arg, help="depth override for exact checks")
+    p.add_argument(
+        "--n-max", type=_int_arg,
+        help=f"exact check depth, at most {DEPTH_CAP} ({2 * DEPTH_CAP} twostep, 200 dyck and all)",
+    )
 
     return parser
 
@@ -335,6 +339,9 @@ def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
     pos = [zeta_pos(args.q, n) for n in range(1, args.pos + 1)]
     rows: list[tuple[int, Any]] = [(-m, neg[m]) for m in range(args.neg + 1)]
     rows += [(n, pos[n - 1]) for n in range(1, args.pos + 1)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s digit limit; 0: none
+    if limit and max(max(abs(v.numerator), v.denominator) for _, v in rows) >= 10**limit:
+        raise DomainError(f"a value has over {limit} digits, Python's limit on printing an int")
     latex_rows = [
         f"\\zeta_{{{args.q}}}({idx}) &= "
         + (_latex_fraction(val) if isinstance(val, Fraction) else str(val))
@@ -443,9 +450,13 @@ def _status_word(ok: bool, color: bool) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool) -> Report:
+    from .dyck import DP_CAP
     from .special_values import moment_polynomials, negative_value_table
     from .verify import run_battery
 
+    cap = {"twostep": 2 * DEPTH_CAP, "dyck": DP_CAP, "all": DP_CAP}.get(args.suite, DEPTH_CAP)
+    if args.n_max is not None and args.n_max > cap:
+        raise DomainError(f"verify {args.suite} --n-max is capped at {cap}")
     spec = _quad_spec(args, config)
     tol = args.tol if args.tol is not None else config.get("tol")
     names = None if args.suite == "all" else [args.suite]

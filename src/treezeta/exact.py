@@ -9,19 +9,16 @@ rather than an integer, which keeps degree comparisons honest.
 ``KRONECKER_MIN_TERMS`` coefficients: ``_pack`` puts coefficient k in byte
 slot k of one integer, the two integers are multiplied once, and ``_unpack``
 reads the product's coefficients back.  Shorter products run the schoolbook
-loop.  ``SumOfProducts`` does the same for a whole sum of c * a * b terms:
-one slot size bounds every coefficient of the sum, each operand is packed
-once, the packed products are added as plain integers, and the sum is
-unpacked once.  An instance keeps its packs across calls, so a table build
-that meets the same operands in many sums packs each once per slot size.
-No other module knows the packed layout.
+loop.  ``sum_of_products`` does the same for a whole sum of c * a * b terms,
+and ``binomial_transform`` runs a difference table on packed integers.  Both
+size one slot per call, pack each operand once and keep nothing between
+calls.  No other module knows the packed layout.
 
 No floating point enters any computation in this module.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,7 +41,7 @@ def _trimmed(coeffs: list) -> list:
 class IntPoly:
     """Dense polynomial with integer coefficients."""
 
-    __slots__ = ("coeffs", "__weakref__")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = []
@@ -214,54 +211,55 @@ def poly_eval(p, x) -> Fraction:
     return Fraction(p.evaluate(x))
 
 
-class SumOfProducts:
-    """Called on terms (c, a, b) of an int c and two IntPoly operands: the IntPoly sum of c*a*b.
+def sum_of_products(terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> IntPoly:
+    """The IntPoly sum of c * a * b over terms (c, a, b) of an int and two IntPoly operands.
 
-    The slot size comes from the bound sum |c| max|a| max|b| min(len a, len b)
-    on the sum's coefficients.  The instance keeps each live operand's pack,
-    so a later call at the same slot size reuses it and an operand met at a
-    new size is packed again.  A pack goes when its operand does, and all of
-    them when the instance does: one instance serves one table build.
+    One slot size per call, from the bound sum |c| max|a| max|b| min(len a, len b)
+    on the sum's coefficients, and one pack per long operand.  A shorter
+    operand of fewer than ``KRONECKER_MIN_TERMS`` coefficients is not packed:
+    its term adds shifted small-int multiples of the longer one's pack.
     """
-
-    __slots__ = ("_packs", "__weakref__")
-
-    def __init__(self):
-        # id(operand) -> [weak reference to it, coefficients, max |coefficient|, slot size, pack]
-        self._packs: dict[int, list] = {}
-
-    def _entry(self, p: IntPoly) -> list:
-        entry = self._packs.get(id(p))
-        if entry is None or entry[0]() is not p:  # new, or left by a dead operand of this id
-            ref = weakref.ref(p, _forget_pack(weakref.ref(self), id(p)))
-            entry = self._packs[id(p)] = [ref, p.coeffs, max(map(abs, p.coeffs)), 0, 0]
-        return entry
-
-    def __call__(self, terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> IntPoly:
-        entry = self._entry
-        rows = [(c, entry(a), entry(b)) for c, a, b in terms if c and a.coeffs and b.coeffs]
-        bound = sum(abs(c) * ea[2] * eb[2] * min(len(ea[1]), len(eb[1])) for c, ea, eb in rows)
-        length = max((len(ea[1]) + len(eb[1]) - 1 for _, ea, eb in rows), default=0)
-        size = _slot_size(bound)
-        total = sum(c * (_packed(ea, size) * _packed(eb, size)) for c, ea, eb in rows)
-        return _unpack(total, size, length)
+    rows = [
+        (c, *sorted((a.coeffs, b.coeffs), key=len, reverse=True))
+        for c, a, b in terms
+        if c and a.coeffs and b.coeffs
+    ]
+    bound = sum(abs(c) * max(map(abs, a)) * max(map(abs, b)) * len(b) for c, a, b in rows)
+    size = _slot_size(bound)
+    bits = 8 * size
+    packs = {
+        id(p): _pack(p, size)
+        for _, a, b in rows
+        for p in ((a, b) if len(b) >= KRONECKER_MIN_TERMS else (a,))
+    }
+    total = 0
+    for c, a, b in rows:
+        if len(b) < KRONECKER_MIN_TERMS:
+            total += sum((c * bj * packs[id(a)]) << (bits * j) for j, bj in enumerate(b) if bj)
+        else:
+            total += c * (packs[id(a)] * packs[id(b)])
+    return _unpack(total, size, max((len(a) + len(b) - 1 for _, a, b in rows), default=0))
 
 
-def _packed(entry: list, size: int) -> int:
-    if entry[3] != size:
-        entry[3:] = size, _pack(entry[1], size)
-    return entry[4]
+def binomial_transform(polys: Sequence[IntPoly]) -> list[IntPoly]:
+    """N_m = sum_j (-1)^j C(m, j) p_j (q+1)^(m-j) for m < len(polys).
 
-
-def _forget_pack(owner: weakref.ref, key: int):
-    # drops an operand's entry when the operand dies; it holds the SumOfProducts
-    # weakly, so no reference cycle keeps a finished build's packs alive
-    def forget(_dead):
-        sums = owner()
-        if sums is not None:
-            sums._packs.pop(key, None)
-
-    return forget
+    Runs the difference table d[0][j] = p_j, d[i+1][j] = (q+1) d[i][j] - d[i][j+1]
+    to N_m = d[m][0].  Every coefficient of d[i][j] is at most 3^i max_j ||p_j||_1
+    (||(q+1)^k||_1 = 2^k), which at the last row sizes one slot for the whole
+    table: each p_j is packed once and a product by q+1 is a shift and an add.
+    """
+    if not polys:
+        return []
+    size = _slot_size(3 ** (len(polys) - 1) * max(sum(map(abs, p.coeffs)) for p in polys))
+    row = [_pack(p.coeffs, size) for p in polys]
+    lengths = [len(p.coeffs) for p in polys]
+    out = []
+    while row:
+        out.append(_unpack(row[0], size, lengths[0]))
+        row = [a + (a << 8 * size) - b for a, b in zip(row, row[1:])]
+        lengths = [max(k + 1, n) for k, n in zip(lengths, lengths[1:])]
+    return out
 
 
 def _slot_size(bound: int) -> int:

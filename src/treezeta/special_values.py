@@ -10,8 +10,9 @@ checked to be exact: a remainder raises ``ConsistencyError``.
 Negative values come by three independent routes that cross-check each other:
 
 * ``closed_form`` sums products of binomials and shares no code with the others;
-* ``moments`` binomially transforms the closed-walk counts, the coefficients of
-  ((q+1) sqrt(1 - 4 q z^2) - (q-1)) / (2 (1 - (q+1)^2 z^2));
+* ``moments`` binomially transforms the closed-walk counts w_j, the coefficients
+  of ((q+1) sqrt(1 - 4 q z^2) - (q-1)) / (2 (1 - (q+1)^2 z^2)), into
+  N_m = sum_j (-1)^j C(m, j) w_j (q+1)^(m-j);
 * ``series`` reads them off ((q+1) sqrt(1 - 2(q+1) z + (q-1)^2 z^2) + z (q^2-1)
   - (q-1)) / (2 (1 - 2(q+1) z)).
 
@@ -30,9 +31,9 @@ functional equation of their generating series gives a second recurrence,
 and nothing cached, and ``genfun.quadratic_residual_series`` runs it over
 Z[q] only from the first entry its table breaks the series' linear
 recurrence at, so not at all on a correct table.  Over Z[q] the residual's
-sums of products, like the binomial transform of the ``moments`` route, run
-on one ``exact.SumOfProducts`` per build.  The two-step and closed-form
-tables only ever grow.
+sums of products run on ``exact.sum_of_products``, and the ``moments``
+route's transform on ``exact.binomial_transform``.  The two-step and
+closed-form tables only ever grow.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import IntPoly, SumOfProducts, poly_eval
+from .exact import IntPoly, binomial_transform, poly_eval, sum_of_products
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -136,12 +137,7 @@ def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPo
     if method == "closed_form":
         return tuple(_closed_form_table(m_max)[: m_max + 1])
     if method == "moments":
-        walks = moment_polynomials(m_max)
-        lifts = [_ONE]
-        for _ in range(m_max):
-            lifts.append(lifts[-1] * _QP1)
-        sums = SumOfProducts()
-        return tuple(_neg_value_from_moments(m, walks, lifts, sums) for m in range(m_max + 1))
+        return tuple(binomial_transform(moment_polynomials(m_max)))
     if method == "series":
         return _neg_values_series(m_max)
     raise DomainError(f"unknown method {method!r}; choose from {NEG_VALUE_METHODS}")
@@ -174,13 +170,6 @@ def _closed_form_table(m_max: int) -> list[IntPoly]:
     while len(table) <= m_max:
         table.append(_neg_value_closed_form(len(table)))
     return table
-
-
-def _neg_value_from_moments(m: int, walks, lifts, sum_of_products) -> IntPoly:
-    # binomial transform of the walk counts against the powers lifts[k] = (q+1)^k
-    return sum_of_products(
-        ((-1) ** j * math.comb(m, j), walks[j], lifts[m - j]) for j in range(m + 1)
-    )
 
 
 def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
@@ -222,8 +211,8 @@ def _quadratic_recurrence(table, start, q, qm1_sq, one, sum_of_products):
 
 
 def _poly_ring():
-    """q, (q-1)^2, one and a fresh packed sum of products over Z[q], for one table build."""
-    return IntPoly.variable(), _QM1_SQ, _ONE, SumOfProducts()
+    """q, (q-1)^2, one and the packed sum of products over Z[q]."""
+    return IntPoly.variable(), _QM1_SQ, _ONE, sum_of_products
 
 
 def _int_sum_of_products(terms) -> int:

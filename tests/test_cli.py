@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,6 +127,23 @@ class TestValues:
     def test_invalid_branching_number(self, capsys):
         code, _, err = run_cli(capsys, "values", "--q", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_value_too_long_to_print_is_input_error(self, capsys, fmt):
+        # at q = 10**6 the denominator of zeta(n) has about 18 n digits: 4300 at n = 240
+        code, out, err = run_cli(capsys, "values", "--q", "1000000", "--neg", "1",
+                                 "--pos", "256", "--format", fmt)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: a value has over {limit} digits, Python's limit on printing an int\n"
+
+    @pytest.mark.parametrize("pos, digits", [(200, 3592), (239, 4291)])
+    def test_the_longest_printable_values_print(self, capsys, pos, digits):
+        code, out, _ = run_cli(capsys, "values", "--q", "1000000", "--neg", "1",
+                               "--pos", str(pos), "--format", "json")
+        assert code == 0
+        den = strict_loads(out)["results"]["positive"][-1]["value"]["den"]
+        assert len(den) == digits
 
 
 class TestZeta:
@@ -329,6 +347,47 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suite, cap",
+        [
+            ("negvals", DEPTH_CAP),
+            ("residual", DEPTH_CAP),
+            ("moments", DEPTH_CAP),
+            ("twostep", 2 * DEPTH_CAP),
+            ("dyck", dyck.DP_CAP),
+            ("all", dyck.DP_CAP),
+        ],
+    )
+    def test_depth_past_the_cap_is_input_error_before_any_check(
+        self, capsys, monkeypatch, suite, cap
+    ):
+        def no_battery(*args, **kwargs):
+            raise AssertionError("a check ran past the cap")
+
+        monkeypatch.setattr(verify, "run_battery", no_battery)
+        for n_max in (cap + 1, 100000):
+            code, out, err = run_cli(capsys, "verify", suite, "--n-max", str(n_max))
+            assert (code, out) == (2, "")
+            assert err == f"error: verify {suite} --n-max is capped at {cap}\n"
+
+    @pytest.mark.parametrize(
+        "suite, n_max", [("residual", 255), ("negvals", 120), ("twostep", 400), ("dyck", 200)]
+    )
+    def test_the_depths_ci_runs_are_admitted(self, capsys, monkeypatch, suite, n_max):
+        seen = []
+        monkeypatch.setattr(
+            verify, "run_battery", lambda names, **kw: seen.append(kw["n_max"]) or []
+        )
+        code, _, _ = run_cli(capsys, "verify", suite, "--n-max", str(n_max))
+        assert (code, seen) == (0, [n_max])
+
+    def test_the_caps_are_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        cap = f"at most {DEPTH_CAP} ({2 * DEPTH_CAP} twostep, {dyck.DP_CAP} dyck and all)"
+        assert cap in out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """Exact integer polynomial arithmetic, the packed layout and the public exports."""
 
-import weakref
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 import treezeta
 from treezeta import exact
 from treezeta.errors import ConsistencyError, DomainError
-from treezeta.exact import IntPoly, SumOfProducts, _pack, _unpack, poly_eval, poly_is_palindromic
+from treezeta.exact import (
+    IntPoly,
+    _pack,
+    _unpack,
+    binomial_transform,
+    poly_eval,
+    poly_is_palindromic,
+    sum_of_products,
+)
 
 
 class TestIntPoly:
@@ -99,14 +107,10 @@ def test_sum_of_products_equals_convolution_sum(drawn):
     polys = [IntPoly(p) for p in pool]
     terms = [(c, polys[i], polys[j]) for c, i, j in picks]
     want = IntPoly(convolution_sum([(c, pool[i], pool[j]) for c, i, j in picks]))
-    sums = SumOfProducts()
-    assert sums(terms) == want
-    # the same instance again, with its packs kept, and after a sum at another slot size
-    assert sums(terms) == want
-    assert sums([(2**300 + 1, p, p) for p in polys]) == IntPoly(
+    assert sum_of_products(terms) == want
+    assert sum_of_products([(2**300 + 1, p, p) for p in polys]) == IntPoly(
         convolution_sum([(2**300 + 1, p, p) for p in pool])
     )
-    assert sums(terms) == want
 
 
 def flat(c, n):
@@ -115,26 +119,25 @@ def flat(c, n):
 
 class TestSumOfProducts:
     def test_empty_sums_and_operands(self):
-        sums = SumOfProducts()
-        assert sums([]) == IntPoly()
+        assert sum_of_products([]) == IntPoly()
         one = IntPoly([1, 2])
-        assert sums([(3, IntPoly(), one), (5, one, IntPoly()), (0, one, one)]) == IntPoly()
-
-    def test_packs_go_with_their_operands_and_the_instance(self):
-        sums = SumOfProducts()
-        a, b = IntPoly(range(1, 20)), IntPoly(range(20, 40))
-        assert sums([(1, a, b)]) == IntPoly(convolve(a.coeffs, b.coeffs))
-        assert len(sums._packs) == 2
-        del b
-        assert len(sums._packs) == 1
-        alive = weakref.ref(sums)
-        del sums
-        assert alive() is None  # freed at once: no reference cycle waits for the collector
+        terms = [(3, IntPoly(), one), (5, one, IntPoly()), (0, one, one)]
+        assert sum_of_products(terms) == IntPoly()
 
     def test_signs_and_a_is_b(self):
         a, b = IntPoly([1, -2, 3]), IntPoly([-4, 5])
-        got = SumOfProducts()([(2, a, a), (-3, a, b), (1, b, b)])
+        got = sum_of_products([(2, a, a), (-3, a, b), (1, b, b)])
         assert got == 2 * a * a - 3 * a * b + b * b
+
+    @pytest.mark.parametrize("short", [1, 7, 15, 16])
+    def test_a_short_operand_scales_the_long_ones_pack(self, short):
+        # below KRONECKER_MIN_TERMS the shorter operand is not packed, on either
+        # side; at 16 it is
+        long = IntPoly([(-3) ** k * (2**90 + k) for k in range(40)])
+        small = IntPoly([(-1) ** j * (j + 1) for j in range(short - 1)] + [2**80])
+        terms = [(5, long, small), (-2, small, long)]
+        want = convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms])
+        assert sum_of_products(terms) == IntPoly(want)
 
     # every coefficient of each operand at one extreme, so a coefficient of the
     # sum reaches the bound the slot size is computed from; in the first two the
@@ -151,7 +154,7 @@ class TestSumOfProducts:
     @pytest.mark.parametrize("terms", EDGE_SUMS)
     def test_sum_at_the_slot_bound(self, terms):
         want = IntPoly(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms]))
-        assert SumOfProducts()(terms) == want
+        assert sum_of_products(terms) == want
 
     @pytest.mark.parametrize("terms", EDGE_SUMS)
     def test_a_slot_one_byte_short_does_not_pass_silently(self, terms, monkeypatch):
@@ -159,7 +162,58 @@ class TestSumOfProducts:
         slot_size = exact._slot_size
         monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
         try:
-            got = SumOfProducts()(terms)
+            got = sum_of_products(terms)
+        except ConsistencyError:
+            return
+        assert got != want
+
+
+def plain_binomial_transform(polys):
+    """N_m = sum_j (-1)^j C(m, j) p_j (q+1)^(m-j) for m < len(polys), in IntPoly arithmetic."""
+    lift = IntPoly([1, 1])
+    return [
+        sum(
+            ((-1) ** j * math.comb(m, j) * polys[j] * lift ** (m - j) for j in range(m + 1)),
+            IntPoly(),
+        )
+        for m in range(len(polys))
+    ]
+
+
+# signed operands of 0..24 coefficients, the empty one (zero) included, up to 12 of them
+transform_input = st.lists(product_operand, max_size=12)
+
+
+@given(transform_input)
+@settings(max_examples=200)
+def test_binomial_transform_equals_the_plain_sum(pool):
+    polys = [IntPoly(p) for p in pool]
+    assert binomial_transform(polys) == plain_binomial_transform(polys)
+
+
+class TestBinomialTransform:
+    # each has an N_m coefficient outside a slot one byte short of the bound's;
+    # alternating constants c give c (q+2)^m, whose largest coefficient at m = 8
+    # is 1792 c against the bound 3**8 c just below 2**129
+    EDGE_INPUTS = [
+        [flat(2**63, 1)],
+        [flat(-(2**63) - 1, 3)],
+        [flat(2**62, 1), flat(-(2**62), 1), flat(2**62, 1)],
+        [flat((-1) ** j * ((2**129 - 1) // 3**8), 1) for j in range(9)],
+        [flat(7, 5), IntPoly(), flat(-(2**40), 2), flat(2**40, 1)],
+    ]
+
+    @pytest.mark.parametrize("polys", EDGE_INPUTS)
+    def test_transform_at_the_slot_bound(self, polys):
+        assert binomial_transform(polys) == plain_binomial_transform(polys)
+
+    @pytest.mark.parametrize("polys", EDGE_INPUTS)
+    def test_a_slot_one_byte_short_does_not_pass_silently(self, polys, monkeypatch):
+        want = plain_binomial_transform(polys)
+        slot_size = exact._slot_size
+        monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
+        try:
+            got = binomial_transform(polys)
         except ConsistencyError:
             return
         assert got != want

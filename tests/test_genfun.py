@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treezeta.errors import CutViolationError, DomainError, OutOfRangeError
-from treezeta.exact import IntPoly, SumOfProducts, poly_eval
+from treezeta.exact import IntPoly, poly_eval, sum_of_products
 from treezeta.genfun import (
     SpectrumCut,
     _linear_terms,
@@ -428,8 +428,7 @@ class TestLinearRecurrence:
 
     @staticmethod
     def linear_residuals(table):
-        sums = SumOfProducts()
-        return [sums(_linear_terms(table, k)) for k in range(len(table))]
+        return [sum_of_products(_linear_terms(table, k)) for k in range(len(table))]
 
     def test_vanishes_on_the_two_step_table(self):
         assert self.linear_residuals(value_polynomials(201)) == [IntPoly()] * 201
