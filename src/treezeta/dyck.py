@@ -315,21 +315,38 @@ def _weight_poly_dp(n: int) -> IntPoly:
     whatever the signs on the way.  Every coefficient of W_n is at most
     W_n(1) = a_0 = Catalan(n) * 2**n, and ``width`` is that number's bit
     length, so the coefficients lie in [0, X) and are read off the slots
-    [k*width, (k+1)*width).  Were the slots too narrow, each carry out of a
-    slot would trade m * X there for m in the next one, and the read
-    coefficients' sum would fall below Catalan(n) * 2**n by a multiple of
-    X - 1: a sum other than that number raises ``ConsistencyError``.
+    [k*width, (k+1)*width) by ``_slots``.  Were the slots too narrow, each
+    carry out of a slot would trade m * X there for m in the next one, and
+    the read coefficients' sum would fall below Catalan(n) * 2**n by a
+    multiple of X - 1: a sum other than that number raises
+    ``ConsistencyError``.
     """
     words = catalan(n) << n
     width = words.bit_length()
     packed = 0
     for k, a in reversed(list(enumerate(_cycle_coefficients(n)))):
         packed += (packed << 2 * width) - (packed << width + 1) + (a << (n - k) * width)
-    mask = (1 << width) - 1
-    coeffs = [(packed >> (k * width)) & mask for k in range(2 * n + 1)]
+    coeffs = _slots(packed, width, 2 * n + 1)
     if sum(coeffs) != words:
         raise ConsistencyError(f"packed weight polynomial {n} carried between slots")
     return IntPoly(coeffs)
+
+
+def _slots(packed: int, width: int, count: int) -> list[int]:
+    """The low ``count`` slots of ``width`` bits of ``packed``, lowest first.
+
+    Halves the slot range down to at most 16 slots, read one shift each, so
+    each bit of ``packed`` is shifted O(log count) times rather than once per
+    slot; below about 16 slots the halving costs more than the shifts it saves.
+    """
+    if count <= 16:
+        mask = (1 << width) - 1
+        return [(packed >> (k * width)) & mask for k in range(count)]
+    low = count // 2
+    split = low * width
+    return _slots(packed & ((1 << split) - 1), width, low) + _slots(
+        packed >> split, width, count - low
+    )
 
 
 WEIGHT_POLY_METHODS = ("dp", "bruteforce")

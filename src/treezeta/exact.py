@@ -10,9 +10,12 @@ rather than an integer, which keeps degree comparisons honest.
 slot k of one integer, the two integers are multiplied once, and ``_unpack``
 reads the product's coefficients back.  Shorter products run the schoolbook
 loop.  ``sum_of_products`` does the same for a whole sum of c * a * b terms,
-and ``binomial_transform`` runs a difference table on packed integers.  Both
-size one slot per call, pack each operand once and keep nothing between
-calls.  No other module knows the packed layout.
+and ``first_nonzero_sum`` for a run of such sums, each tested against zero
+while still packed.  ``binomial_transform`` runs a difference table on packed
+integers, and ``two_step_numerator`` forms one step of the two-step relation
+with shifts and adds alone.  Each sizes one slot per call from a bound stated in
+its docstring, packs each operand once and keeps nothing between calls.  No
+other module knows the packed layout.
 
 No floating point enters any computation in this module.
 """
@@ -188,12 +191,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def shifted(self, k: int) -> "IntPoly":
-        """Multiply by the k-th power of the variable."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
 
@@ -219,26 +216,84 @@ def sum_of_products(terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> IntPoly:
     operand of fewer than ``KRONECKER_MIN_TERMS`` coefficients is not packed:
     its term adds shifted small-int multiples of the longer one's pack.
     """
-    rows = [
+    rows = _rows(terms)
+    size = _slot_size(_bound(rows))
+    total = next(_packed_sums([rows], size))
+    return _unpack(total, size, max((len(a) + len(b) - 1 for _, a, b in rows), default=0))
+
+
+def first_nonzero_sum(sums: Iterable[Iterable[tuple[int, IntPoly, IntPoly]]]) -> int:
+    """The index of the first of ``sums`` of c * a * b terms that is not zero, else their count.
+
+    Each sum is formed as ``sum_of_products`` forms it, but at one slot size
+    for the whole pass, from the largest of the sums' bounds
+    sum |c| max|a| max|b| min(len a, len b), so each long operand is packed
+    once however many sums read it.  No sum is unpacked: with every
+    coefficient inside half a slot, a packed int is 0 only when every
+    coefficient is, since the top nonzero coefficient c_k X^k outweighs all
+    the slots below it, which sum to less than X^k in size.
+    """
+    row_lists = [_rows(terms) for terms in sums]
+    size = _slot_size(max(map(_bound, row_lists), default=0))
+    totals = _packed_sums(row_lists, size)
+    return next((k for k, total in enumerate(totals) if total), len(row_lists))
+
+
+def _rows(terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> list[tuple[int, tuple, tuple]]:
+    # the nonzero terms as (c, longer operand's coefficients, shorter operand's)
+    return [
         (c, *sorted((a.coeffs, b.coeffs), key=len, reverse=True))
         for c, a, b in terms
         if c and a.coeffs and b.coeffs
     ]
-    bound = sum(abs(c) * max(map(abs, a)) * max(map(abs, b)) * len(b) for c, a, b in rows)
-    size = _slot_size(bound)
+
+
+def _bound(rows: list[tuple[int, tuple, tuple]]) -> int:
+    # no coefficient of the rows' sum exceeds this in size
+    return sum(abs(c) * max(map(abs, a)) * max(map(abs, b)) * len(b) for c, a, b in rows)
+
+
+def _packed_sums(row_lists: list[list[tuple[int, tuple, tuple]]], size: int):
+    """Yield each list's sum of products packed at ``size`` bytes, each long operand packed once."""
     bits = 8 * size
-    packs = {
-        id(p): _pack(p, size)
+    operands = {
+        id(p): p
+        for rows in row_lists
         for _, a, b in rows
         for p in ((a, b) if len(b) >= KRONECKER_MIN_TERMS else (a,))
     }
-    total = 0
-    for c, a, b in rows:
-        if len(b) < KRONECKER_MIN_TERMS:
-            total += sum((c * bj * packs[id(a)]) << (bits * j) for j, bj in enumerate(b) if bj)
-        else:
-            total += c * (packs[id(a)] * packs[id(b)])
-    return _unpack(total, size, max((len(a) + len(b) - 1 for _, a, b in rows), default=0))
+    packs = {key: _pack(p, size) for key, p in operands.items()}
+    for rows in row_lists:
+        total = 0
+        for c, a, b in rows:
+            if len(b) < KRONECKER_MIN_TERMS:
+                total += sum((c * bj * packs[id(a)]) << (bits * j) for j, bj in enumerate(b) if bj)
+            else:
+                total += c * (packs[id(a)] * packs[id(b)])
+        yield total
+
+
+def two_step_numerator(p: IntPoly, a: IntPoly, b: IntPoly, m: int) -> IntPoly:
+    """q (q-1)^2 p - (q+1)^m (a - 2 (q+1) b), formed on packed integers.
+
+    No coefficient exceeds 4 max|p| + 2^m (max|a| + 4 max|b|) in size, since
+    ||q (q-1)^2||_1 = 4, ||2 (q+1)||_1 = 4 and ||(q+1)^m||_1 = 2^m; that
+    bound sizes one slot, and p, a and b are packed once at it.  The product
+    by q (q-1)^2 = q^3 - 2 q^2 + q is three shifts, and each of the m + 1
+    factors q + 1 a shift and an add.  The m shift-adds for (q+1)^m are m
+    linear passes over the packed integer; they measured faster than one
+    product by the packed Pascal row of (q+1)^m at every m up to 255.
+    """
+    tops = [max(map(abs, x.coeffs), default=0) for x in (p, a, b)]
+    size = _slot_size(4 * tops[0] + ((tops[1] + 4 * tops[2]) << m))
+    bits = 8 * size
+    packed_p, packed_b = _pack(p.coeffs, size), _pack(b.coeffs, size)
+    lifted = _pack(a.coeffs, size) - 2 * (packed_b + (packed_b << bits))
+    for _ in range(m):
+        lifted += lifted << bits
+    total = (packed_p << 3 * bits) - (packed_p << 2 * bits + 1) + (packed_p << bits) - lifted
+    length = max(len(p.coeffs) + 3, m + max(len(a.coeffs), len(b.coeffs) + 1))
+    return _unpack(total, size, length)
 
 
 def binomial_transform(polys: Sequence[IntPoly]) -> list[IntPoly]:

@@ -26,7 +26,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .exact import IntPoly
+from .exact import IntPoly, first_nonzero_sum
 from .special_values import _ONE, _QM1_SQ, _poly_ring, _quadratic_recurrence, value_polynomials
 from .validate import (
     EPS_CUT,
@@ -223,7 +223,9 @@ def quadratic_residual_series(
     both.  So if the first entry at which the linear residual is nonzero is m,
     T_0..T_{m-1} are the true entries and T_m is not: R_k = 0 for k < m and
     R_m != 0.  Only R_m onwards runs the quadratic recurrence, and a correct
-    table runs no pair sum at all.
+    table runs no pair sum at all.  The linear pass runs on
+    ``exact.first_nonzero_sum``: one slot size for every k, each entry packed
+    once, and each linear residual tested against zero without unpacking it.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
@@ -234,7 +236,6 @@ def quadratic_residual_series(
     for p in table:
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
-    q, qm1_sq, one, sum_of_products = _poly_ring()
-    m = next((k for k in range(n_max) if sum_of_products(_linear_terms(table, k))), n_max)
-    rhs = _quadratic_recurrence(table, m, q, qm1_sq, one, sum_of_products)
+    m = first_nonzero_sum(_linear_terms(table, k) for k in range(n_max))
+    rhs = _quadratic_recurrence(table, m, *_poly_ring())
     return (IntPoly(),) * m + tuple(r - t for t, r in zip(table[m:], rhs))

@@ -20,20 +20,27 @@ Both radicals are D-finite, so their coefficients follow a three-term
 recurrence, and the divisions by the denominators are two-term recurrences.
 
 The value polynomials come by two routes.  ``value_polynomials`` rearranges
-the two-step functional relation between the values at n and at -n into
+the two-step functional relation between the values at n and at -n, divided
+through by q+1, into
 
-    2q(q+1) P_n = q(q-1)^2(q+1) P_{n-1} - (q+1)^n (N_n - 2(q+1) N_{n-1}),
+    2q P_n = q(q-1)^2 P_{n-1} - (q+1)^(n-1) (N_n - 2(q+1) N_{n-1}),
 
-one exact division per polynomial, fed by the closed-form N_m.  The quadratic
-functional equation of their generating series gives a second recurrence,
-``_quadratic_recurrence``, with three users: ``positive_value_sequence`` and
-``two_step_defect`` run it in integers at their q, O(n^2) products per call
-and nothing cached, and ``genfun.quadratic_residual_series`` runs it over
-Z[q] only from the first entry its table breaks the series' linear
-recurrence at, so not at all on a correct table.  Over Z[q] the residual's
-sums of products run on ``exact.sum_of_products``, and the ``moments``
-route's transform on ``exact.binomial_transform``.  The two-step and
-closed-form tables only ever grow.
+fed by the closed-form N_m.  The right side is formed on packed integers at
+one slot size (``exact.two_step_numerator``), and it must have no constant
+term and only even coefficients, or ``ConsistencyError`` is raised; P_n is
+then a shift and a halving.  No division by q+1 is checked: in the undivided
+form, 2q(q+1) on the left, every term on the right carries the factor q+1,
+so its division could only fail if the code's own products did.  The
+quadratic functional equation of their generating series
+gives a second recurrence, ``_quadratic_recurrence``, with three users:
+``positive_value_sequence`` and ``two_step_defect`` run it in integers at
+their q, O(n^2) products per call and nothing cached, and
+``genfun.quadratic_residual_series`` runs it over Z[q] only from the first
+entry its table breaks the series' linear recurrence at, so not at all on a
+correct table.  Over Z[q] the quadratic recurrence's sums of products run on
+``exact.sum_of_products``, the linear pass on ``exact.first_nonzero_sum``,
+and the ``moments`` route's transform on ``exact.binomial_transform``.  The
+two-step and closed-form tables only ever grow.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
-from .exact import IntPoly, binomial_transform, poly_eval, sum_of_products
+from .errors import ConsistencyError, DomainError
+from .exact import IntPoly, binomial_transform, poly_eval, sum_of_products, two_step_numerator
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -236,22 +243,19 @@ def _values_at(q: int, n_max: int) -> list[int]:
 # P_1, P_2, ... as far as the two-step route has been asked for; only ever grown
 _value_polys: list[IntPoly] = [_ONE]
 
-_TWO_STEP_CARRY = (_QM1_SQ * _QP1).shifted(1)  # q (q-1)^2 (q+1)
-_TWO_STEP_DIVISOR = IntPoly((0, 2, 2))  # 2 q (q+1)
-
 
 def _two_step_table(n_max: int) -> list[IntPoly]:
     """The live two-step table, grown first to hold at least n_max polynomials."""
     polys = _value_polys
-    n = len(polys)
-    if n < n_max:
+    if len(polys) < n_max:
         neg = _closed_form_table(n_max)
-        lift = _QP1**n
-        while n < n_max:
-            n += 1
-            lift = lift * _QP1
-            rhs = _TWO_STEP_CARRY * polys[-1] - lift * (neg[n] - _QP1 * neg[n - 1] * 2)
-            polys.append(rhs.divexact(_TWO_STEP_DIVISOR))
+        for n in range(len(polys) + 1, n_max + 1):
+            rhs = two_step_numerator(polys[-1], neg[n], neg[n - 1], n - 1).coeffs  # 2q P_n
+            if any(rhs[:1]):
+                raise ConsistencyError(f"the two-step relation leaves 2q P_{n} a constant term")
+            if any(c & 1 for c in rhs):
+                raise ConsistencyError(f"the two-step relation leaves 2q P_{n} an odd coefficient")
+            polys.append(IntPoly(c >> 1 for c in rhs[1:]))
     return polys
 
 
@@ -260,9 +264,9 @@ def value_polynomials(n_max: int) -> tuple[IntPoly, ...]:
 
     Index k of the returned tuple holds the polynomial for the value at k+1.
     Each polynomial is built from the one before and two closed-form negative
-    values by the two-step relation.  The table only grows, exactly as deep as
-    the deepest call so far; a call returns a prefix of it, each polynomial
-    built and wrapped once.
+    values by the two-step relation, on packed integers.  The table only
+    grows, exactly as deep as the deepest call so far; a call returns a
+    prefix of it, each polynomial built and wrapped once.
     """
     n_max = integer_at_least(n_max, 1, "n_max")
     return tuple(_two_step_table(n_max)[:n_max])

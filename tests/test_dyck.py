@@ -308,6 +308,16 @@ class TestCarryGuard:
             weight_polynomial(n, "dp")
 
 
+@pytest.mark.parametrize("width", [1, 7, 64, 439])
+@pytest.mark.parametrize("count", [0, 1, 16, 17, 33, 401])
+def test_slots_read_each_slot_once_shifted(width, count):
+    # every slot holds a different pattern, and bits past the last slot are dropped
+    packed = sum(((k * 0x9E3779B97F4A7C15) % (1 << width)) << (k * width) for k in range(count + 3))
+    mask = (1 << width) - 1
+    want = [(packed >> (k * width)) & mask for k in range(count)]
+    assert dyck._slots(packed, width, count) == want
+
+
 class TestIdentity:
     def test_holds_through_twelve(self):
         report = verify_weight_value_identity(12, brute_max=5)

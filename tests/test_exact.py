@@ -16,9 +16,11 @@ from treezeta.exact import (
     _pack,
     _unpack,
     binomial_transform,
+    first_nonzero_sum,
     poly_eval,
     poly_is_palindromic,
     sum_of_products,
+    two_step_numerator,
 )
 
 
@@ -163,6 +165,148 @@ class TestSumOfProducts:
         monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
         try:
             got = sum_of_products(terms)
+        except ConsistencyError:
+            return
+        assert got != want
+
+
+def first_nonzero_convolution_sum(sums):
+    """The index of the first sum whose schoolbook convolution sum is nonzero, else the count."""
+    nonzero = (
+        any(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms])) for terms in sums
+    )
+    return next((k for k, hit in enumerate(nonzero) if hit), len(sums))
+
+
+# runs of sums over one pool of operands; a sum drawn with ``cancel`` also
+# holds each of its terms negated with the operands swapped, so it is zero
+# whatever its operands, and a run may hold several zero sums before the first
+# nonzero one
+sum_runs = st.lists(product_operand, min_size=1, max_size=4).flatmap(
+    lambda pool: st.tuples(
+        st.just(pool),
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+                        st.integers(0, len(pool) - 1),
+                        st.integers(0, len(pool) - 1),
+                    ),
+                    max_size=4,
+                ),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+    )
+)
+
+
+@given(sum_runs)
+@settings(max_examples=200)
+def test_first_nonzero_sum_equals_the_first_nonzero_convolution_sum(drawn):
+    pool, runs = drawn
+    polys = [IntPoly(p) for p in pool]
+    sums = []
+    for picks, cancel in runs:
+        terms = [(c, polys[i], polys[j]) for c, i, j in picks]
+        if cancel:
+            terms += [(-c, b, a) for c, a, b in terms]
+        sums.append(terms)
+    assert first_nonzero_sum(iter(sums)) == first_nonzero_convolution_sum(sums)
+
+
+class TestFirstNonzeroSum:
+    def test_empty_and_zero_runs(self):
+        one = IntPoly([1, 2])
+        assert first_nonzero_sum([]) == 0
+        assert first_nonzero_sum([[], [(3, IntPoly(), one)], [(0, one, one)]]) == 3
+        assert first_nonzero_sum([[(2, one, one), (-1, one, one * 2)], [(1, one, one)]]) == 1
+
+    # 2**(8t) - q with every operand inside a t-byte slot: the bound 2**(8t) + 1
+    # asks t + 1 bytes, and at t bytes the sum packs to 2**(8t) - 2**(8t) = 0;
+    # each run opens with a zero sum of a smaller bound, and one ends with a
+    # nonzero sum of a smaller bound, which a slot one byte short reports instead
+    EDGE_RUNS = [
+        [
+            [(1, IntPoly([1, 1]), IntPoly([1, 1])), (-1, IntPoly([1, 2, 1]), flat(1, 1))],
+            [(1, flat(2**4, 1), flat(2**4, 1)), (-1, IntPoly([0, 1]), flat(1, 1))],
+        ],
+        [
+            [],
+            [(1, flat(2**32, 1), flat(2**32, 1)), (-1, IntPoly([0, 1]), flat(1, 1))],
+            [(1, flat(3, 2), flat(1, 1))],
+        ],
+        [
+            [(1, flat(3, 17), flat(5, 17)), (-1, flat(5, 17), flat(3, 17))],
+            [(1, flat(2**64, 1), flat(2**64, 1)), (-1, IntPoly([0, 1]), flat(1, 1))],
+        ],
+    ]
+
+    @pytest.mark.parametrize("sums", EDGE_RUNS)
+    def test_pass_at_the_slot_bound(self, sums):
+        assert first_nonzero_sum(sums) == first_nonzero_convolution_sum(sums) == 1
+
+    @pytest.mark.parametrize("sums", EDGE_RUNS)
+    def test_a_slot_one_byte_short_does_not_pass_silently(self, sums, monkeypatch):
+        slot_size = exact._slot_size
+        monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
+        try:
+            got = first_nonzero_sum(sums)
+        except ConsistencyError:
+            return
+        assert got != first_nonzero_convolution_sum(sums)
+
+
+def plain_two_step_numerator(p, a, b, m):
+    """q (q-1)^2 p - (q+1)^m (a - 2 (q+1) b) in IntPoly arithmetic."""
+    q = IntPoly.variable()
+    return q * (q - 1) ** 2 * p - (q + 1) ** m * (a - 2 * (q + 1) * b)
+
+
+@given(product_operand, product_operand, product_operand, st.integers(0, 40))
+@settings(max_examples=200)
+def test_two_step_numerator_equals_the_plain_form(p, a, b, m):
+    p, a, b = IntPoly(p), IntPoly(a), IntPoly(b)
+    assert two_step_numerator(p, a, b, m) == plain_two_step_numerator(p, a, b, m)
+
+
+def alternating(c, n):
+    # c (-1)^(n-1-i) for i < n, so the top three read c, -c, c downwards
+    return IntPoly([c * (-1) ** (n - 1 - i) for i in range(n)])
+
+
+class TestTwoStepNumerator:
+    # each reaches the slot bound 4 max|p| + 2^m (max|a| + 4 max|b|) at one
+    # positive coefficient: q (q-1)^2 p gives 4c where p reads c, -c, c below it,
+    # and (q+1)^m (a - 2 (q+1) b) gives -2^m (d + 4e) where its m + 1 window
+    # reads a = -d and b = e at two neighbouring places.  In the first four the
+    # bound is 2**127 exactly, so each of its parts is needed for the 17th byte
+    EDGE_INPUTS = [
+        (alternating(2**124, 3), IntPoly([0, 0, 0, -(2**125)]), IntPoly([0, 0, 2**123, 2**123]), 0),
+        (alternating(2**124, 6), flat(-(2**120), 7), flat(2**118, 7), 5),
+        (IntPoly(), flat(-(2**87), 41), IntPoly(), 40),
+        (alternating(2**125, 3), IntPoly(), IntPoly(), 0),
+        (alternating(1, 18), flat(-1, 19), flat(1, 19), 17),
+    ]
+
+    @pytest.mark.parametrize("p, a, b, m", EDGE_INPUTS)
+    def test_numerator_at_the_slot_bound(self, p, a, b, m):
+        got = two_step_numerator(p, a, b, m)
+        bound = 4 * max(map(abs, p.coeffs), default=0) + 2**m * (
+            max(map(abs, a.coeffs), default=0) + 4 * max(map(abs, b.coeffs), default=0)
+        )
+        assert got == plain_two_step_numerator(p, a, b, m)
+        assert max(got.coeffs) == bound
+
+    @pytest.mark.parametrize("p, a, b, m", EDGE_INPUTS)
+    def test_a_slot_one_byte_short_does_not_pass_silently(self, p, a, b, m, monkeypatch):
+        want = plain_two_step_numerator(p, a, b, m)
+        slot_size = exact._slot_size
+        monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
+        try:
+            got = two_step_numerator(p, a, b, m)
         except ConsistencyError:
             return
         assert got != want

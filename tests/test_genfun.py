@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treezeta import genfun
 from treezeta.errors import CutViolationError, DomainError, OutOfRangeError
 from treezeta.exact import IntPoly, poly_eval, sum_of_products
 from treezeta.genfun import (
@@ -468,6 +469,53 @@ class TestLinearRecurrence:
             want["constant"] = over_4q(constant[0]) if k == 0 else IntPoly()
             got.setdefault("constant", IntPoly())
             assert got == want
+
+
+class TestLinearPass:
+    """The residual's packed linear pass breaks where the linear residuals first do."""
+
+    @staticmethod
+    def first_break(monkeypatch, n_max, table):
+        """The entry the residual starts its quadratic recurrence at, and the residual."""
+        starts = []
+        recurrence = genfun._quadratic_recurrence
+
+        def spy(table, start, *ring):
+            starts.append(start)
+            return recurrence(table, start, *ring)
+
+        monkeypatch.setattr(genfun, "_quadratic_recurrence", spy)
+        residual = quadratic_residual_series(n_max, table)
+        return starts.pop(), residual
+
+    @pytest.mark.parametrize("entry", [0, 1, 2, 3, 40, 79])
+    def test_breaks_at_the_first_nonzero_linear_residual(self, monkeypatch, entry):
+        bad = corrupted(value_polynomials(80), entry)
+        linear = TestLinearRecurrence.linear_residuals(bad)
+        start, residual = self.first_break(monkeypatch, 80, bad)
+        assert start == first_nonzero(linear) == first_nonzero(residual) == entry
+
+    def test_runs_no_quadratic_step_on_a_correct_table(self, monkeypatch):
+        start, residual = self.first_break(monkeypatch, 80, value_polynomials(80))
+        assert start == 80 and residual == (IntPoly(),) * 80
+
+    @pytest.mark.parametrize("slipped", [1, 2, 3])
+    def test_reads_the_linear_terms(self, monkeypatch, slipped):
+        # the term on T_{k - slipped} is off by one from k = slipped on, so the
+        # pass breaks there on a correct table, and the quadratic recurrence
+        # still finds every residual zero
+        terms = genfun._linear_terms
+
+        def slipped_terms(table, k):
+            out = terms(table, k)
+            if k >= slipped:
+                c, a, b = out[slipped]
+                out[slipped] = (c + 1, a, b)
+            return out
+
+        monkeypatch.setattr(genfun, "_linear_terms", slipped_terms)
+        start, residual = self.first_break(monkeypatch, 40, value_polynomials(40))
+        assert start == slipped and residual == (IntPoly(),) * 40
 
 
 class TestArgumentValidation:

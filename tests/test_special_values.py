@@ -246,19 +246,36 @@ class TestTwoStepRoute:
         zeta_pos(3, 41)
         assert len(sv._value_polys) == 41
 
-    def test_remainder_raises_consistency_error(self, monkeypatch):
-        honest = sv._neg_value_closed_form
+    # the closed form as imported, before any test patches it
+    HONEST_CLOSED_FORM = staticmethod(sv._neg_value_closed_form)
 
-        def corrupted(m):
-            return honest(m) + (1 if m == 5 else 0)
+    def build_with_corrupted_closed_form(self, monkeypatch, m, delta, n_max):
+        """value_polynomials(n_max) from a fresh table, with N_m off by ``delta``."""
+        honest = self.HONEST_CLOSED_FORM
+
+        def corrupted(k):
+            return honest(k) + (delta if k == m else IntPoly())
 
         monkeypatch.setattr(sv, "_value_polys", [IntPoly([1])])
         monkeypatch.setattr(sv, "_closed_forms", [])
         monkeypatch.setattr(sv, "_neg_value_closed_form", corrupted)
-        with pytest.raises(ConsistencyError):
-            value_polynomials(6)
-        # the polynomials built before the failure stay as they were
-        assert sv._value_polys == quadratic_polys(4)
+        return value_polynomials(n_max)
+
+    def test_remainder_raises_consistency_error(self, monkeypatch):
+        # N_m + 1 first enters P_m as -(q+1)^(m-1), a constant term -1 in 2q P_m;
+        # N_1 enters only P_2, through 2(q+1) N_1, as a constant term +2
+        for m in (1, 2, 5, 40):
+            with pytest.raises(ConsistencyError, match="constant term"):
+                self.build_with_corrupted_closed_form(monkeypatch, m, IntPoly([1]), m + 1)
+            # the polynomials built before the failure stay as they were
+            assert sv._value_polys == quadratic_polys(max(m, 2) - 1)
+
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_odd_coefficient_raises_consistency_error(self, monkeypatch, m):
+        # N_m + q enters 2q P_m as -q (q+1)^(m-1): no constant term, and -1 at q
+        with pytest.raises(ConsistencyError, match="odd coefficient"):
+            self.build_with_corrupted_closed_form(monkeypatch, m, IntPoly([0, 1]), m + 1)
+        assert sv._value_polys == quadratic_polys(m - 1)
 
     def test_reads_the_closed_form_memo(self, monkeypatch):
         def refuse(m):
@@ -313,7 +330,7 @@ class TestTwoStepRoute:
         start = time.perf_counter()
         polys = value_polynomials(129)
         assert len(polys) == 129
-        assert time.perf_counter() - start < 5.0  # ~0.6 s on a 2-core machine
+        assert time.perf_counter() - start < 5.0  # ~0.1 s on a 2-core machine
 
 
 class TestRadicalRecurrence:
