@@ -25,6 +25,7 @@ from .spectral import (
     QuadratureSpec,
     ZetaEval,
     complex_gamma,
+    heat_eval,
     heat_trace,
     resolvent_transform,
     xi_sato_tate,
@@ -88,6 +89,7 @@ __all__ = [
     "cut_sqrt",
     "entire_combination",
     "enumerate_dyck",
+    "heat_eval",
     "heat_trace",
     "moment_genfun",
     "moment_polynomials",

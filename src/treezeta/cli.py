@@ -33,7 +33,7 @@ from .spectral import (
     DEFAULT_MAX_NODES,
     DEFAULT_REL_TOL,
     QuadratureSpec,
-    heat_trace,
+    heat_eval,
     xi_sato_tate,
     xi_value,
     zeta_line,
@@ -400,11 +400,12 @@ def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
     if math.isinf(args.t):  # JSON has no infinity; the library's heat_trace(q, inf) is 0
         raise DomainError(f"--t must be finite, got {args.t}")
     spec = _quad_spec(args, config)
-    value = heat_trace(args.q, args.t, spec)
+    ev = heat_eval(args.q, args.t, spec)
+    value = ev.require("heat trace at t={}", args.t)
     return Report(
         command="heat",
         inputs={"q": args.q, "t": args.t},
-        results={"value": value},
+        results={"value": value, "nodes": ev.nodes, "levels": ev.levels, "est_error": ev.est_error},
         tolerances=_quad_tolerances(spec),
         rows=[(0, value)],
         latex=_fmt_value(value),

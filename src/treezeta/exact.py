@@ -41,6 +41,13 @@ def _trimmed(coeffs: list) -> list:
     return coeffs[:n]
 
 
+def _trusted(coeffs: list) -> "IntPoly":
+    """An IntPoly of a list of ints this package made: trimmed, but not checked again."""
+    p = object.__new__(IntPoly)
+    object.__setattr__(p, "coeffs", tuple(_trimmed(coeffs)))
+    return p
+
+
 class IntPoly:
     """Dense polynomial with integer coefficients."""
 
@@ -92,7 +99,7 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
+        return _trusted([-c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -105,7 +112,7 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _trusted(out)
 
     __radd__ = __add__
 
@@ -123,7 +130,7 @@ class IntPoly:
         if isinstance(other, int):
             if other == 0:
                 return IntPoly()
-            return IntPoly(c * other for c in self.coeffs)
+            return _trusted([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -141,7 +148,7 @@ class IntPoly:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPoly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -182,7 +189,7 @@ class IntPoly:
                     rem[i + j] -= quo * dj
         if any(rem[:k]):
             raise ConsistencyError(f"nonzero remainder on division by {d!r}")
-        return IntPoly(out)
+        return _trusted(out)
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -355,7 +362,7 @@ def _unpack(packed: int, size: int, length: int) -> IntPoly:
     if biased < 0 or biased.bit_length() > 8 * size * length:
         raise ConsistencyError(f"packed value does not fit {length} slots of {size} bytes")
     raw = biased.to_bytes(size * length, "little")
-    return IntPoly(
+    return _trusted(
         [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * length, size)]
     )
 

@@ -51,7 +51,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .exact import IntPoly, binomial_transform, poly_eval, sum_of_products, two_step_numerator
+from .exact import (
+    IntPoly,
+    _trusted,
+    binomial_transform,
+    poly_eval,
+    sum_of_products,
+    two_step_numerator,
+)
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -255,7 +262,7 @@ def _two_step_table(n_max: int) -> list[IntPoly]:
                 raise ConsistencyError(f"the two-step relation leaves 2q P_{n} a constant term")
             if any(c & 1 for c in rhs):
                 raise ConsistencyError(f"the two-step relation leaves 2q P_{n} an odd coefficient")
-            polys.append(IntPoly(c >> 1 for c in rhs[1:]))
+            polys.append(_trusted([c >> 1 for c in rhs[1:]]))
     return polys
 
 

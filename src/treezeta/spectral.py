@@ -16,17 +16,22 @@ h-scaled weights are built once per level and cached: levels up to
 CACHED_MAX_INTERVALS intervals, for the GRID_CACHE_QS most recently used
 branching numbers.  A call then takes no sin, cos or log: zeta is
 exp(log W - s log base) summed per level, the completed combination reads a
-second log weight, the heat trace is exp(log W - t base) and the resolvent
-W / (base - z).  Working in log space keeps each h-scaled term finite
-whenever the value is, so real s up to about 409 evaluates at q = 2.
+second log weight, the heat trace is exp(log W - t (base - lo)) times
+e^(-t lo), lo the bottom of the spectrum, and the resolvent W / (base - z).
+Working in log space keeps each h-scaled term finite whenever the value is,
+so real s up to about 409 evaluates at q = 2.  Each level also keeps
+complex128 copies of the arrays a complex integrand reads, so that such a
+call does not cast them again.
 
 The three levels every call runs sit in one head array, so a call evaluates
 its integrand there once and takes the three level sums from one reduceat as
-plain Python numbers; the level loop runs on floats for a real integrand, and
-each finer level is one np.add.reduce.  The cached grid also holds the
-tree's spectral cut, which the resolvent keeps its distance from, and bounds
-on log W and |log base|.  A call whose bound keeps every term and sum finite
-runs in numpy's default error state; only one whose bound allows an overflow
+plain Python numbers.  The level loop starts at level 2: a call whose head
+settles returns from its first pass, and each finer level is one
+np.add.reduce.  The rule returns a plain tuple (value, est_error, nodes,
+converged), which only zeta_numeric wraps in a ZetaEval.  The cached grid
+also holds the tree's spectral cut, which the resolvent keeps its distance
+from, and bounds on log W and |log base|.  A call whose bound keeps every
+term and sum finite runs in numpy's default error state; only one whose bound allows an overflow
 silences numpy's overflow warnings, so that under any warnings filter the
 overflow reaches the caller as OutOfRangeError naming the function called.
 
@@ -108,68 +113,18 @@ class ZetaEval:
         nothing; without args it is taken as it stands.
         """
         if not self.converged:
-            what = context.format(*args) if args else context
-            raise NonConvergedError(
-                f"{what} did not converge within the node budget "
-                f"(estimated error {self.est_error:.3g})",
-                best=self.value,
-                est_error=self.est_error,
-            )
+            raise _not_converged(self.value, self.est_error, context, args)
         return self.value
 
 
-def _nested_trapezoid(
-    sums: list,
-    spec: QuadratureSpec,
-    integrand: Optional[Callable[[_Nodes], np.ndarray]] = None,
-    grid: Optional[_Grid] = None,
-) -> ZetaEval:
-    """The level loop of the nested trapezoid rule on [0, pi].
-
-    Level k has N = 16 * 2^k <= spec.max_nodes intervals of width h, and its
-    level sum is h times the integrand summed over the nodes level k adds:
-    the interior nodes at level 0, the N / 2 new midpoints after it.  sums
-    holds the first levels' sums as plain Python numbers (the grid's head,
-    taken in one pass); a level past them sums integrand(grid.level(k)).
-    The loop runs on floats for a real integrand and on complex numbers
-    otherwise, and converts the value to complex once, on return.
-
-    The integrand vanishes at both ends, so level k's integral is half of
-    level k - 1's plus its level sum, and the N + 1 nodes of the last level
-    are every sample taken.  Convergence means two doublings have happened
-    and the last one moved the value by no more than the tolerance; the last
-    move is the error estimate either way.  A level that overflows double
-    precision raises OverflowError at once, before the next is asked for;
-    the entry points' finite_result reports it as OutOfRangeError naming
-    the function called.
-    """
-    k = 0
-    integral = sums[0]
-    prev = None
-    est = math.inf
-    while True:
-        n = FIRST_LEVEL_INTERVALS << k
-        try:
-            size = abs(integral)
-        except OverflowError:
-            size = math.inf
-        if not size < math.inf:  # also refuses NaN
-            raise OverflowError(f"integral out of floating-point range (|value| = {size})")
-        if prev is not None:
-            try:
-                est = abs(integral - prev)
-            except OverflowError:  # two representable levels too far apart to subtract
-                est = math.inf
-            if k >= MIN_CONVERGED_LEVEL and est <= max(spec.abs_tol, spec.rel_tol * size):
-                return ZetaEval(complex(integral), est, n + 1, True)
-        if 2 * n > spec.max_nodes:
-            return ZetaEval(complex(integral), est, n + 1, False)
-        prev = integral
-        k += 1
-        if k < len(sums):
-            integral = 0.5 * integral + sums[k]
-        else:  # np.add.reduce is np.sum's pairwise sum without its Python wrapper
-            integral = 0.5 * integral + np.add.reduce(integrand(grid.level(k))).item()
+def _not_converged(best, est_error: float, context: str, args: tuple) -> NonConvergedError:
+    """The error of a rule that ran out of nodes, naming context.format(*args)."""
+    what = context.format(*args) if args else context
+    return NonConvergedError(
+        f"{what} did not converge within the node budget (estimated error {est_error:.3g})",
+        best=best,
+        est_error=est_error,
+    )
 
 
 def _level_angles(k: int) -> tuple[np.ndarray, float]:
@@ -184,11 +139,18 @@ class _Nodes:
 
     base = q + 1 - 2 sqrt(q) cos(theta) is the spectral variable, weight is
     the spectral weight times the interval width h of the node's level, and
-    log_xi_weight is the log of weight * (2(q+1) - base).  Every angle lies
-    strictly inside (0, pi), so every log is finite.
+    log_xi_weight is the log of weight * (2(q+1) - base).  gap is base less
+    the bottom of the spectrum, 4 sqrt(q) sin^2(theta / 2), formed without
+    that subtraction.  Every angle lies strictly inside (0, pi), so every log
+    is finite and every gap positive.  The c_ arrays are complex128 copies
+    of the ones complex integrands read: numpy would cast the real array to
+    complex inside every such call, so the copies change no bit of a result.
     """
 
-    __slots__ = ("base", "log_base", "weight", "log_weight", "log_xi_weight")
+    __slots__ = (
+        "base", "log_base", "weight", "log_weight", "log_xi_weight", "gap",
+        "c_base", "c_log_base", "c_weight", "c_log_weight", "c_log_xi_weight",
+    )
 
     def __init__(self, q: int, theta: np.ndarray, h):
         c = np.cos(theta)
@@ -198,6 +160,11 @@ class _Nodes:
         self.weight = h * (2.0 / math.pi) * q * (q + 1) * sn * sn / ((q + 1) ** 2 - 4.0 * q * c * c)
         self.log_weight = np.log(self.weight)
         self.log_xi_weight = self.log_weight + np.log(2 * (q + 1) - self.base)
+        self.gap = 4.0 * math.sqrt(q) * np.sin(0.5 * theta) ** 2
+        self.c_base, self.c_log_base, self.c_weight, self.c_log_weight, self.c_log_xi_weight = (
+            a.astype(complex)
+            for a in (self.base, self.log_base, self.weight, self.log_weight, self.log_xi_weight)
+        )
 
 
 # exp of less than this, summed over fewer than 2**80 nodes, stays below the largest double
@@ -266,24 +233,64 @@ def _quadrature(
     integrand: Callable[[_Nodes], np.ndarray],
     spec: Optional[QuadratureSpec],
     in_range: bool,
-) -> ZetaEval:
+) -> tuple[complex, float, int, bool]:
     """Integrate over [0, pi] an integrand given as h-scaled values at a set of nodes.
 
-    The head's three level sums come from one reduceat.  in_range is the
-    caller's word that its integrand, and every sum of it, stays finite;
-    otherwise numpy's overflow and invalid-value warnings are silenced around
-    the rule, and the loop's own finiteness test reports what overflowed.
+    Returns (value, est_error, nodes, converged).  Level k has
+    N = 16 * 2^k <= spec.max_nodes intervals of width h, and its level sum
+    is h times the integrand summed over the nodes level k adds: the
+    interior nodes at level 0, the N / 2 new midpoints after it.  The
+    integrand vanishes at both ends, so level k's integral is half of level
+    k - 1's plus its level sum, and the N + 1 nodes of the last level are
+    every sample taken.  Convergence means two doublings have happened and
+    the last one moved the value by no more than the tolerance; the last
+    move is the error estimate either way.
+
+    The head's three level sums come from one reduceat, and the loop starts
+    at level 2 on them (at level 0 or 1 on a budget of 16 or 32 intervals).
+    It runs on floats for a real integrand, and converts the value to
+    complex once, on return.  A level that overflows double precision raises
+    OverflowError at once, before the next is asked for; the entry points'
+    finite_result reports it as OutOfRangeError naming the function called.
+
+    in_range is the caller's word that its integrand, and every sum of it,
+    stays finite; otherwise numpy's overflow and invalid-value warnings are
+    silenced around the rule, and the loop's own finiteness test reports
+    what overflowed.
     """
     if not in_range:
         with np.errstate(over="ignore", invalid="ignore"):
             return _quadrature(grid, integrand, spec, True)
-    sums = np.add.reduceat(integrand(grid.head), grid.head_starts).tolist()
-    return _nested_trapezoid(sums, spec or _DEFAULT_SPEC, integrand, grid)
-
-
-def _real_if_real(s: complex):
-    """s as a float when it is real, so that its integrands take the real exp."""
-    return s.real if not s.imag else s
+    spec = spec or _DEFAULT_SPEC
+    s0, s1, s2 = np.add.reduceat(integrand(grid.head), grid.head_starts).tolist()
+    prev = 0.5 * s0 + s1
+    integral = 0.5 * prev + s2
+    k = MIN_CONVERGED_LEVEL
+    if spec.max_nodes < FIRST_LEVEL_INTERVALS << k:  # the budget stops the rule at level 0 or 1
+        first = spec.max_nodes == FIRST_LEVEL_INTERVALS
+        integral, prev, k = (s0, None, 0) if first else (prev, s0, 1)
+    est = math.inf
+    while True:
+        n = FIRST_LEVEL_INTERVALS << k
+        try:
+            size = abs(integral)
+        except OverflowError:
+            size = math.inf
+        if not size < math.inf:  # also refuses NaN
+            raise OverflowError(f"integral out of floating-point range (|value| = {size})")
+        if prev is not None:
+            try:
+                est = abs(integral - prev)
+            except OverflowError:  # two representable levels too far apart to subtract
+                est = math.inf
+            if k >= MIN_CONVERGED_LEVEL and est <= max(spec.abs_tol, spec.rel_tol * size):
+                return complex(integral), est, n + 1, True
+        if 2 * n > spec.max_nodes:
+            return complex(integral), est, n + 1, False
+        prev = integral
+        k += 1
+        # np.add.reduce is np.sum's pairwise sum without its Python wrapper
+        integral = 0.5 * integral + np.add.reduce(integrand(grid.level(k))).item()
 
 
 @finite_result
@@ -298,10 +305,13 @@ def zeta_numeric(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> Z
     """
     q = branching_number(q)
     s = finite_point(s)
-    e = _real_if_real(s)
     grid = _grid(q)
-    in_range = grid.power_in_range(s)
-    return _quadrature(grid, lambda g: np.exp(g.log_weight - e * g.log_base), spec, in_range)
+    integrand = (
+        (lambda g: np.exp(g.c_log_weight - s * g.c_log_base))
+        if s.imag
+        else (lambda g, e=s.real: np.exp(g.log_weight - e * g.log_base))
+    )
+    return ZetaEval(*_quadrature(grid, integrand, spec, grid.power_in_range(s)))
 
 
 @finite_result
@@ -313,23 +323,56 @@ def xi_value(q: int, s: complex, spec: Optional[QuadratureSpec] = None) -> compl
     """
     q = branching_number(q)
     s = finite_point(s)
-    e = _real_if_real(s)
     grid = _grid(q)
-    in_range = grid.power_in_range(s)
-    ev = _quadrature(grid, lambda g: np.exp(g.log_xi_weight - e * g.log_base), spec, in_range)
-    return cmath.exp(s * math.log(q - 1)) * ev.require("xi at {}", s)
+    integrand = (
+        (lambda g: np.exp(g.c_log_xi_weight - s * g.c_log_base))
+        if s.imag
+        else (lambda g, e=s.real: np.exp(g.log_xi_weight - e * g.log_base))
+    )
+    value, est_error, _, converged = _quadrature(grid, integrand, spec, grid.power_in_range(s))
+    if not converged:
+        raise _not_converged(value, est_error, "xi at {}", (s,))
+    return cmath.exp(s * math.log(q - 1)) * value
+
+
+def _heat(q, t, spec: Optional[QuadratureSpec]) -> tuple[float, float, int, bool]:
+    """heat_trace's rule result (value, est_error, nodes, converged), times e^(-t lo)."""
+    q = branching_number(q)
+    t = nonnegative_real(t, "heat time")
+    grid = _grid(q)
+    # exp(log W - t gap) is at most W, so only the product t gap < t hi can overflow
+    in_range = t * grid.cut.hi < _MAGNITUDE_IN_RANGE
+    value, est_error, nodes, converged = _quadrature(
+        grid, lambda g: np.exp(g.log_weight - t * g.gap), spec, in_range
+    )
+    scale = math.exp(-t * grid.cut.lo)
+    if est_error < math.inf:  # an unconverged first level has no estimate to scale
+        est_error *= scale
+    return value.real * scale, est_error, nodes, converged
 
 
 @finite_result
 def heat_trace(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Return-probability-weighted heat kernel trace per vertex at time t, a real number >= 0."""
-    q = branching_number(q)
-    t = nonnegative_real(t, "heat time")
-    grid = _grid(q)
-    # exp(log W - t base) is at most W, so only the product t base can overflow
-    in_range = t * grid.cut.hi < _MAGNITUDE_IN_RANGE
-    ev = _quadrature(grid, lambda g: np.exp(g.log_weight - t * g.base), spec, in_range)
-    return ev.require("heat trace at t={}", t).real
+    """Return-probability-weighted heat kernel trace per vertex at time t, a real number >= 0.
+
+    The rule integrates exp(log W - t (base - lo)), lo the bottom of the
+    spectrum, and multiplies the value and its error estimate by e^(-t lo)
+    after.  Unscaled, every term at large t sits below the absolute
+    tolerance and the rule stops at 65 nodes, its peak at theta = 0
+    unresolved (4.5e-80 for 9.68e-80 at q = 2, t = 1000); scaled, it doubles
+    until the peak is resolved.
+    """
+    value, est_error, _, converged = _heat(q, t, spec)
+    if not converged:
+        t = nonnegative_real(t, "heat time")
+        raise _not_converged(value, est_error, "heat trace at t={}", (t,))
+    return value
+
+
+@finite_result
+def heat_eval(q: int, t: float, spec: Optional[QuadratureSpec] = None) -> ZetaEval:
+    """heat_trace's value with the nodes, levels and error estimate that zeta_numeric reports."""
+    return ZetaEval(*_heat(q, t, spec))
 
 
 @finite_result
@@ -340,8 +383,12 @@ def resolvent_transform(q: int, z: complex, spec: Optional[QuadratureSpec] = Non
     grid = _grid(q)
     grid.cut.refuse_near(z)
     in_range = abs(z.real) + abs(z.imag) < _MAGNITUDE_IN_RANGE
-    ev = _quadrature(grid, lambda g: g.weight / (g.base - z), spec, in_range)
-    return ev.require("resolvent at z={}", z)
+    value, est_error, _, converged = _quadrature(
+        grid, lambda g: g.c_weight / (g.c_base - z), spec, in_range
+    )
+    if not converged:
+        raise _not_converged(value, est_error, "resolvent at z={}", (z,))
+    return value
 
 
 # Lanczos approximation, g = 7, nine coefficients; accurate to roughly

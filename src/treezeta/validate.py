@@ -52,7 +52,13 @@ def integer_at_least(n, lo: int, name: str) -> int:
 
 
 def branching_number(q) -> int:
-    """Return the branching number q of a tree as an int, at least 2."""
+    """Return the branching number q of a tree as an int, at least 2.
+
+    A plain int (not a bool or a numpy integer) that passes is returned after
+    one type test; anything else takes the general validator.
+    """
+    if type(q) is int and q >= 2:
+        return q
     return integer_at_least(q, 2, "branching number")
 
 

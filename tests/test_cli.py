@@ -271,6 +271,22 @@ class TestHeat:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_json_reports_nodes_levels_and_error(self, capsys):
+        # at t = 1000 the rule doubles past the head until the peak at theta = 0 is resolved
+        code, out, _ = run_cli(capsys, "heat", "--q", "2", "--t", "1000", "--format", "json")
+        assert code == 0
+        results = strict_loads(out)["results"]
+        assert results["value"] == pytest.approx(9.68090308406204e-80, rel=1e-12)
+        assert results["nodes"] == 16 * 2 ** results["levels"] + 1 > 65
+        assert 0 <= results["est_error"] <= 1e-13 * results["value"]
+
+    def test_budget_exhaustion_is_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "heat", "--q", "2", "--t", "1000", "--max-nodes", "64",
+                                 "--format", "json")
+        assert code == 3
+        assert "heat trace at t=1000.0 did not converge" in err
+        assert strict_loads(out)["results"]["est_error"] > 0
+
     def test_infinite_time_rejected(self, capsys):
         # the library's heat_trace(q, inf) is 0, but JSON has no Infinity for the input echo
         code, out, err = run_cli(capsys, "heat", "--q", "3", "--t", "inf", "--format", "json")

@@ -1,14 +1,14 @@
 """High-precision oracle for the gamma function and the quadrature engine.
 
 mpmath shares no code with treezeta: its gamma and its tanh-sinh quadrature
-at 25 digits give references for the log-space Lanczos gamma, for the
-semicircle zeta's closed form and for the nested trapezoid.  Skipped where
-mpmath is not installed.
+at 25 digits (40 for the heat trace) give references for the log-space
+Lanczos gamma, for the semicircle zeta's closed form and for the nested
+trapezoid.  Skipped where mpmath is not installed.
 """
 
 import pytest
 
-from treezeta.spectral import complex_gamma, zeta_numeric, zeta_sato_tate
+from treezeta.spectral import complex_gamma, heat_trace, zeta_numeric, zeta_sato_tate
 from treezeta.verify import sato_quad_grid
 
 mpmath = pytest.importorskip("mpmath")
@@ -77,3 +77,42 @@ def test_zeta_sato_tate_is_its_defining_integral(s):
     want = complex(2 / mp.pi * integral)
     assert err < 1e-20 * abs(integral)
     assert abs(zeta_sato_tate(s) - want) <= 1e-13 * abs(want)
+
+
+def _heat_by_mpmath(q: int, t: float):
+    """The heat trace at 40 digits, and the relative error mpmath estimates.
+
+    mpmath's quadrature stops on an absolute error, so the integrand is taken
+    as exp(-t (lambda - lo)) W, of order one near its peak, and the value is
+    multiplied by exp(-t lo) after; lambda - lo is formed at 40 digits, not
+    from treezeta's 4 sqrt(q) sin^2(theta / 2).  The peak at theta = 0 has
+    width about (t sqrt(q))^(-1/2), so the breakpoints double from there.
+    """
+    with mp.workdps(40):
+        q, t = mp.mpf(q), mp.mpf(t)
+        lo = (mp.sqrt(q) - 1) ** 2
+
+        def f(theta):
+            c = mp.cos(theta)
+            weight = 2 / mp.pi * q * (q + 1) * mp.sin(theta) ** 2 / ((q + 1) ** 2 - 4 * q * c * c)
+            return weight * mp.exp(-t * (q + 1 - 2 * mp.sqrt(q) * c - lo))
+
+        width = 1 / mp.sqrt(t * mp.sqrt(q) + 1)
+        breaks = [width * 2**k for k in range(40) if width * 2**k < mp.pi]
+        integral, err = mp.quad(f, [0, *breaks, mp.pi], error=True)
+        return float(integral * mp.exp(-t * lo)), float(err / integral)
+
+
+@pytest.mark.parametrize("t", [0.3, 100.0, 200.0, 400.0, 1000.0])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_heat_trace_at_large_times(q, t):
+    # at q = 5, t = 1000 the value, about 1e-664, underflows to 0 in both
+    want, err = _heat_by_mpmath(q, t)
+    assert err < 1e-30
+    assert abs(heat_trace(q, t) - want) <= 1e-12 * want
+
+
+def test_heat_trace_at_q2_t4000():
+    want, err = _heat_by_mpmath(2, 4000.0)
+    assert err < 1e-30
+    assert abs(heat_trace(2, 4000.0) - want) <= 1e-12 * want

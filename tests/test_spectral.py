@@ -36,8 +36,9 @@ from treezeta.spectral import (
     MIN_CONVERGED_LEVEL,
     QuadratureSpec,
     _grid,
-    _nested_trapezoid,
+    _quadrature,
     complex_gamma,
+    heat_eval,
     heat_trace,
     resolvent_transform,
     xi_sato_tate,
@@ -79,18 +80,42 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes_per_panel=16)
 
 
-def _level_sums(f):
-    """The nested trapezoid's first level sums for f on [0, pi], endpoints included."""
+class _Samples:
+    """A stand-in grid whose nodes are already h-scaled integrand values.
 
-    def level_sum(k):
+    _quadrature(grid, _as_is, spec, True) runs the rule on them: head holds
+    levels 0..MIN_CONVERGED_LEVEL, one array each, and level(k) gives a
+    finer level's values through finer(k), recording each k asked for.
+    """
+
+    def __init__(self, head_levels, finer=None):
+        self.head = np.concatenate([np.asarray(v) for v in head_levels])
+        self.head_starts = np.cumsum([0] + [len(v) for v in head_levels[:-1]])
+        self.finer = finer
+        self.asked = []
+
+    def level(self, k):
+        self.asked.append(k)
+        return self.finer(k)
+
+
+def _as_is(values):
+    return values
+
+
+def _sampled(f):
+    """_Samples of f on [0, pi] at every level, endpoints included at half weight in level 0."""
+
+    def level(k):
         n = FIRST_LEVEL_INTERVALS << k
         h = math.pi / n
         if k == 0:
-            vals = f(h * np.arange(n + 1))
-            return complex(h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
-        return complex(h * np.sum(f(h * np.arange(1, n, 2))))
+            vals = h * f(h * np.arange(n + 1))
+            vals[[0, -1]] *= 0.5
+            return vals
+        return h * f(h * np.arange(1, n, 2))
 
-    return [level_sum(k) for k in range(MIN_CONVERGED_LEVEL + 1)]
+    return _Samples([level(k) for k in range(MIN_CONVERGED_LEVEL + 1)], level)
 
 
 def _trapezoid(f, n=512):
@@ -107,10 +132,12 @@ class TestPeriodicTrapezoid:
         def f(theta):
             return 1 + 3 * np.cos(theta) + 2 * np.cos(2 * theta) + np.cos(theta) ** 4
 
-        res = _nested_trapezoid(_level_sums(f), QuadratureSpec())
-        assert res.converged
-        assert res.nodes == 4 * FIRST_LEVEL_INTERVALS + 1
-        assert res.value.real == pytest.approx(11 * math.pi / 8, rel=1e-14)
+        grid = _sampled(f)
+        value, _, nodes, converged = _quadrature(grid, _as_is, QuadratureSpec(), True)
+        assert converged
+        assert nodes == 4 * FIRST_LEVEL_INTERVALS + 1
+        assert value.real == pytest.approx(11 * math.pi / 8, rel=1e-14)
+        assert grid.asked == []
 
     def test_budget_exhaustion_reports_unconverged(self):
         spec = QuadratureSpec(max_nodes=64)
@@ -227,6 +254,15 @@ class TestHeatTrace:
             for t in (0.5, 1.0, 2.0, 5.0):
                 k = heat_trace(q, t)
                 assert 0 < k <= 2 * math.exp(-t * lo)
+
+    def test_large_time_resolves_the_peak(self):
+        # 9.68090308406204e-80 by 40-digit mpmath (test_mpmath_oracle); taken
+        # unscaled, the integrand stopped the rule at 65 nodes on 4.5e-80
+        ev = heat_eval(2, 1000.0)
+        assert ev.converged
+        assert ev.value == heat_trace(2, 1000.0) == pytest.approx(9.68090308406204e-80, rel=1e-12)
+        assert ev.nodes == 16 * 2**ev.levels + 1 > 65
+        assert 0 <= ev.est_error <= 1e-13 * ev.value
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -440,21 +476,14 @@ class TestNonFiniteAndOutOfRange:
             zeta_numeric(2, s)
 
     def test_overflow_stops_at_first_level(self):
-        asked = []
-
-        class LevelSums(list):
-            def __getitem__(self, k):
-                asked.append(k)
-                return super().__getitem__(k)
-
-        def integrand(nodes):
-            raise AssertionError("a level past the head was summed")
-
-        sums = LevelSums([complex(math.inf, 0), 1j, 1j])
-        # the loop raises OverflowError, which the entry points' finite_result reports
-        with pytest.raises(OverflowError):
-            _nested_trapezoid(sums, QuadratureSpec(), integrand, _grid(2))
-        assert asked == [0]
+        # level 0 overflows, so every level of the head does; on any budget
+        # the rule raises OverflowError, which the entry points'
+        # finite_result reports, and never asks for a level past the head
+        for max_nodes in (16, 32, 64, 1 << 20):
+            grid = _Samples([[complex(math.inf, 0)], [1j], [1j]])
+            with pytest.raises(OverflowError):
+                _quadrature(grid, _as_is, QuadratureSpec(max_nodes=max_nodes), True)
+            assert grid.asked == []
         with pytest.raises(OutOfRangeError, match="^zeta_numeric at "):
             zeta_numeric(2, 600.0)
 
@@ -462,13 +491,14 @@ class TestNonFiniteAndOutOfRange:
         # level 0 is pi c (1 + 1j) and level 1 is -pi c (1 + 1j): each is
         # representable, only their difference overflows
         c = 1e308 / (math.pi * math.sqrt(2))
-        sums = [math.pi * c * (1 + 1j), -1.5 * math.pi * c * (1 + 1j)]
+        grid = _Samples([[math.pi * c * (1 + 1j)], [-1.5 * math.pi * c * (1 + 1j)], [0j]])
 
         spec = QuadratureSpec(max_nodes=2 * FIRST_LEVEL_INTERVALS)
-        ev = _nested_trapezoid(sums, spec)
-        assert not ev.converged
-        assert ev.est_error == math.inf
-        assert ev.value == pytest.approx(-math.pi * c * (1 + 1j), rel=1e-14)
+        value, est_error, nodes, converged = _quadrature(grid, _as_is, spec, True)
+        assert not converged
+        assert est_error == math.inf
+        assert nodes == 2 * FIRST_LEVEL_INTERVALS + 1
+        assert value == pytest.approx(-math.pi * c * (1 + 1j), rel=1e-14)
 
     @pytest.mark.parametrize("m", [150, 200, 300])
     def test_line_values_past_the_gamma_overflow_are_representable(self, m):
@@ -577,7 +607,7 @@ class TestGridCache:
 
 
 def _reference_loop(level_sum, spec):
-    """The generic level loop the one-pass head replaced: complex() on every level sum."""
+    """The generic level loop that the rule replaced: complex() on every level sum."""
     k = 0
     integral = level_sum(0)
     prev = None
@@ -599,12 +629,17 @@ def _reference_loop(level_sum, spec):
 
 
 def _reference_eval(kind, q, x, spec):
-    """The rule at x as the entry point of that kind ran it before: np.sum per level."""
+    """The rule at x as the entry point of that kind ran it before: np.sum per level.
+
+    A complex integrand reads the real node arrays, which numpy casts to
+    complex on every call.  The heat trace's is the factored one,
+    exp(log W - t (base - lo)), before its scale e^(-t lo).
+    """
     e = x.real if not x.imag else x
     integrand = {
         "zeta": lambda g: np.exp(g.log_weight - e * g.log_base),
         "xi": lambda g: np.exp(g.log_xi_weight - e * g.log_base),
-        "heat": lambda g: np.exp(g.log_weight - x.real * g.base),
+        "heat": lambda g: np.exp(g.log_weight - x.real * g.gap),
         "resolvent": lambda g: g.weight / (g.base - x),
     }[kind]
     grid = _grid(q)
@@ -647,6 +682,20 @@ def _oracle_cases():
         ("heat", 2, 0.3 + 0j, QuadratureSpec(max_nodes=16)),
         ("resolvent", 2, 0.05 + 0.01j, budget),
     ]
+    # a budget that stops the rule at level 1, inside the head
+    short = QuadratureSpec(max_nodes=32)
+    cases += [
+        ("zeta", 3, 1.5 + 2j, short),
+        ("xi", 5, 0.5 + 1j, short),
+        ("heat", 7, 0.2 + 0j, short),
+        ("resolvent", 11, 40 + 5j, short),
+    ]
+    # complex points whose head does not settle, on the default budget
+    cases += [
+        ("xi", 3, 1 + 40j, None),
+        ("resolvent", 2, 0.05 + 0.01j, None),
+        ("heat", 2, 1000 + 0j, None),
+    ]
     deep = QuadratureSpec(max_nodes=1 << 14)
     cases += [
         ("zeta", 2, 0.5 + 2000j, deep),
@@ -670,37 +719,46 @@ def _bits(ev):
     return (ev.value.real.hex(), ev.value.imag.hex(), ev.est_error.hex(), ev.nodes, ev.converged)
 
 
+def _heat_scaled(q, t, value, est_error):
+    """The heat trace's value and error estimate from its factored rule's."""
+    scale = math.exp(-t * spectral_edges(q)[0])
+    return value.real * scale, est_error * scale if est_error < math.inf else est_error
+
+
 class TestOnePassHeadOracle:
     """Every entry point gives, bit for bit, what the generic per-level loop gave."""
 
     @staticmethod
     def _run(kind, q, x, spec, monkeypatch):
-        """The entry point's output (or its NonConvergedError) and the ZetaEval its rule returned."""
+        """The entry point's output (or its NonConvergedError) and the result its rule returned."""
         seen = []
-        loop = spectral._nested_trapezoid
-        monkeypatch.setattr(spectral, "_nested_trapezoid", lambda *a: seen.append(loop(*a)) or seen[-1])
+        rule = spectral._quadrature
+        monkeypatch.setattr(spectral, "_quadrature", lambda *a: seen.append(rule(*a)) or seen[-1])
         arg = x.real if kind == "heat" else x
         try:
             out = _ENTRY[kind](q, arg, spec)
         except NonConvergedError as exc:
             out = exc
         assert len(seen) == 1
-        return out, seen[0]
+        return out, spectral.ZetaEval(*seen[0])
 
     @pytest.mark.parametrize("kind, q, x, spec", _ORACLE_CASES, ids=_oracle_id)
     def test_bit_identical_to_the_per_level_loop(self, kind, q, x, spec, monkeypatch):
         want = _reference_eval(kind, q, x, spec)
         out, ev = self._run(kind, q, x, spec, monkeypatch)
         assert _bits(ev) == _bits(want)
+        best, est_error = want.value, want.est_error
+        if kind == "heat":
+            best, est_error = _heat_scaled(q, x.real, best, est_error)
         if kind == "zeta":
             assert _bits(out) == _bits(want)
         elif not want.converged:
             assert isinstance(out, NonConvergedError)
-            assert (out.best, out.est_error) == (want.value, want.est_error)
+            assert repr((out.best, out.est_error)) == repr((best, est_error))
         else:
             expected = {
                 "xi": cmath.exp(x * math.log(q - 1)) * want.value,
-                "heat": want.value.real,
+                "heat": best,
                 "resolvent": want.value,
             }[kind]
             assert repr(out) == repr(expected)
@@ -714,3 +772,32 @@ class TestOnePassHeadOracle:
         hard = [ev for kind, x, ev in evals if kind == "zeta" and 20 <= abs(x.imag) <= 60]
         assert sum(ev.converged and ev.nodes > head_nodes for ev in hard) >= 4
         assert any(not x.imag for kind, x, _ in evals if kind in ("zeta", "xi"))
+        # every kind stops on a budget inside the head, at level 0 or 1, and
+        # every complex kind settles past the head on the default budget
+        short = {kind for kind, _, ev in evals if ev.nodes < head_nodes}
+        assert short == set(_ENTRY)
+        settled_late = {
+            kind
+            for (kind, _, x, spec), (_, _, ev) in zip(_ORACLE_CASES, evals)
+            if spec is None and x.imag and ev.converged and ev.nodes > head_nodes
+        }
+        assert settled_late == {"zeta", "xi", "resolvent"}
+
+
+class TestNodes:
+    def test_complex_copies_are_the_real_arrays_cast(self):
+        grid = _grid(3)
+        past_cache = (CACHED_MAX_INTERVALS // FIRST_LEVEL_INTERVALS).bit_length()
+        for nodes in (grid.head, grid.level(3), grid.level(past_cache)):
+            for name in ("base", "log_base", "weight", "log_weight", "log_xi_weight"):
+                real, copy = getattr(nodes, name), getattr(nodes, "c_" + name)
+                assert copy.dtype == np.complex128
+                assert copy.real.tobytes() == real.tobytes()
+                assert not copy.imag.any()
+
+    @pytest.mark.parametrize("q", [2, 3, 11, 10**6])
+    def test_gap_is_base_above_the_spectrum(self, q):
+        lo = spectral_edges(q)[0]
+        nodes = _grid(q).level(3)
+        assert (nodes.gap > 0).all()
+        assert np.allclose(nodes.gap, nodes.base - lo, rtol=1e-12, atol=1e-12 * q)
