@@ -114,7 +114,10 @@ def _json_default(obj: Any) -> Any:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report.payload(), indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(
+        report.payload(), indent=2, sort_keys=True, allow_nan=False, default=_json_default
+    )
+    return text + "\n"
 
 
 def _fmt_complex(z: complex) -> str:
@@ -547,8 +550,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         results: dict[str, Any] = {"error": str(exc)}
         if exc.best is not None:
             results["best"] = exc.best
-        if exc.est_error is not None:
-            results["est_error"] = exc.est_error
+        if exc.est_error is not None:  # a budget spent at the first level has no estimate
+            results["est_error"] = exc.est_error if math.isfinite(exc.est_error) else None
         report = Report(
             command=args.command,
             inputs={},

@@ -9,13 +9,14 @@ rather than an integer, which keeps degree comparisons honest.
 ``KRONECKER_MIN_TERMS`` coefficients: ``_pack`` puts coefficient k in byte
 slot k of one integer, the two integers are multiplied once, and ``_unpack``
 reads the product's coefficients back.  Shorter products run the schoolbook
-loop.  ``sum_of_products`` does the same for a whole sum of c * a * b terms,
-and ``first_nonzero_sum`` for a run of such sums, each tested against zero
-while still packed.  ``binomial_transform`` runs a difference table on packed
-integers, and ``two_step_numerator`` forms one step of the two-step relation
-with shifts and adds alone.  Each sizes one slot per call from a bound stated in
-its docstring, packs each operand once and keeps nothing between calls.  No
-other module knows the packed layout.
+loop; this is the one product of two polynomials.  ``first_nonzero_sum``
+tests a run of sums of c * a * b terms against zero while still packed, each
+longer operand packed once and scaled by the shorter one's coefficients.
+``binomial_transform`` runs a difference table on packed integers, and
+``two_step_numerator`` forms one step of the two-step relation with shifts
+and adds alone.  Each sizes one slot per call from a bound stated in its
+docstring, packs each operand once and keeps nothing between calls.  No other
+module knows the packed layout.
 
 No floating point enters any computation in this module.
 """
@@ -215,69 +216,48 @@ def poly_eval(p, x) -> Fraction:
     return Fraction(p.evaluate(x))
 
 
-def sum_of_products(terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> IntPoly:
-    """The IntPoly sum of c * a * b over terms (c, a, b) of an int and two IntPoly operands.
-
-    One slot size per call, from the bound sum |c| max|a| max|b| min(len a, len b)
-    on the sum's coefficients, and one pack per long operand.  A shorter
-    operand of fewer than ``KRONECKER_MIN_TERMS`` coefficients is not packed:
-    its term adds shifted small-int multiples of the longer one's pack.
-    """
-    rows = _rows(terms)
-    size = _slot_size(_bound(rows))
-    total = next(_packed_sums([rows], size))
-    return _unpack(total, size, max((len(a) + len(b) - 1 for _, a, b in rows), default=0))
-
-
 def first_nonzero_sum(sums: Iterable[Iterable[tuple[int, IntPoly, IntPoly]]]) -> int:
     """The index of the first of ``sums`` of c * a * b terms that is not zero, else their count.
 
-    Each sum is formed as ``sum_of_products`` forms it, but at one slot size
-    for the whole pass, from the largest of the sums' bounds
-    sum |c| max|a| max|b| min(len a, len b), so each long operand is packed
-    once however many sums read it.  No sum is unpacked: with every
-    coefficient inside half a slot, a packed int is 0 only when every
-    coefficient is, since the top nonzero coefficient c_k X^k outweighs all
-    the slots below it, which sum to less than X^k in size.
+    One slot size serves the whole pass, from the largest of the sums' bounds
+    sum |c| max|a| max|b| min(len a, len b), and each distinct longer operand
+    is packed once however many sums read it.  A term adds the longer
+    operand's pack times c times each coefficient of the shorter one, shifted
+    to that coefficient's slot; the shorter operand is never packed.  No sum
+    is unpacked: with every coefficient inside half a slot, a packed int is 0
+    only when every coefficient is, since the top nonzero coefficient c_k X^k
+    outweighs all the slots below it, which sum to less than X^k in size.
     """
-    row_lists = [_rows(terms) for terms in sums]
-    size = _slot_size(max(map(_bound, row_lists), default=0))
-    totals = _packed_sums(row_lists, size)
-    return next((k for k, total in enumerate(totals) if total), len(row_lists))
-
-
-def _rows(terms: Iterable[tuple[int, IntPoly, IntPoly]]) -> list[tuple[int, tuple, tuple]]:
-    # the nonzero terms as (c, longer operand's coefficients, shorter operand's)
-    return [
-        (c, *sorted((a.coeffs, b.coeffs), key=len, reverse=True))
-        for c, a, b in terms
-        if c and a.coeffs and b.coeffs
+    # each sum's nonzero terms as (c, longer operand's coefficients, shorter operand's)
+    runs = [
+        [
+            (c, *sorted((a.coeffs, b.coeffs), key=len, reverse=True))
+            for c, a, b in terms
+            if c and a and b
+        ]
+        for terms in sums
     ]
-
-
-def _bound(rows: list[tuple[int, tuple, tuple]]) -> int:
-    # no coefficient of the rows' sum exceeds this in size
-    return sum(abs(c) * max(map(abs, a)) * max(map(abs, b)) * len(b) for c, a, b in rows)
-
-
-def _packed_sums(row_lists: list[list[tuple[int, tuple, tuple]]], size: int):
-    """Yield each list's sum of products packed at ``size`` bytes, each long operand packed once."""
+    size = _slot_size(
+        max(
+            (sum(abs(c) * max(map(abs, a)) * max(map(abs, b)) * len(b) for c, a, b in run)
+             for run in runs),
+            default=0,
+        )
+    )
     bits = 8 * size
-    operands = {
-        id(p): p
-        for rows in row_lists
-        for _, a, b in rows
-        for p in ((a, b) if len(b) >= KRONECKER_MIN_TERMS else (a,))
-    }
-    packs = {key: _pack(p, size) for key, p in operands.items()}
-    for rows in row_lists:
+    packs: dict[int, int] = {}
+    for run in runs:
+        for _, a, _ in run:
+            if id(a) not in packs:
+                packs[id(a)] = _pack(a, size)
+    for k, run in enumerate(runs):
         total = 0
-        for c, a, b in rows:
-            if len(b) < KRONECKER_MIN_TERMS:
-                total += sum((c * bj * packs[id(a)]) << (bits * j) for j, bj in enumerate(b) if bj)
-            else:
-                total += c * (packs[id(a)] * packs[id(b)])
-        yield total
+        for c, a, b in run:
+            packed = packs[id(a)]
+            total += sum((c * bj * packed) << (bits * j) for j, bj in enumerate(b) if bj)
+        if total:
+            return k
+    return len(runs)
 
 
 def two_step_numerator(p: IntPoly, a: IntPoly, b: IntPoly, m: int) -> IntPoly:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .exact import IntPoly, first_nonzero_sum
-from .special_values import _ONE, _QM1_SQ, _poly_ring, _quadratic_recurrence, value_polynomials
+from .special_values import _ONE, _QM1_SQ, _quadratic_recurrence, value_polynomials
 from .validate import (
     EPS_CUT,
     SpectrumCut,
@@ -237,5 +237,5 @@ def quadratic_residual_series(
         if not isinstance(p, IntPoly):
             raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
     m = first_nonzero_sum(_linear_terms(table, k) for k in range(n_max))
-    rhs = _quadratic_recurrence(table, m, *_poly_ring())
+    rhs = _quadratic_recurrence(table, m, IntPoly.variable(), _ONE)
     return (IntPoly(),) * m + tuple(r - t for t, r in zip(table[m:], rhs))

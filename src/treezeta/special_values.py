@@ -37,10 +37,11 @@ gives a second recurrence, ``_quadratic_recurrence``, with three users:
 their q, O(n^2) products per call and nothing cached, and
 ``genfun.quadratic_residual_series`` runs it over Z[q] only from the first
 entry its table breaks the series' linear recurrence at, so not at all on a
-correct table.  Over Z[q] the quadratic recurrence's sums of products run on
-``exact.sum_of_products``, the linear pass on ``exact.first_nonzero_sum``,
-and the ``moments`` route's transform on ``exact.binomial_transform``.  The
-two-step and closed-form tables only ever grow.
+correct table.  The recurrence uses only * and +, so one piece of code runs
+on ints and on ``IntPoly``.  The residual's linear pass runs on
+``exact.first_nonzero_sum``, and the ``moments`` route's transform on
+``exact.binomial_transform``.  The two-step and closed-form tables only ever
+grow.
 """
 
 from __future__ import annotations
@@ -49,16 +50,10 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
-from .exact import (
-    IntPoly,
-    _trusted,
-    binomial_transform,
-    poly_eval,
-    sum_of_products,
-    two_step_numerator,
-)
+from .exact import IntPoly, _trusted, binomial_transform, poly_eval, two_step_numerator
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -198,45 +193,36 @@ def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
     return tuple(_series_quotient(half, (_ONE, _QP1 * -2)))
 
 
-def _quadratic_recurrence(table, start, q, qm1_sq, one, sum_of_products):
+def _quadratic_recurrence(table, start, q, one):
     """Yield T_k for k = start, start+1, ..., each formed from T_0..T_{k-1} in ``table``.
 
-    T_0 = one, T_k = 2q S_{k-1} - q qm1_sq S_{k-2} + qm1_sq T_{k-1} with S_j = sum_i T_i T_{j-i},
-    in the caller's ring (``_poly_ring()``, or ints at a fixed q), whose ``sum_of_products``
-    sums c * a * b over (c, a, b) terms: each S_j once, each pair once.
+    T_0 = one, T_k = 2q S_{k-1} - q (q-1)^2 S_{k-2} + (q-1)^2 T_{k-1} with
+    S_j = sum_i T_i T_{j-i}, each S_j formed once and each unordered pair in it
+    multiplied once.  Only * and + are used, so the same code runs in integers
+    at a fixed q (q an int, one = 1) and over Z[q] (q the IntPoly variable).
     """
 
     def pair_sum(j):  # S_j; S_{-1} is the empty sum
         pairs = (j + 1) // 2  # T_i T_{j-i} for i < pairs, each unordered pair once
-        terms = zip(itertools.repeat(2), table[:pairs], table[j : j - pairs : -1])
-        if j % 2 == 0:
-            terms = itertools.chain(terms, [(1, table[j // 2], table[j // 2])])
-        return sum_of_products(terms)
+        s = 2 * sum(map(mul, table[:pairs], table[j : j - pairs : -1]))
+        return s + table[j // 2] * table[j // 2] if j % 2 == 0 else s
 
     if start == 0:
         yield one
         start = 1
+    qm1_sq = (q - 1) * (q - 1)
     q_qm1_sq = q * qm1_sq
     before = pair_sum(start - 2)
     for k in itertools.count(start):
         s = pair_sum(k - 1)
-        yield sum_of_products(((2, q, s), (-1, q_qm1_sq, before), (1, qm1_sq, table[k - 1])))
+        yield 2 * q * s - q_qm1_sq * before + qm1_sq * table[k - 1]
         before = s
 
 
-def _poly_ring():
-    """q, (q-1)^2, one and the packed sum of products over Z[q]."""
-    return IntPoly.variable(), _QM1_SQ, _ONE, sum_of_products
-
-
-def _int_sum_of_products(terms) -> int:
-    return sum(c * a * b for c, a, b in terms)
-
-
-def _grow(n_max: int, ring) -> list:
-    """A fresh list of the first n_max entries of the quadratic recurrence in ``ring``."""
+def _grow(n_max: int, q, one) -> list:
+    """A fresh list of the first n_max entries of the quadratic recurrence at q."""
     table: list = []
-    steps = _quadratic_recurrence(table, 0, *ring)
+    steps = _quadratic_recurrence(table, 0, q, one)
     while len(table) < n_max:
         table.append(next(steps))
     return table
@@ -244,7 +230,7 @@ def _grow(n_max: int, ring) -> list:
 
 def _values_at(q: int, n_max: int) -> list[int]:
     """P_1(q)..P_n_max(q) by the quadratic recurrence in integers at this q."""
-    return _grow(n_max, (q, (q - 1) ** 2, 1, _int_sum_of_products))
+    return _grow(n_max, q, 1)
 
 
 # P_1, P_2, ... as far as the two-step route has been asked for; only ever grown

@@ -195,13 +195,17 @@ class TestZeta:
         assert results["nodes"] == 16 * 2 ** results["levels"] + 1
 
     def test_non_converged_json_reports_best(self, capsys):
-        code, out, _ = run_cli(capsys, "zeta", "--q", "2", "--s", "2,40",
-                               "--max-nodes", "64", "--format", "json")
-        assert code == 3
-        payload = strict_loads(out)
-        assert payload["status"] == "non-converged"
-        assert "best" in payload["results"]
-        assert payload["results"]["est_error"] > 0
+        # the second budget ends at the first level, which has no error estimate:
+        # it is written as null, never as Infinity
+        for q, s, max_nodes, has_estimate in (("2", "2,40", "64", True), ("3", "2,1", "16", False)):
+            code, out, _ = run_cli(capsys, "zeta", "--q", q, "--s", s,
+                                   "--max-nodes", max_nodes, "--format", "json")
+            assert code == 3
+            payload = strict_loads(out)
+            assert payload["status"] == "non-converged"
+            assert "best" in payload["results"]
+            est_error = payload["results"]["est_error"]
+            assert est_error > 0 if has_estimate else est_error is None
 
     def test_line_value_past_the_gamma_overflow(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--line", "--s=-200,0", "--format", "json")

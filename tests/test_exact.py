@@ -19,7 +19,6 @@ from treezeta.exact import (
     first_nonzero_sum,
     poly_eval,
     poly_is_palindromic,
-    sum_of_products,
     two_step_numerator,
 )
 
@@ -102,6 +101,24 @@ product_terms = st.lists(product_operand, min_size=1, max_size=4).flatmap(
 )
 
 
+ONE = IntPoly([1])
+
+
+def checked_run(terms, want):
+    """The run [S - W, W - S, S] for the sum S of ``terms`` and its schoolbook value W.
+
+    The first two sums are zero exactly when the packed pass forms S as W, so
+    ``first_nonzero_sum`` gives 2 on the run when S = W is nonzero, and 3 when
+    S = W = 0.
+    """
+    negated = [(-c, a, b) for c, a, b in terms]
+    return [terms + [(-1, want, ONE)], negated + [(1, want, ONE)], terms]
+
+
+def exact_index(want):
+    return 2 if want else 3
+
+
 @given(product_terms)
 @settings(max_examples=200)
 def test_sum_of_products_equals_convolution_sum(drawn):
@@ -109,10 +126,10 @@ def test_sum_of_products_equals_convolution_sum(drawn):
     polys = [IntPoly(p) for p in pool]
     terms = [(c, polys[i], polys[j]) for c, i, j in picks]
     want = IntPoly(convolution_sum([(c, pool[i], pool[j]) for c, i, j in picks]))
-    assert sum_of_products(terms) == want
-    assert sum_of_products([(2**300 + 1, p, p) for p in polys]) == IntPoly(
-        convolution_sum([(2**300 + 1, p, p) for p in pool])
-    )
+    assert first_nonzero_sum(checked_run(terms, want)) == exact_index(want)
+    squares = [(2**300 + 1, p, p) for p in polys]
+    want = IntPoly(convolution_sum([(2**300 + 1, p, p) for p in pool]))
+    assert first_nonzero_sum(checked_run(squares, want)) == exact_index(want)
 
 
 def flat(c, n):
@@ -120,43 +137,47 @@ def flat(c, n):
 
 
 class TestSumOfProducts:
+    """Sums of c * a * b formed by ``first_nonzero_sum``, each held to its schoolbook value."""
+
     def test_empty_sums_and_operands(self):
-        assert sum_of_products([]) == IntPoly()
+        assert first_nonzero_sum(checked_run([], IntPoly())) == 3
         one = IntPoly([1, 2])
         terms = [(3, IntPoly(), one), (5, one, IntPoly()), (0, one, one)]
-        assert sum_of_products(terms) == IntPoly()
+        assert first_nonzero_sum(checked_run(terms, IntPoly())) == 3
 
     def test_signs_and_a_is_b(self):
         a, b = IntPoly([1, -2, 3]), IntPoly([-4, 5])
-        got = sum_of_products([(2, a, a), (-3, a, b), (1, b, b)])
-        assert got == 2 * a * a - 3 * a * b + b * b
+        terms = [(2, a, a), (-3, a, b), (1, b, b)]
+        assert first_nonzero_sum(checked_run(terms, 2 * a * a - 3 * a * b + b * b)) == 2
 
     @pytest.mark.parametrize("short", [1, 7, 15, 16])
     def test_a_short_operand_scales_the_long_ones_pack(self, short):
-        # below KRONECKER_MIN_TERMS the shorter operand is not packed, on either
-        # side; at 16 it is
+        # the shorter operand is never packed, on either side of a term: each of
+        # its coefficients scales the longer one's pack
         long = IntPoly([(-3) ** k * (2**90 + k) for k in range(40)])
         small = IntPoly([(-1) ** j * (j + 1) for j in range(short - 1)] + [2**80])
         terms = [(5, long, small), (-2, small, long)]
-        want = convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms])
-        assert sum_of_products(terms) == IntPoly(want)
+        want = IntPoly(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms]))
+        assert first_nonzero_sum(checked_run(terms, want)) == 2
 
-    # every coefficient of each operand at one extreme, so a coefficient of the
-    # sum reaches the bound the slot size is computed from; in the first two the
-    # sum is 2**127 exactly, which the length and the multiplier lift out of 16 bytes
+    # every coefficient of each operand at one extreme, so a coefficient W_k of
+    # the sum reaches its bound B, and the run's slot is sized from 2B (the sum
+    # S - W); that slot is one byte wider than W_k needs unless 2B has a multiple
+    # of 8 bits, as none of these has: in the first two W_k is 2**127 exactly,
+    # which the length and the multiplier lift out of 16 bytes
     EDGE_SUMS = [
         [(1, flat(2**60, 256), flat(2**59, 256))],
         [(-2, flat(2**63, 1), flat(-(2**63), 1))],
         [(1, flat(2**61 - 1, 9), flat(2**61 - 1, 9))],
         [(1, flat(1 - 2**61, 9), flat(2**61 - 1, 9))],
         [(2, flat(-(2**200), 20), flat(2**200, 3)), (-1, flat(7, 30), flat(7, 30))],
-        [(3, flat(255, 17), flat(-255, 17)), (-3, flat(255, 17), flat(255, 17))],
+        [(4, flat(255, 17), flat(-255, 17)), (-4, flat(255, 17), flat(255, 17))],
     ]
 
     @pytest.mark.parametrize("terms", EDGE_SUMS)
     def test_sum_at_the_slot_bound(self, terms):
         want = IntPoly(convolution_sum([(c, a.coeffs, b.coeffs) for c, a, b in terms]))
-        assert sum_of_products(terms) == want
+        assert first_nonzero_sum(checked_run(terms, want)) == 2
 
     @pytest.mark.parametrize("terms", EDGE_SUMS)
     def test_a_slot_one_byte_short_does_not_pass_silently(self, terms, monkeypatch):
@@ -164,10 +185,10 @@ class TestSumOfProducts:
         slot_size = exact._slot_size
         monkeypatch.setattr(exact, "_slot_size", lambda bound: slot_size(bound) - 1)
         try:
-            got = sum_of_products(terms)
+            got = first_nonzero_sum(checked_run(terms, want))
         except ConsistencyError:
             return
-        assert got != want
+        assert got != 2
 
 
 def first_nonzero_convolution_sum(sums):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from treezeta import genfun
 from treezeta.errors import CutViolationError, DomainError, OutOfRangeError
-from treezeta.exact import IntPoly, poly_eval, sum_of_products
+from treezeta.exact import IntPoly, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
     _linear_terms,
@@ -27,7 +27,6 @@ from treezeta.genfun import (
 )
 from treezeta.special_values import (
     _grow,
-    _poly_ring,
     count_closed_walks,
     negative_value_table,
     positive_value_sequence,
@@ -429,13 +428,18 @@ class TestLinearRecurrence:
 
     @staticmethod
     def linear_residuals(table):
-        return [sum_of_products(_linear_terms(table, k)) for k in range(len(table))]
+        # plain IntPoly arithmetic, sharing nothing with the residual's packed pass
+        return [
+            sum((c * a * b for c, a, b in _linear_terms(table, k)), IntPoly())
+            for k in range(len(table))
+        ]
 
     def test_vanishes_on_the_two_step_table(self):
         assert self.linear_residuals(value_polynomials(201)) == [IntPoly()] * 201
 
     def test_vanishes_on_the_quadratic_oracle_table(self):
-        assert self.linear_residuals(_grow(80, _poly_ring())) == [IntPoly()] * 80
+        oracle = _grow(80, IntPoly.variable(), IntPoly([1]))
+        assert self.linear_residuals(oracle) == [IntPoly()] * 80
 
     def test_coefficients_follow_from_the_quadratic(self):
         # A F^2 + B F + 1 = 0, G = 2AF + B, G^2 = Delta = B^2 - 4A, and
@@ -480,9 +484,9 @@ class TestLinearPass:
         starts = []
         recurrence = genfun._quadratic_recurrence
 
-        def spy(table, start, *ring):
+        def spy(table, start, q, one):
             starts.append(start)
-            return recurrence(table, start, *ring)
+            return recurrence(table, start, q, one)
 
         monkeypatch.setattr(genfun, "_quadratic_recurrence", spy)
         residual = quadratic_residual_series(n_max, table)

@@ -222,7 +222,7 @@ class TestIntegerValues:
 
 def quadratic_polys(n_max):
     """P_1..P_n_max by the quadratic recurrence over Z[q]: the oracle of the two-step table."""
-    return sv._grow(n_max, sv._poly_ring())
+    return sv._grow(n_max, IntPoly.variable(), IntPoly([1]))
 
 
 class TestTwoStepRoute:
@@ -316,12 +316,17 @@ class TestTwoStepRoute:
     def test_two_step_check_builds_no_polynomial(self, monkeypatch):
         from treezeta.verify import check_two_step
 
-        def refuse():
-            raise AssertionError("a Z[q] ring was built")
+        recurrence = sv._quadratic_recurrence
+        seen = []
 
-        monkeypatch.setattr(sv, "_poly_ring", refuse)
+        def spy(table, start, q, one):
+            seen.append(q)
+            return recurrence(table, start, q, one)
+
+        monkeypatch.setattr(sv, "_quadratic_recurrence", spy)
         result = check_two_step(qs=(2, 3, 64), n_abs=30)
         assert result.passed and result.points == 3 * 61
+        assert seen == [2, 3, 64] and all(type(q) is int for q in seen)
 
     def test_depth_129_builds_fast(self, monkeypatch):
         import time
