@@ -162,9 +162,9 @@ class TestSumOfProducts:
 
     # every coefficient of each operand at one extreme, so a coefficient W_k of
     # the sum reaches its bound B, and the run's slot is sized from 2B (the sum
-    # S - W); that slot is one byte wider than W_k needs unless 2B has a multiple
-    # of 8 bits, as none of these has: in the first two W_k is 2**127 exactly,
-    # which the length and the multiplier lift out of 16 bytes
+    # S - W); that slot is also the fewest bytes that hold W_k unless the bit
+    # length of 2B is a multiple of 8, which none of these has: in the first two
+    # W_k is 2**127 exactly, which the length and the multiplier lift out of 16 bytes
     EDGE_SUMS = [
         [(1, flat(2**60, 256), flat(2**59, 256))],
         [(-2, flat(2**63, 1), flat(-(2**63), 1))],
