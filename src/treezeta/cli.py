@@ -3,11 +3,11 @@
 Subcommands map onto the library one-to-one: poly and values print exact
 tables, zeta and heat run the quadrature engine, dyck exposes the lattice-word
 side, verify runs the identity battery.  Output formats are json, csv, latex
-and text; json is canonical (sorted keys, two-space indent, big integers and
-rationals as decimal strings, no NaN or Infinity) so that parsing and
-re-serializing reproduces the bytes.  Exit codes: 0 success, 1 a
-verification check failed, 2 bad usage or invalid input, 3 quadrature budget
-exhausted.
+and text, and a run builds only the one it prints.  json is canonical (sorted
+keys, two-space indent, big integers and rationals as decimal strings, no NaN
+or Infinity) so that parsing and re-serializing reproduces the bytes.  Exit
+codes: 0 success, 1 a verification check failed, 2 bad usage or invalid input,
+3 quadrature budget exhausted.
 
 poly, values and verify --n-max refuse a depth past their cap before building
 any table, and values refuses a value too long to print before rendering any.
@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import DomainError, NonConvergedError
 from .spectral import (
@@ -41,6 +41,9 @@ from .spectral import (
     zeta_sato_tate,
 )
 from .validate import tolerance
+
+if TYPE_CHECKING:
+    from .exact import IntPoly
 
 FORMATS = ("json", "csv", "latex", "text")
 # Literal, so that building the parser imports neither module; a test pins
@@ -76,10 +79,11 @@ _RESET = "\x1b[0m"
 
 @dataclass
 class Report:
-    """One invocation's outcome: a JSON payload plus prebuilt render forms.
+    """One invocation's outcome: a JSON payload plus how to draw the other formats.
 
     Only command, inputs, results, status, tolerances and (optionally)
-    timings serialize; rows, latex and text exist for the other formats.
+    timings serialize.  rows, latex and text are zero-argument functions over
+    the computed data, and render calls only the one its format needs.
     """
 
     command: str
@@ -88,9 +92,9 @@ class Report:
     status: str = "pass"
     tolerances: dict[str, Any] = field(default_factory=dict)
     timings: Optional[dict[str, float]] = None
-    rows: list[tuple[Any, Any]] = field(default_factory=list)
-    latex: str = ""
-    text: str = ""
+    rows: Callable[[], list[tuple[Any, Any]]] = list
+    latex: Callable[[], str] = str
+    text: Callable[[], str] = str
 
     def payload(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -160,7 +164,7 @@ def latex_poly(coeffs: tuple[int, ...], var: str) -> str:
     return out
 
 
-def _latex_fraction(v: Fraction) -> str:
+def _latex_fraction(v: Fraction | int) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     sign = "-" if v.numerator < 0 else ""
@@ -172,11 +176,11 @@ def render(report: Report, fmt: str) -> str:
         return render_json(report)
     if fmt == "csv":
         lines = ["index,value"]
-        lines += [f"{idx},{_fmt_value(val)}" for idx, val in report.rows]
+        lines += [f"{idx},{_fmt_value(val)}" for idx, val in report.rows()]
         return "\n".join(lines) + "\n"
     if fmt == "latex":
-        return report.latex + "\n"
-    return report.text + "\n"
+        return report.latex() + "\n"
+    return report.text() + "\n"
 
 
 def _parse_complex(raw: str) -> complex:
@@ -308,6 +312,20 @@ def _quad_tolerances(spec: QuadratureSpec) -> dict[str, Any]:
     return {"abs_tol": spec.abs_tol, "rel_tol": spec.rel_tol, "max_nodes": spec.max_nodes}
 
 
+def _poly_report(
+    command: str, inputs: dict[str, Any], poly: IntPoly, var: str, name: str
+) -> Report:
+    coefficients = [str(c) for c in poly.coeffs]
+    return Report(
+        command=command,
+        inputs=inputs,
+        results={"coefficients": coefficients, "degree": poly.degree, "variable": var},
+        rows=lambda: list(enumerate(coefficients)),
+        latex=lambda: latex_poly(poly.coeffs, var),
+        text=lambda: f"{name}({var}) = {latex_poly(poly.coeffs, var)}",
+    )
+
+
 def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
     if args.n < 1:
         raise DomainError("--n must be at least 1")
@@ -316,19 +334,7 @@ def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
     from .special_values import value_polynomials
 
     poly = value_polynomials(args.n)[args.n - 1]
-    rendered = latex_poly(poly.coeffs, "q")
-    return Report(
-        command="poly",
-        inputs={"n": args.n},
-        results={
-            "coefficients": [str(c) for c in poly.coeffs],
-            "degree": poly.degree,
-            "variable": "q",
-        },
-        rows=[(k, str(c)) for k, c in enumerate(poly.coeffs)],
-        latex=rendered,
-        text=f"P_{args.n}(q) = {rendered}",
-    )
+    return _poly_report("poly", {"n": args.n}, poly, "q", f"P_{args.n}")
 
 
 def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
@@ -340,16 +346,10 @@ def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
 
     neg = [zeta_integer(args.q, -m).numerator for m in range(args.neg + 1)]
     pos = [zeta_pos(args.q, n) for n in range(1, args.pos + 1)]
-    rows: list[tuple[int, Any]] = [(-m, neg[m]) for m in range(args.neg + 1)]
-    rows += [(n, pos[n - 1]) for n in range(1, args.pos + 1)]
+    rows = [(-m, v) for m, v in enumerate(neg)] + [(n, v) for n, v in enumerate(pos, 1)]
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s digit limit; 0: none
     if limit and max(max(abs(v.numerator), v.denominator) for _, v in rows) >= 10**limit:
         raise DomainError(f"a value has over {limit} digits, Python's limit on printing an int")
-    latex_rows = [
-        f"\\zeta_{{{args.q}}}({idx}) &= "
-        + (_latex_fraction(val) if isinstance(val, Fraction) else str(val))
-        for idx, val in rows
-    ]
     return Report(
         command="values",
         inputs={"q": args.q, "neg": args.neg, "pos": args.pos},
@@ -357,9 +357,11 @@ def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
             "negative": [{"s": -m, "value": str(neg[m])} for m in range(args.neg + 1)],
             "positive": [{"s": n, "value": pos[n - 1]} for n in range(1, args.pos + 1)],
         },
-        rows=rows,
-        latex="\\begin{aligned}\n" + " \\\\\n".join(latex_rows) + "\n\\end{aligned}",
-        text="\n".join(f"zeta_{args.q}({idx}) = {_fmt_value(val)}" for idx, val in rows),
+        rows=lambda: rows,
+        latex=lambda: "\\begin{aligned}\n"
+        + " \\\\\n".join(f"\\zeta_{{{args.q}}}({idx}) &= {_latex_fraction(v)}" for idx, v in rows)
+        + "\n\\end{aligned}",
+        text=lambda: "\n".join(f"zeta_{args.q}({idx}) = {_fmt_value(v)}" for idx, v in rows),
     )
 
 
@@ -393,9 +395,9 @@ def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
         inputs=inputs,
         results=results,
         tolerances=tolerances,
-        rows=[(0, value)],
-        latex=f"{_fmt_complex(value)}",
-        text=f"{name} = {_fmt_complex(value)}",
+        rows=lambda: [(0, value)],
+        latex=lambda: _fmt_complex(value),
+        text=lambda: f"{name} = {_fmt_complex(value)}",
     )
 
 
@@ -410,9 +412,9 @@ def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
         inputs={"q": args.q, "t": args.t},
         results={"value": value, "nodes": ev.nodes, "levels": ev.levels, "est_error": ev.est_error},
         tolerances=_quad_tolerances(spec),
-        rows=[(0, value)],
-        latex=_fmt_value(value),
-        text=f"heat trace = {_fmt_value(value)}",
+        rows=lambda: [(0, value)],
+        latex=lambda: _fmt_value(value),
+        text=lambda: f"heat trace = {_fmt_value(value)}",
     )
 
 
@@ -421,29 +423,19 @@ def _cmd_dyck(args: argparse.Namespace, config: dict[str, float]) -> Report:
 
     if args.list:
         words = [str(w) for w in enumerate_dyck(args.n)]
-        body = " \\\\\n".join(f"\\texttt{{{w}}}" for w in words)
         return Report(
             command="dyck",
             inputs={"n": args.n, "list": True},
             results={"count": len(words), "words": words},
-            rows=list(enumerate(words)),
-            latex="\\begin{tabular}{l}\n" + body + "\n\\end{tabular}" if words else "",
-            text="\n".join(words) if words else "(empty word)",
+            rows=lambda: list(enumerate(words)),
+            latex=lambda: "\\begin{tabular}{l}\n"
+            + " \\\\\n".join(f"\\texttt{{{w}}}" for w in words)
+            + "\n\\end{tabular}",
+            text=lambda: "\n".join(w or "(empty word)" for w in words),
         )
     poly = weight_polynomial(args.n, method=args.method)
-    rendered = latex_poly(poly.coeffs, "t")
-    return Report(
-        command="dyck",
-        inputs={"n": args.n, "list": False, "method": args.method},
-        results={
-            "coefficients": [str(c) for c in poly.coeffs],
-            "degree": poly.degree,
-            "variable": "t",
-        },
-        rows=[(k, str(c)) for k, c in enumerate(poly.coeffs)],
-        latex=rendered,
-        text=f"Q_{args.n}(t) = {rendered}",
-    )
+    inputs = {"n": args.n, "list": False, "method": args.method}
+    return _poly_report("dyck", inputs, poly, "t", f"Q_{args.n}")
 
 
 def _status_word(ok: bool, color: bool) -> str:
@@ -482,19 +474,21 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
             row["elapsed_s"] = r.elapsed
         checks.append(row)
     all_passed = all(r.passed for r in results)
-    lines = [
-        f"{_status_word(r.passed, color)} {r.name}: defect {r.defect_repr} within "
-        f"{r.tolerance:g} over {r.points} points; {r.detail}"
-        + ("" if r.worst_at is None else f"; worst at ({', '.join(map(_fmt_value, r.worst_at))})")
-        for r in results
-    ]
-    lines.append(
-        f"{_status_word(all_passed, color)} overall:"
-        f" {sum(r.passed for r in results)}/{len(results)} checks"
-    )
-    body = " \\\\\n".join(
-        f"{r.name} & {'pass' if r.passed else 'fail'} & {r.defect_repr}" for r in results
-    )
+
+    def text() -> str:
+        lines = [
+            f"{_status_word(r.passed, color)} {r.name}: defect {r.defect_repr} within "
+            f"{r.tolerance:g} over {r.points} points; {r.detail}"
+            + ("" if r.worst_at is None
+               else f"; worst at ({', '.join(map(_fmt_value, r.worst_at))})")
+            for r in results
+        ]
+        lines.append(
+            f"{_status_word(all_passed, color)} overall:"
+            f" {sum(r.passed for r in results)}/{len(results)} checks"
+        )
+        return "\n".join(lines)
+
     inputs: dict[str, Any] = {"suite": args.suite}
     if args.q is not None:
         inputs["q"] = args.q
@@ -509,9 +503,13 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
         results={"checks": checks},
         status="pass" if all_passed else "fail",
         tolerances=tolerances,
-        rows=[(r.name, "pass" if r.passed else "fail") for r in results],
-        latex="\\begin{tabular}{lll}\n" + body + "\n\\end{tabular}",
-        text="\n".join(lines),
+        rows=lambda: [(r.name, "pass" if r.passed else "fail") for r in results],
+        latex=lambda: "\\begin{tabular}{lll}\n"
+        + " \\\\\n".join(
+            f"{r.name} & {'pass' if r.passed else 'fail'} & {r.defect_repr}" for r in results
+        )
+        + "\n\\end{tabular}",
+        text=text,
     )
     if args.timings:
         report.timings = {"total_s": sum(r.elapsed for r in results)}
@@ -547,6 +545,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             report = _cmd_verify(args, config, color)
     except NonConvergedError as exc:
+        message = f"non-converged: {exc}"  # exc is unbound once this block ends
         results: dict[str, Any] = {"error": str(exc)}
         if exc.best is not None:
             results["best"] = exc.best
@@ -557,8 +556,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             inputs={},
             results=results,
             status="non-converged",
-            latex=f"non-converged: {exc}",
-            text=f"non-converged: {exc}",
+            latex=lambda: message,
+            text=lambda: message,
         )
         print(f"error: {exc}", file=sys.stderr)
         code = 3

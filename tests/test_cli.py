@@ -305,11 +305,13 @@ class TestDyck:
         assert out == "Q_2(t) = t^4+t^3+4t^2+t+1\n"
 
     def test_list_words(self, capsys):
-        code, out, _ = run_cli(capsys, "dyck", "--n", "2", "--list")
-        assert code == 0
-        assert out.splitlines() == [
-            "UUBB", "UUBR", "UURB", "UURR", "UBUB", "UBUR", "URUB", "URUR",
-        ]
+        for n, words in (
+            ("2", ["UUBB", "UUBR", "UURB", "UURR", "UBUB", "UBUR", "URUB", "URUR"]),
+            ("0", ["(empty word)"]),  # half-length 0 has one word, the empty one
+        ):
+            code, out, _ = run_cli(capsys, "dyck", "--n", n, "--list", "--format", "text")
+            assert code == 0
+            assert out.splitlines() == words
 
     def test_list_beyond_cap_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "dyck", "--n", "10", "--list")
@@ -567,6 +569,28 @@ class TestFormatsAndPlumbing:
     def test_no_color_in_captured_output(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "negvals")
         assert "\x1b[" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*cmd, "--format", fmt]
+            for cmd in (["poly", "--n", "4"], ["dyck", "--n", "3"],
+                        ["values", "--q", "3", "--neg", "2", "--pos", "2"])
+            for fmt in ("json", "csv")
+        ]
+        + [["values", "--q", "3", "--neg", "2", "--pos", "2", "--format", "text"]],
+        ids=" ".join,
+    )
+    def test_a_format_not_asked_for_is_never_built(self, capsys, monkeypatch, argv):
+        want = run_cli(capsys, *argv)
+
+        def no_latex(*args):
+            raise AssertionError("a LaTeX form was built for another format")
+
+        monkeypatch.setattr(cli, "latex_poly", no_latex)
+        monkeypatch.setattr(cli, "_latex_fraction", no_latex)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv) == want
 
     def test_csv_scalar_row(self, capsys):
         code, out, _ = run_cli(capsys, "heat", "--q", "2", "--t", "0.5", "--format", "csv")

@@ -121,7 +121,7 @@ def exact_index(want):
 
 @given(product_terms)
 @settings(max_examples=200)
-def test_sum_of_products_equals_convolution_sum(drawn):
+def test_first_nonzero_sum_equals_convolution_sum(drawn):
     pool, picks = drawn
     polys = [IntPoly(p) for p in pool]
     terms = [(c, polys[i], polys[j]) for c, i, j in picks]
