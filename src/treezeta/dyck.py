@@ -29,23 +29,15 @@ hold the coefficients; a carry between slots lowers their sum below
 W_n(1) = Catalan(n) * 2**n, which is checked.  Both passes take O(n) steps
 on Python ints, and nothing is cached between calls.
 
-The brute-force oracle stays letter-level.  It grows the Catalan(n)
-uncoloured paths letter by letter as numpy arrays and colours each in all
-2**n ways, colouring k making down-step j an R when bit j of k is set.  A
-word's weight is n plus its B-run starts minus its R-run starts, and a
-down-step starts a run exactly when the letter before it is U or a
-down-step of the other colour.  So its run starts are the bits of
-opens | ((k ^ (k << 1)) & (2**n - 1)), where ``opens`` marks the down-steps
-that directly follow a U, and its weight is two popcounts away.  Its run
-starts depend on its path only through ``opens``, since a U is what
-separates two down-runs: grouping the paths by ``opens`` only counts words
-with the same run starts together, which is still the definition letter by
-letter, not the run-level sum the closed-form count uses.  There are
-2**(n-1) patterns, one per composition of n into down-runs, so n = 9 takes
-256 * 512 (pattern, colouring) cells rather than 2.49 M words of 18
-letters; chunks of patterns are capped near ``_CHUNK_CELLS`` cells.  The
-string-level definition (``enumerate_dyck`` with ``word_weight``) is kept
-as the oracle's own reference.
+The brute-force oracle stays letter-level.  It walks the words letter by
+letter, keeping for each height the weight polynomial of the prefixes there
+whose last letter is U, B or R, so a down-step sees whether it starts a run
+from the letter before it, which is the definition.  It uses none of the
+closed form's parts: no run sums, no cycle coefficients, not even its slot
+reader.  It takes O(n**2) adds and shifts of packed Python ints, so it runs
+to ``DP_CAP`` as the closed form does.  The string-level definition
+(``enumerate_dyck`` with ``word_weight``) is kept as the walk's own
+reference.
 """
 
 from __future__ import annotations
@@ -55,14 +47,12 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConsistencyError, DomainError
 from .exact import IntPoly
 from .special_values import value_polynomials
 from .validate import integer_at_least
 
-ENUM_CAP = 9
+ENUM_CAP = 9  # caps the word enumeration only
 DP_CAP = 200
 
 _ALPHABET = "UBR"  # also the lexicographic order of enumeration
@@ -175,76 +165,35 @@ def enumerate_dyck(n: int) -> Iterator[DyckWord]:
         yield DyckWord(s)
 
 
-# (pattern, colouring) cells one chunk of the brute force evaluates: a chunk
-# of block-opening patterns is sized so that its (patterns, 2**n) arrays
-# stay near this many entries.
-_CHUNK_CELLS = 1 << 14
+def _weight_poly_walk(n: int) -> IntPoly:
+    """Weight distribution by a letter-level prefix walk, one slot per coefficient.
 
-
-def _open_patterns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct block-opening patterns of the paths of half-length n, with multiplicities.
-
-    A path's pattern is the n-bit mask of its down-steps whose letter before
-    them is U: bit j is set when down-step j follows a U.  The paths grow
-    breadth-first, one step for all of them at a time, each carrying its
-    down-steps so far, whether its last letter is U, and its pattern: after
-    ``step`` letters a path with d down-steps has step - d up-steps and
-    height step - 2d, so it can rise while step - d < n and fall while
-    2d < step, and a fall sets bit d when it follows a U.  Patterns are below
-    2**n, so one ``np.bincount`` counts the paths per pattern.  Returns the
-    patterns in increasing order and how many of the Catalan(n) paths have
-    each.
+    ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
+    the prefixes at height h whose last letter is U, B or R (the empty prefix
+    counts as ending in U), divided by q**h, in slots of ``width`` bits.
+    Appending U moves a polynomial up a height unshifted; a down-step
+    multiplies it by q, a B that opens a B-run by q once more, and an R that
+    opens an R-run takes that factor back.  Heights above ``top`` cannot
+    return to the axis in time and are dropped, so every slot counts
+    distinct completable prefixes, at most Catalan(n) * 2**n of them, and
+    no slot carries.
     """
-    downs = np.zeros(1, dtype=np.int64)
-    last_up = np.zeros(1, dtype=np.int64)
-    pattern = np.zeros(1, dtype=np.int64)
+    width = (catalan(n) << n).bit_length()
+    ups, blues, reds = [1], [0], [0]
     for step in range(2 * n):
-        rise = np.flatnonzero(step - downs < n)
-        fall = np.flatnonzero(2 * downs < step)
-        pattern = np.concatenate([pattern[rise], pattern[fall] | last_up[fall] << downs[fall]])
-        downs = np.concatenate([downs[rise], downs[fall] + 1])
-        last_up = (np.arange(len(downs)) < len(rise)).astype(np.int64)
-    paths = np.bincount(pattern, minlength=1 << n)
-    opens = np.flatnonzero(paths)
-    return opens, paths[opens]
-
-
-def _weight_poly_bruteforce(n: int) -> IntPoly:
-    """Weight distribution by exhausting every coloured word, from bits.
-
-    Colouring k makes down-step j an R when bit j of k is set, and a B
-    otherwise; the letter before a down-step is U when its bit of the
-    path's pattern ``opens`` is set, and down-step j - 1 otherwise.  A
-    down-step starts a run when the letter before it differs from it, so
-    the word's run starts among its down-steps are
-    starts = opens | ((k ^ (k << 1)) & (2**n - 1)), and it weighs
-    n + popcount(starts & ~k) - popcount(starts & k)
-    = n + popcount(starts) - 2 * popcount(starts & k),
-    with popcount read from a 2**n-entry table.  Two paths with the same
-    pattern give, under one colouring, words with the same run starts in
-    the same colours, so each pattern is coloured once and its tally
-    weighted by how many paths have it.
-
-    A chunk of patterns is one (patterns, 2**n) array of weights, offset
-    by 2n + 1 per row so that one ``np.bincount`` tallies every row, and
-    the rows are summed with the multiplicities as weights.  Chunks hold at
-    most ``_CHUNK_CELLS`` cells, or one pattern when a pattern has more.
-    """
-    cols = 1 << n
-    width = 2 * n + 1
-    ones = np.array([k.bit_count() for k in range(cols)], dtype=np.int8)
-    colours = np.arange(cols)
-    flips = (colours ^ (colours << 1)) & (cols - 1)
-    opens, paths = _open_patterns(n)
-    per_chunk = max(1, _CHUNK_CELLS // cols)
-    counts = np.zeros(width, dtype=np.int64)
-    for lo in range(0, len(opens), per_chunk):
-        starts = opens[lo : lo + per_chunk, None] | flips
-        rows = len(starts)
-        bins = ones[starts] - 2 * ones[starts & colours] + (n + width * np.arange(rows))[:, None]
-        tallies = np.bincount(bins.ravel(), minlength=rows * width).reshape(rows, width)
-        counts += (paths[lo : lo + per_chunk, None] * tallies).sum(axis=0)
-    return IntPoly(counts.tolist())
+        top = min(step + 1, 2 * n - step - 1)
+        new_ups, new_blues, new_reds = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+        for h in range(step % 2, len(ups), 2):
+            u, b, r = ups[h], blues[h], reds[h]
+            if h < top:
+                new_ups[h + 1] = u + b + r
+            if h:
+                new_blues[h - 1] = (((u + r) << width) + b) << width
+                new_reds[h - 1] = u + b + (r << width)
+        ups, blues, reds = new_ups, new_blues, new_reds
+    total = ups[0] + blues[0] + reds[0]
+    mask = (1 << width) - 1
+    return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
 
 
 def _cycle_seeds(n: int) -> list[int]:
@@ -360,9 +309,9 @@ def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
             raise DomainError(f"dp route is capped at n = {DP_CAP}")
         return _weight_poly_dp(n)
     if method == "bruteforce":
-        if n > ENUM_CAP:
-            raise DomainError(f"bruteforce route is capped at n = {ENUM_CAP}")
-        return _weight_poly_bruteforce(n)
+        if n > DP_CAP:
+            raise DomainError(f"bruteforce route is capped at n = {DP_CAP}")
+        return _weight_poly_walk(n)
     raise DomainError(f"unknown method {method!r}; choose from {WEIGHT_POLY_METHODS}")
 
 
@@ -373,8 +322,7 @@ class IdentityReport:
     ok: bool
     dp_checked: int
     brute_checked: int
-    brute_words: int  # coloured words the brute force exhausted, Catalan(n) * 2**n summed
-    brute_cells: int  # (pattern, colouring) cells it evaluated, 2**(2n-1) summed (1 at n = 0)
+    brute_words: int  # coloured words the brute force counted, Catalan(n) * 2**n summed
     mismatches: tuple[str, ...]
     mismatch_ns: tuple[int, ...]  # the half-length n of each mismatch, in the same order
 
@@ -384,7 +332,7 @@ class IdentityReport:
 
 def verify_weight_value_identity(
     n_max: int,
-    brute_max: int = ENUM_CAP,
+    brute_max: int = 9,
     value_polys: Optional[Sequence[IntPoly]] = None,
 ) -> IdentityReport:
     """Compare weight polynomials with value polynomials, and dp with brute force.
@@ -397,10 +345,6 @@ def verify_weight_value_identity(
     brute_max = integer_at_least(brute_max, 0, "brute_max")
     if n_max > DP_CAP:
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
-    if min(brute_max, n_max) > ENUM_CAP:
-        raise DomainError(
-            f"brute_max = {brute_max} asks the bruteforce route past its cap n = {ENUM_CAP}"
-        )
     if value_polys is None:
         value_polys = value_polynomials(n_max + 1)
     if len(value_polys) < n_max + 1:
@@ -412,7 +356,6 @@ def verify_weight_value_identity(
     mismatch_ns = []
     brute_checked = 0
     brute_words = 0
-    brute_cells = 0
     for n in range(n_max + 1):
         dp = weight_polynomial(n, "dp")
         expected = value_polys[n]
@@ -428,7 +371,6 @@ def verify_weight_value_identity(
             brute = weight_polynomial(n, "bruteforce")
             brute_checked += 1
             brute_words += catalan(n) << n
-            brute_cells += 1 << max(2 * n - 1, 0)  # 2**(n-1) patterns by 2**n colourings
             if brute != dp:
                 mismatches.append(f"dp and bruteforce disagree at n = {n}")
                 mismatch_ns.append(n)
@@ -437,7 +379,6 @@ def verify_weight_value_identity(
         dp_checked=n_max + 1,
         brute_checked=brute_checked,
         brute_words=brute_words,
-        brute_cells=brute_cells,
         mismatches=tuple(mismatches),
         mismatch_ns=tuple(mismatch_ns),
     )

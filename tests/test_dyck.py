@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -19,40 +20,11 @@ from treezeta.dyck import (
     word_weight,
     _cycle_coefficients,
     _cycle_seeds,
-    _open_patterns,
 )
 from treezeta import dyck
 from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_is_palindromic
 from treezeta.special_values import value_polynomials
-
-
-def letter_dp(n):
-    """Weight distribution by a letter-level prefix walk, the dp's own oracle.
-
-    ``ups[h]``, ``blues[h]`` and ``reds[h]`` hold the weight polynomials of
-    the prefixes at height h whose last letter is U, B or R (the empty prefix
-    counts as ending in U), divided by q**h, one bit slot per coefficient.
-    Appending U moves a polynomial up a height unshifted; a down-step
-    multiplies it by q, a B that opens a B-run by q once more, and an R that
-    opens an R-run takes that factor back.  No run-level algebra is used.
-    """
-    width = (catalan(n) << n).bit_length()
-    ups, blues, reds = [1], [0], [0]
-    for step in range(2 * n):
-        top = min(step + 1, 2 * n - step - 1)
-        new_ups, new_blues, new_reds = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
-        for h in range(step % 2, len(ups), 2):
-            u, b, r = ups[h], blues[h], reds[h]
-            if h < top:
-                new_ups[h + 1] = u + b + r
-            if h:
-                new_blues[h - 1] = (((u + r) << width) + b) << width
-                new_reds[h - 1] = u + b + (r << width)
-        ups, blues, reds = new_ups, new_blues, new_reds
-    total = ups[0] + blues[0] + reds[0]
-    mask = (1 << width) - 1
-    return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
 
 
 def term_ratio_cycle_coefficients(n):
@@ -170,7 +142,7 @@ class TestWeightPolynomial:
 
     @pytest.mark.parametrize("n", range(8))
     def test_bruteforce_matches_string_definition(self, n):
-        # the (pattern, colouring) bit counts against one word_weight call per word
+        # the letter walk against one word_weight call per word
         assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
 
     @pytest.mark.parametrize("method", ["dp", "bruteforce"])
@@ -199,10 +171,10 @@ class TestWeightPolynomial:
         assert weight_polynomial(n, "dp") == value_polynomials(n + 1)[n]
 
     # the cycle-lemma count rests on the per-run colour sums; the letter walk
-    # uses none of that run algebra
+    # of the bruteforce route uses none of that run algebra
     @pytest.mark.parametrize("n", [*range(61), 100, 150, DP_CAP])
     def test_run_level_dp_equals_letter_level_dp(self, n):
-        assert weight_polynomial(n, "dp") == letter_dp(n)
+        assert weight_polynomial(n, "dp") == weight_polynomial(n, "bruteforce")
 
     @pytest.mark.parametrize("n", range(31))
     def test_cycle_coefficients_expand_to_the_weight_polynomial(self, n):
@@ -242,50 +214,14 @@ class TestWeightPolynomial:
         with pytest.raises(ConsistencyError, match="cycle coefficient"):
             weight_polynomial(n, "dp")
 
-    def test_letter_dp_matches_string_definition(self):
-        for n in range(7):
-            assert list(letter_dp(n).coeffs) == string_tally(n)
-
     def test_caps_and_methods(self):
+        assert weight_polynomial(10, "bruteforce") == weight_polynomial(10, "dp")
         with pytest.raises(DomainError):
-            weight_polynomial(10, "bruteforce")
+            weight_polynomial(DP_CAP + 1, "bruteforce")
         with pytest.raises(DomainError):
             weight_polynomial(201, "dp")
         with pytest.raises(DomainError):
             weight_polynomial(3, "magic")
-
-
-class TestBruteforceBatches:
-    @pytest.mark.parametrize("patterns_per_chunk", [1, 3])
-    @pytest.mark.parametrize("n", range(8))
-    def test_small_batches_keep_every_word(self, monkeypatch, n, patterns_per_chunk):
-        # one pattern per chunk, then three: 2**(n-1) = 2, 4, 8, ... patterns
-        # from n = 2 on, never a multiple of three, so the last chunk is ragged
-        monkeypatch.setattr(dyck, "_CHUNK_CELLS", patterns_per_chunk << n)
-        assert list(weight_polynomial(n, "bruteforce").coeffs) == string_tally(n)
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_one_pattern_per_composition(self, n):
-        # a pattern marks where the down-runs start, so it is a composition
-        # of n, and U^l1 D^l1 U^l2 D^l2 ... realises every composition
-        opens, paths = _open_patterns(n)
-        assert paths.sum() == catalan(n)
-        assert len(opens) == len(set(opens.tolist())) == 1 << (n - 1)
-        assert all(p & 1 for p in opens.tolist())
-        assert opens.max() < 1 << n
-
-    @pytest.mark.parametrize("n", range(8))
-    def test_patterns_match_the_words(self, n):
-        # each uncoloured path is a word without R; its pattern read off its letters
-        tally = Counter()
-        for word in enumerate_dyck(n):
-            letters = word.letters
-            if "R" in letters:
-                continue
-            downs = [i for i, ch in enumerate(letters) if ch == "B"]
-            tally[sum(1 << j for j, i in enumerate(downs) if letters[i - 1] == "U")] += 1
-        opens, paths = _open_patterns(n)
-        assert dict(zip(opens.tolist(), paths.tolist())) == dict(tally)
 
 
 class TestCarryGuard:
@@ -306,6 +242,12 @@ class TestCarryGuard:
         monkeypatch.setattr(dyck, "catalan", lambda k: self.NarrowCount(true_catalan(k)))
         with pytest.raises(ConsistencyError, match="carried"):
             weight_polynomial(n, "dp")
+
+
+def test_dyck_binds_no_numpy_module():
+    # the walk and the closed form run on Python ints only
+    bound = [v for v in vars(dyck).values() if isinstance(v, ModuleType)]
+    assert not [m.__name__ for m in bound if m.__name__.split(".")[0] == "numpy"]
 
 
 @pytest.mark.parametrize("width", [1, 7, 64, 439])
@@ -334,13 +276,6 @@ class TestIdentity:
         assert report.ok
         assert report.brute_checked == brute_max + 1
         assert report.brute_words == words
-
-    # 2**(n-1) patterns by 2**n colourings, summed: 1, then 1 + 2 + 8 + 32 + 128 + 512
-    @pytest.mark.parametrize("brute_max, cells", [(0, 1), (5, 683), (9, 174763)])
-    def test_brute_cells_counted(self, brute_max, cells):
-        report = verify_weight_value_identity(9, brute_max=brute_max)
-        assert report.brute_cells == cells
-        assert cells == sum(len(_open_patterns(n)[0]) << n for n in range(brute_max + 1))
 
     def test_corrupted_table_is_flagged(self):
         polys = list(value_polynomials(7))
@@ -374,16 +309,8 @@ class TestIdentity:
         with pytest.raises(DomainError, match="NoneType"):
             verify_weight_value_identity(6, brute_max=0, value_polys=polys)
 
-    def test_brute_max_past_the_cap_refused_up_front(self, monkeypatch):
-        def no_work(n, method="dp"):
-            raise AssertionError("the check ran before refusing")
-
-        monkeypatch.setattr(dyck, "weight_polynomial", no_work)
-        with pytest.raises(DomainError, match="brute_max = 10"):
-            verify_weight_value_identity(12, brute_max=10)
-
     def test_brute_max_past_the_cap_allowed_when_n_max_is_within(self):
-        # only min(brute_max, n_max) words are exhausted
+        # the walk runs only through min(brute_max, n_max)
         report = verify_weight_value_identity(4, brute_max=12)
         assert report.ok
         assert report.brute_checked == 5

@@ -127,10 +127,6 @@ class TestChecksPass:
         assert r.passed
         assert "bruteforce through n=5 (1619 words)" in r.detail
 
-    def test_dyck_detail_names_the_bruteforce_cell_count(self):
-        r = check_dyck_identity(n_max=6, brute_max=5)
-        assert r.detail.endswith("(1619 words) in 683 cells, exact")
-
 
 class TestBatteryDriver:
     def test_full_battery_names_and_order(self):
