@@ -48,7 +48,7 @@ from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import IntPoly
+from .exact import IntPoly, _poly_table
 from .special_values import value_polynomials
 from .validate import integer_at_least
 
@@ -82,13 +82,15 @@ def _validate_letters(letters: str) -> int:
     return ups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyckWord:
     """A validated 2-coloured Dyck word."""
 
     letters: str
 
     def __post_init__(self):
+        if not isinstance(self.letters, str):
+            raise DomainError(f"letters must be a string, got {type(self.letters).__name__}")
         _validate_letters(self.letters)
 
     @property
@@ -102,7 +104,7 @@ class DyckWord:
         return self.letters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightProfile:
     """Block statistics of one word and the weight they induce."""
 
@@ -315,7 +317,7 @@ def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
     raise DomainError(f"unknown method {method!r}; choose from {WEIGHT_POLY_METHODS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityReport:
     """Outcome of checking the weight polynomials against the value polynomials."""
 
@@ -347,11 +349,7 @@ def verify_weight_value_identity(
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
     if value_polys is None:
         value_polys = value_polynomials(n_max + 1)
-    if len(value_polys) < n_max + 1:
-        raise DomainError("value polynomial table is too short")
-    for p in value_polys[: n_max + 1]:
-        if not isinstance(p, IntPoly):
-            raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
+    value_polys = _poly_table(value_polys, n_max + 1, "value_polys")
     mismatches = []
     mismatch_ns = []
     brute_checked = 0

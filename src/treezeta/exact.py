@@ -23,8 +23,8 @@ No floating point enters any computation in this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .validate import integer
@@ -55,8 +55,14 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
+        try:
+            items = iter(coeffs)
+        except TypeError:
+            raise DomainError(
+                f"coeffs must be an iterable of integers, got {type(coeffs).__name__}"
+            ) from None
         cs = []
-        for c in coeffs:
+        for c in items:
             if not isinstance(c, int):
                 if isinstance(c, Fraction) and c.denominator == 1:
                     c = c.numerator
@@ -94,7 +100,9 @@ class IntPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
+        # a constant equals its int, so it hashes as that int
+        cs = self.coeffs
+        return hash(("IntPoly", cs)) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -211,9 +219,27 @@ def poly_eval(p, x) -> Fraction:
     runs Horner in integers, and the result is wrapped in a Fraction once, at
     the end.
     """
+    _intpoly(p, "p")
     if not isinstance(x, Fraction):
         x = integer(x, "evaluation point")
     return Fraction(p.evaluate(x))
+
+
+def _intpoly(p, name: str) -> None:
+    if not isinstance(p, IntPoly):
+        raise DomainError(f"{name} must be an IntPoly, got {type(p).__name__}")
+
+
+def _poly_table(polys, count: int, name: str) -> Sequence[IntPoly]:
+    """The first count entries of an injected table; each must be an IntPoly."""
+    if not isinstance(polys, Sequence):
+        raise DomainError(f"{name} must be a sequence of IntPoly, got {type(polys).__name__}")
+    if len(polys) < count:
+        raise DomainError(f"{name} needs at least {count} polynomials, got {len(polys)}")
+    table = polys[:count]
+    for p in table:
+        _intpoly(p, f"{name} entry")
+    return table
 
 
 def first_nonzero_sum(sums: Iterable[Iterable[tuple[int, IntPoly, IntPoly]]]) -> int:
@@ -352,6 +378,7 @@ def poly_is_palindromic(p) -> bool:
 
     The zero polynomial has no sensible reversal, so it is rejected.
     """
+    _intpoly(p, "p")
     if p.is_zero():
         raise DomainError("palindromicity is undefined for the zero polynomial")
     return p.coeffs == tuple(reversed(p.coeffs))

@@ -26,7 +26,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .exact import IntPoly, first_nonzero_sum
+from .exact import IntPoly, _poly_table, first_nonzero_sum
 from .special_values import _ONE, _QM1_SQ, _quadratic_recurrence, value_polynomials
 from .validate import (
     EPS_CUT,
@@ -230,12 +230,7 @@ def quadratic_residual_series(
     n_max = integer_at_least(n_max, 1, "n_max")
     if polys is None:
         polys = value_polynomials(n_max)
-    if len(polys) < n_max:
-        raise DomainError(f"need at least {n_max} polynomials, got {len(polys)}")
-    table = polys[:n_max]
-    for p in table:
-        if not isinstance(p, IntPoly):
-            raise DomainError(f"table entries must be IntPoly, got {type(p).__name__}")
+    table = _poly_table(polys, n_max, "polys")
     m = first_nonzero_sum(_linear_terms(table, k) for k in range(n_max))
     rhs = _quadratic_recurrence(table, m, IntPoly.variable(), _ONE)
     return (IntPoly(),) * m + tuple(r - t for t, r in zip(table[m:], rhs))

@@ -60,6 +60,7 @@ from .validate import (
     branching_number,
     finite_point,
     finite_result,
+    integer,
     nonnegative_real,
     tolerance,
 )
@@ -73,7 +74,7 @@ CACHED_MAX_INTERVALS = 4096
 GRID_CACHE_QS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Tolerances and interval budget for the nested trapezoid rule."""
 
@@ -84,7 +85,7 @@ class QuadratureSpec:
     def __post_init__(self):
         tolerance(self.abs_tol, "abs_tol")
         tolerance(self.rel_tol, "rel_tol")
-        n = self.max_nodes
+        n = integer(self.max_nodes, "max_nodes")
         if n < FIRST_LEVEL_INTERVALS or n & (n - 1):
             raise DomainError(f"max_nodes must be a power of two >= {FIRST_LEVEL_INTERVALS}")
 
@@ -92,7 +93,7 @@ class QuadratureSpec:
 _DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZetaEval:
     """One quadrature result with its own error estimate; nodes counts integrand evaluations."""
 
@@ -261,7 +262,10 @@ def _quadrature(
     if not in_range:
         with np.errstate(over="ignore", invalid="ignore"):
             return _quadrature(grid, integrand, spec, True)
-    spec = spec or _DEFAULT_SPEC
+    if spec is None:
+        spec = _DEFAULT_SPEC
+    elif not isinstance(spec, QuadratureSpec):
+        raise DomainError(f"spec must be a QuadratureSpec or None, got {type(spec).__name__}")
     s0, s1, s2 = np.add.reduceat(integrand(grid.head), grid.head_starts).tolist()
     prev = 0.5 * s0 + s1
     integral = 0.5 * prev + s2

@@ -139,7 +139,7 @@ def _edges(q: int) -> tuple[float, float]:
     return ((rq - 1) ** 2, (rq + 1) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumCut:
     """A closed real segment acting as a branch cut."""
 

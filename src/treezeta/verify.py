@@ -72,7 +72,7 @@ SATO_QUAD_TOL = 1e-8
 CUT_CLEARANCE = 5e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of one verification check.
 
@@ -510,7 +510,12 @@ def run_battery(
     tolerance, n_max resizes the depth-indexed exact checks, quad sets the
     quadrature of the numeric checks.
     """
-    selected = list(names) if names is not None else list(ALL_CHECKS)
+    try:
+        selected = list(names if names is not None else ALL_CHECKS)
+    except TypeError:
+        raise DomainError(
+            f"names must be an iterable of check names, got {type(names).__name__}"
+        ) from None
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")

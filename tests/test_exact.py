@@ -53,6 +53,21 @@ class TestIntPoly:
         with pytest.raises(AttributeError):
             p.coeffs = (3,)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (IntPoly(), 0),
+            (IntPoly([0, 0]), IntPoly()),
+            (IntPoly.constant(5), 5),
+            (IntPoly([-7, 0]), -7),
+            (IntPoly([1, 2, 0]), 2 * IntPoly.variable() + 1),
+        ],
+    )
+    def test_equal_objects_hash_equal(self, a, b):
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 def convolve(a, b):
     """Schoolbook product of two coefficient sequences, without ``IntPoly``."""

@@ -69,6 +69,8 @@ class TestQuadratureSpec:
             {"rel_tol": 10**400},
             {"rel_tol": True},
             {"abs_tol": "1e-13"},
+            {"max_nodes": 64.0},  # integral, but not an integer
+            {"max_nodes": "a"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -78,6 +80,22 @@ class TestQuadratureSpec:
     def test_nodes_per_panel_is_gone(self):
         with pytest.raises(TypeError):
             QuadratureSpec(nodes_per_panel=16)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: zeta_numeric(3, 2, spec=5),
+            lambda: xi_value(3, 2, spec=5),
+            lambda: heat_trace(3, 1.0, spec=5),
+            lambda: heat_eval(3, 1.0, spec=5),
+            lambda: resolvent_transform(3, -1.0, spec=5),
+            lambda: zeta_numeric(2, 500, spec=0),  # falsy, and on the rule's out-of-range path
+        ],
+        ids=["zeta", "xi", "heat", "heat-eval", "resolvent", "zero"],
+    )
+    def test_spec_of_another_type_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="^spec must be a QuadratureSpec or None, got int$"):
+            call()
 
 
 class _Samples:

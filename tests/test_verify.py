@@ -6,9 +6,10 @@ import math
 import pytest
 
 from treezeta import special_values, spectral, verify
+from treezeta.dyck import DyckWord, verify_weight_value_identity
 from treezeta.errors import DomainError
-from treezeta.exact import IntPoly
-from treezeta.genfun import symmetry_defect
+from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
+from treezeta.genfun import quadratic_residual_series, symmetry_defect
 from treezeta.special_values import two_step_defect, value_polynomials
 from treezeta.spectral import QuadratureSpec
 from treezeta.verify import (
@@ -367,3 +368,22 @@ class TestDepthValidation:
     def test_negative_residual_order_refused(self):
         with pytest.raises(DomainError, match="order must be at least 0"):
             run_battery(["residual"], n_max=-1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: IntPoly(5), "coeffs"),
+        (lambda: DyckWord(5), "letters"),
+        (lambda: poly_eval([1, 2], 3), "p"),
+        (lambda: poly_is_palindromic([1, 2, 1]), "p"),
+        (lambda: run_battery(names=5), "names"),
+        (lambda: verify_weight_value_identity(3, value_polys=5), "value_polys"),
+        (lambda: quadratic_residual_series(3, polys=5), "polys"),
+    ],
+    ids=["IntPoly", "DyckWord", "poly_eval", "poly_is_palindromic", "run_battery",
+         "verify_weight_value_identity", "quadratic_residual_series"],
+)
+def test_wrong_type_argument_is_a_domain_error_naming_it(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        call()
