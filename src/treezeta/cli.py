@@ -71,6 +71,15 @@ DYCK_METHODS = ("dp", "bruteforce")
 DEPTH_CAP = 256
 
 _CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
+# verify's override flags and the run_battery override each one sets
+_VERIFY_FLAGS = {
+    "--q": "q",
+    "--tol": "tol",
+    "--n-max": "n_max",
+    "--abs-tol": "quad",
+    "--rel-tol": "quad",
+    "--max-nodes": "quad",
+}
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -448,11 +457,16 @@ def _status_word(ok: bool, color: bool) -> str:
 def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool) -> Report:
     from .dyck import DP_CAP
     from .special_values import moment_polynomials, negative_value_table
-    from .verify import run_battery
+    from .verify import CHECK_OVERRIDES, run_battery
 
     cap = {"twostep": 2 * DEPTH_CAP, "dyck": DP_CAP, "all": DP_CAP}.get(args.suite, DEPTH_CAP)
     if args.n_max is not None and args.n_max > cap:
         raise DomainError(f"verify {args.suite} --n-max is capped at {cap}")
+    # a named suite refuses an explicit flag that none of its overrides takes
+    for flag, override in _VERIFY_FLAGS.items():
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
+        if given and args.suite != "all" and override not in CHECK_OVERRIDES[args.suite]:
+            raise DomainError(f"verify {args.suite} does not take {flag}")
     spec = _quad_spec(args, config)
     tol = args.tol if args.tol is not None else config.get("tol")
     names = None if args.suite == "all" else [args.suite]

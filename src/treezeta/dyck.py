@@ -22,12 +22,13 @@ Lukasiewicz code of a plane tree with n + 1 nodes.  Raney's cycle lemma
 psi(t)**(n+1) / (n+1) with psi(t) = 1 + sum of g(l) * t**l =
 (1 + (q-1)**2 * t * (1 - q*t)) / (1 - 2*q*t).  Expanded, W_n is a sum of
 non-negative integers a_k times q**(n-k) * (q-1)**(2k), palindromic by
-construction.  The a_k come from a three-term recurrence in k, one exact
-division per step, whose last value must come out as a_n = 1.  W_n is then
-evaluated by a signed but exact Horner's rule at a power of two whose slots
-hold the coefficients; a carry between slots lowers their sum below
-W_n(1) = Catalan(n) * 2**n, which is checked.  Both passes take O(n) steps
-on Python ints, and nothing is cached between calls.
+construction.  The a_k come from a three-term recurrence in k, run down
+from a_n = 1 with one exact division per step, whose last value must come
+out as a_0 = W_n(1) = Catalan(n) * 2**n.  Each a_k goes straight into a
+signed but exact Horner's rule at a power of two whose slots hold the
+coefficients; a carry between slots lowers their sum below W_n(1), which is
+checked.  That one pass takes O(n) steps on Python ints, and nothing is
+cached between calls.
 
 The brute-force oracle stays letter-level.  It walks the words letter by
 letter, keeping for each height the weight polynomial of the prefixes there
@@ -198,23 +199,8 @@ def _weight_poly_walk(n: int) -> IntPoly:
     return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
 
 
-def _cycle_seeds(n: int) -> list[int]:
-    """a_0 = Catalan(n) * 2**n and, from n = 1 on, a_1, the recurrence's two seeds.
-
-    At k = 1 the sum S_1 (see ``_cycle_coefficients``) has the two terms
-    C(2m, m) * 2**m + C(2m, m-1) * 2**(m-1) with m = n - 1, and
-    a_1 = C(n+1, 1) / (n+1) * S_1 = S_1; at n = 1 only the first term is
-    there, and a_1 = 1.
-    """
-    seeds = [catalan(n) << n]
-    if n:
-        m = n - 1
-        seeds.append((math.comb(2 * m, m) << m) + (math.comb(2 * m, m - 1) << m - 1) if m else 1)
-    return seeds
-
-
-def _cycle_coefficients(n: int) -> list[int]:
-    """The a_k of W_n(q) = sum over k of a_k * q**(n-k) * (q-1)**(2k), k = 0..n.
+def _cycle_coefficients(n: int) -> Iterator[int]:
+    """The a_k of W_n(q) = sum over k of a_k * q**(n-k) * (q-1)**(2k), from k = n down to 0.
 
     With z = (q-1)**2, psi(t) = (1 + z*t*(1 - q*t)) / (1 - 2*q*t) and
     (1 - q*t) / (1 - 2*q*t) = 1 + t / (1 - 2*q*t), the binomial theorem
@@ -225,46 +211,46 @@ def _cycle_coefficients(n: int) -> list[int]:
     a polynomial over the integers in y = q + 1/q, and
     q**(n-k) * z**k = q**n * (y - 2)**k.
 
-    The sums are not formed.  The a_k follow a three-term recurrence in k:
-    with m = n - k and 0 <= k <= n - 2,
-    8(k+2)(m-1)(2m-3) * a_{k+2}
-    = m**2 (m+1) * a_k + m (3m**2 - 6km - k**2 - 13m + k + 6) * a_{k+1},
-    run from the seeds of ``_cycle_seeds``.  Its left factor is nonzero as
-    m >= 2, and every division must be exact: a remainder raises
-    ``ConsistencyError``.  So does a last value other than a_n = 1 (at
-    k = n the sum S_n is the single term 1), which the recurrence computes
-    and nothing forces, a free end check.  The recurrence was found by
-    fitting a nullspace of polynomial coefficients to the a_k of n <= 40
-    and is not proved here; it was held equal to the sums, a_n = 1
-    included, for every n <= 400, and the tests hold it to them for every
-    n <= ``DP_CAP``, so raising ``DP_CAP`` means raising that range with
-    it.  An a_1 off by one fails the division or the end check at every
-    such n.  That is O(n) small-by-large steps.
+    The sums are not formed.  The a_k follow a three-term recurrence in k,
+    run downwards from its own boundary values a_{n+1} = 0 and a_n = 1 (at
+    k = n the sum S_n is the single term 1): with m = n - k and
+    0 <= k <= n - 1,
+    m**2 (m+1) * a_k
+    = 8(k+2)(m-1)(2m-3) * a_{k+2} - m (3m**2 - 6km - k**2 - 13m + k + 6) * a_{k+1}.
+    Its divisor is nonzero as m >= 1, and at k = n - 1 the a_{n+1} term
+    carries the factor m - 1 = 0.  Every division must be exact: a
+    remainder raises ``ConsistencyError``.  The last value, a_0, is computed
+    and nothing forces it: ``_weight_poly_dp`` holds it to W_n(1), a free end
+    check.  The recurrence was found by fitting a nullspace of polynomial
+    coefficients to the a_k of n <= 40 and is not proved here; run this way
+    it was held equal to the sums for every n <= 400, and the tests hold it
+    to them for every n <= ``DP_CAP``, so raising ``DP_CAP`` means raising
+    that range with it.  That is O(n) small-by-large steps.
     """
-    coeffs = _cycle_seeds(n)
-    for k in range(n - 1):
+    above, a = 0, 1  # a_{k+2} and a_{k+1}
+    yield a
+    for k in range(n - 1, -1, -1):
         m = n - k
         middle = m * (3 * m * m - 6 * k * m - k * k - 13 * m + k + 6)
-        total = m * m * (m + 1) * coeffs[k] + middle * coeffs[k + 1]
-        a, rest = divmod(total, 8 * (k + 2) * (m - 1) * (2 * m - 3))
+        total = 8 * (k + 2) * (m - 1) * (2 * m - 3) * above - middle * a
+        below, rest = divmod(total, m * m * (m + 1))
         if rest:
-            raise ConsistencyError(f"cycle coefficient {k + 2} of {n} is not an integer")
-        coeffs.append(a)
-    if coeffs[-1] != 1:
-        raise ConsistencyError(f"cycle coefficient {n} of {n} is {coeffs[-1]}, not 1")
-    return coeffs
+            raise ConsistencyError(f"cycle coefficient {k} of {n} is not an integer")
+        above, a = a, below
+        yield a
 
 
 def _weight_poly_dp(n: int) -> IntPoly:
     """Weight distribution by the cycle lemma (module docstring), in one packed int.
 
-    With the a_k of ``_cycle_coefficients``, W_n is evaluated at
-    X = 2**width by Horner's rule over k from n down:
+    As ``_cycle_coefficients`` yields a_k for k from n down, W_n is
+    evaluated at X = 2**width by Horner's rule:
     packed = packed * (X - 1)**2 + a_k * X**(n-k), that is three shifts and
     adds per step.  The partial sums are polynomials with signed
     coefficients, but Python ints are exact, so the final int is W_n(X)
-    whatever the signs on the way.  Every coefficient of W_n is at most
-    W_n(1) = a_0 = Catalan(n) * 2**n, and ``width`` is that number's bit
+    whatever the signs on the way.  The last a_k must be
+    a_0 = W_n(1) = Catalan(n) * 2**n, or ``ConsistencyError`` is raised.
+    Every coefficient of W_n is at most that number, and ``width`` is its bit
     length, so the coefficients lie in [0, X) and are read off the slots
     [k*width, (k+1)*width) by ``_slots``.  Were the slots too narrow, each
     carry out of a slot would trade m * X there for m in the next one, and
@@ -275,8 +261,10 @@ def _weight_poly_dp(n: int) -> IntPoly:
     words = catalan(n) << n
     width = words.bit_length()
     packed = 0
-    for k, a in reversed(list(enumerate(_cycle_coefficients(n)))):
-        packed += (packed << 2 * width) - (packed << width + 1) + (a << (n - k) * width)
+    for m, a in enumerate(_cycle_coefficients(n)):
+        packed += (packed << 2 * width) - (packed << width + 1) + (a << m * width)
+    if a != words:
+        raise ConsistencyError(f"cycle coefficient 0 of {n} is {a}, not {words}")
     coeffs = _slots(packed, width, 2 * n + 1)
     if sum(coeffs) != words:
         raise ConsistencyError(f"packed weight polynomial {n} carried between slots")
@@ -306,15 +294,11 @@ WEIGHT_POLY_METHODS = ("dp", "bruteforce")
 def weight_polynomial(n: int, method: str = "dp") -> IntPoly:
     """Distribution polynomial of the block weight over words of half-length n."""
     n = integer_at_least(n, 0, "half-length")
-    if method == "dp":
-        if n > DP_CAP:
-            raise DomainError(f"dp route is capped at n = {DP_CAP}")
-        return _weight_poly_dp(n)
-    if method == "bruteforce":
-        if n > DP_CAP:
-            raise DomainError(f"bruteforce route is capped at n = {DP_CAP}")
-        return _weight_poly_walk(n)
-    raise DomainError(f"unknown method {method!r}; choose from {WEIGHT_POLY_METHODS}")
+    if method not in WEIGHT_POLY_METHODS:
+        raise DomainError(f"unknown method {method!r}; choose from {WEIGHT_POLY_METHODS}")
+    if n > DP_CAP:
+        raise DomainError(f"{method} route is capped at n = {DP_CAP}")
+    return _weight_poly_dp(n) if method == "dp" else _weight_poly_walk(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,33 +334,21 @@ def verify_weight_value_identity(
     if value_polys is None:
         value_polys = value_polynomials(n_max + 1)
     value_polys = _poly_table(value_polys, n_max + 1, "value_polys")
-    mismatches = []
-    mismatch_ns = []
-    brute_checked = 0
-    brute_words = 0
+    mismatches = []  # (n, message) pairs
     for n in range(n_max + 1):
         dp = weight_polynomial(n, "dp")
-        expected = value_polys[n]
-        if dp != expected:
-            diff = dp - expected
-            k = next(i for i, c in enumerate(diff.coeffs) if c != 0)
-            mismatches.append(
-                f"weight polynomial {n} differs from value polynomial {n + 1} "
-                f"first at coefficient {k}"
-            )
-            mismatch_ns.append(n)
-        if n <= brute_max:
-            brute = weight_polynomial(n, "bruteforce")
-            brute_checked += 1
-            brute_words += catalan(n) << n
-            if brute != dp:
-                mismatches.append(f"dp and bruteforce disagree at n = {n}")
-                mismatch_ns.append(n)
+        if dp != value_polys[n]:
+            k = next(i for i, c in enumerate((dp - value_polys[n]).coeffs) if c != 0)
+            mismatches.append((n, f"weight polynomial {n} differs from value polynomial {n + 1} "
+                                  f"first at coefficient {k}"))
+        if n <= brute_max and weight_polynomial(n, "bruteforce") != dp:
+            mismatches.append((n, f"dp and bruteforce disagree at n = {n}"))
+    brute_checked = min(brute_max, n_max) + 1
     return IdentityReport(
         ok=not mismatches,
         dp_checked=n_max + 1,
         brute_checked=brute_checked,
-        brute_words=brute_words,
-        mismatches=tuple(mismatches),
-        mismatch_ns=tuple(mismatch_ns),
+        brute_words=sum(catalan(n) << n for n in range(brute_checked)),
+        mismatches=tuple(message for _, message in mismatches),
+        mismatch_ns=tuple(n for n, _ in mismatches),
     )

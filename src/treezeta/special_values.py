@@ -46,10 +46,10 @@ grow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import ConsistencyError, DomainError
@@ -113,7 +113,31 @@ def _series_quotient(num: list[IntPoly], den: tuple[IntPoly, ...]) -> list[IntPo
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+def _cached(fn):
+    """fn behind ``lru_cache(typed=True)``, keyed on its arguments as given.
+
+    An argument the cache cannot hash goes to fn itself, whose validators
+    refuse it with ``DomainError``; a ``TypeError`` raised by fn passes
+    through.  ``cache_info`` and ``cache_clear`` are the cache's.
+    """
+    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:
+            try:
+                hash((args, *kwargs.values()))
+            except TypeError:
+                return fn(*args, **kwargs)
+            raise
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_cached
 def moment_polynomials(n_max: int) -> tuple[IntPoly, ...]:
     """Closed-walk counts at the root as polynomials in q, for lengths 0..n_max.
 
@@ -131,7 +155,7 @@ def moment_polynomials(n_max: int) -> tuple[IntPoly, ...]:
 NEG_VALUE_METHODS = ("closed_form", "moments", "series")
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached
 def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPoly, ...]:
     """Zeta values at 0, -1, ..., -m_max as integer polynomials in q.
 

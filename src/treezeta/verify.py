@@ -102,6 +102,16 @@ def _require_points(name: str, points: int) -> None:
         raise DomainError(f"the {name} check would cover no points")
 
 
+def _qs(qs) -> tuple:
+    """The branching numbers qs as a tuple; each q is left to the check's own validators."""
+    try:
+        return tuple(qs)
+    except TypeError:
+        raise DomainError(
+            f"qs must be an iterable of branching numbers, got {type(qs).__name__}"
+        ) from None
+
+
 def _scan(name: str, tol: float, detail: str, rows: Iterable[tuple]) -> CheckResult:
     """Run a grid check over its rows (where, defect, bound) and time it.
 
@@ -173,6 +183,7 @@ def check_negative_triple(m_max: int = 30) -> CheckResult:
 
 def check_moment_oracle(n_max: int = 12, qs: Sequence[int] = WALK_QS) -> CheckResult:
     """Generating-function walk counts equal the dynamic-programming counts."""
+    qs = _qs(qs)
     start = time.perf_counter()
     polys = moment_polynomials(n_max)
     bad = [
@@ -181,7 +192,7 @@ def check_moment_oracle(n_max: int = 12, qs: Sequence[int] = WALK_QS) -> CheckRe
         for n in range(n_max + 1)
         if poly_eval(polys[n], q) != count_closed_walks(q, n)
     ]
-    detail = f"q in {tuple(qs)}, walk lengths through {n_max}, exact"
+    detail = f"q in {qs}, walk lengths through {n_max}, exact"
     return _exact("moments", start, len(qs) * (n_max + 1), detail, bad, "count mismatch")
 
 
@@ -242,12 +253,13 @@ def check_symmetry(
     qs: Sequence[int] = TREE_QS, points: int = 200, tol: float = SYMMETRY_TOL
 ) -> CheckResult:
     """Positive series at z cancels negative series at 1/z, off the cuts."""
+    qs = _qs(qs)
     points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (
         ((q, z), abs(symmetry_defect(q, z)), tol) for q in qs for z in symmetry_grid(q, points)
     )
-    return _scan("symmetry", tol, f"{points} points per q in {tuple(qs)}", rows)
+    return _scan("symmetry", tol, f"{points} points per q in {qs}", rows)
 
 
 def entire_grid(count: int = 100) -> list[complex]:
@@ -260,6 +272,7 @@ def check_entire(
     qs: Sequence[int] = TREE_QS, points: int = 100, tol: float = ENTIRE_TOL
 ) -> CheckResult:
     """The cross combination equals z + 1 everywhere, cut included."""
+    qs = _qs(qs)
     points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (
@@ -267,12 +280,13 @@ def check_entire(
         for q in qs
         for z in entire_grid(points)
     )
-    detail = f"{points} points per q in {tuple(qs)}, on-cut points included"
+    detail = f"{points} points per q in {qs}, on-cut points included"
     return _scan("entire", tol, detail, rows)
 
 
 def check_two_step(qs: Sequence[int] = TREE_QS, n_abs: int = 20) -> CheckResult:
     """The exact two-step relation holds at every integer offset."""
+    qs = _qs(qs)
     n_abs = integer_at_least(n_abs, 0, "n_abs")
     start = time.perf_counter()
     residuals = []
@@ -284,7 +298,7 @@ def check_two_step(qs: Sequence[int] = TREE_QS, n_abs: int = 20) -> CheckResult:
         residuals += [((q, n), _two_step_residual(q, n, pos, neg)) for n in offsets]
     bad = [at for at, r in residuals if r != 0]
     defect = next((str(r) for _, r in residuals if r != 0), "0")
-    detail = f"|n| <= {n_abs}, q in {tuple(qs)}, exact rational arithmetic"
+    detail = f"|n| <= {n_abs}, q in {qs}, exact rational arithmetic"
     return _exact("twostep", start, len(qs) * (2 * n_abs + 1), detail, bad, defect)
 
 
@@ -306,10 +320,11 @@ def check_functional_equation(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Completed combination is symmetric under s -> 1 - s, numerically."""
+    qs = _qs(qs)
     points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
     rows = (((q, s), _fe_defect(q, s, quad), tol) for q in qs for s in fe_grid(points))
-    return _scan("fe", tol, f"{points} points per q in {tuple(qs)}, |s| <= 5", rows)
+    return _scan("fe", tol, f"{points} points per q in {qs}, |s| <= 5", rows)
 
 
 def _integer_defect(q: int, k: int, quad: Optional[QuadratureSpec]) -> float:
@@ -325,6 +340,7 @@ def check_integer_agreement(
     quad: Optional[QuadratureSpec] = None,
 ) -> CheckResult:
     """Quadrature values match the exact integer-point values."""
+    qs = _qs(qs)
     s_max = integer_at_least(s_max, 0, "s_max")
     tolerance(rel_tol, "rel_tol")
     rows = (
@@ -332,7 +348,7 @@ def check_integer_agreement(
         for q in qs
         for k in range(-s_max, s_max + 1)
     )
-    detail = f"s in [-{s_max}, {s_max}], q in {tuple(qs)}, relative error"
+    detail = f"s in [-{s_max}, {s_max}], q in {qs}, relative error"
     return _scan("integers", rel_tol, detail, rows)
 
 
@@ -367,9 +383,10 @@ def check_laplace(
     Inside the small disc the transform times z is the positive series;
     outside the spectrum it is minus the reflected negative series.
     """
+    qs = _qs(qs)
     points = integer_at_least(points, 1, "points")
     tolerance(tol, "tol")
-    detail = f"{points} inside and {points} outside points per q in {tuple(qs)}"
+    detail = f"{points} inside and {points} outside points per q in {qs}"
     return _scan("laplace", tol, detail, _laplace_rows(qs, points, tol, quad))
 
 
@@ -516,7 +533,7 @@ def run_battery(
         raise DomainError(
             f"names must be an iterable of check names, got {type(names).__name__}"
         ) from None
-    unknown = [n for n in selected if n not in ALL_CHECKS]
+    unknown = [n for n in selected if not isinstance(n, str) or n not in ALL_CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")
     if tol is not None:

@@ -404,6 +404,41 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", suite, "--n-max", str(n_max))
         assert (code, seen) == (0, [n_max])
 
+    FLAG_VALUES = {"--q": "2", "--tol": "1e-3", "--n-max": "5", "--abs-tol": "1e-9",
+                   "--rel-tol": "1e-9", "--max-nodes": "1024"}
+    UNDECLARED = [
+        (suite, flag)
+        for suite, declared in verify.CHECK_OVERRIDES.items()
+        for flag, override in cli._VERIFY_FLAGS.items()
+        if override not in declared
+    ]
+
+    @pytest.mark.parametrize("suite, flag", UNDECLARED)
+    def test_a_flag_the_suite_does_not_take_is_refused_before_any_check(
+        self, capsys, monkeypatch, suite, flag
+    ):
+        def no_battery(*args, **kwargs):
+            raise AssertionError("a check ran with a flag it ignores")
+
+        monkeypatch.setattr(verify, "run_battery", no_battery)
+        code, out, err = run_cli(capsys, "verify", suite, flag, self.FLAG_VALUES[flag])
+        assert (code, out, err) == (2, "", f"error: verify {suite} does not take {flag}\n")
+
+    def test_all_takes_every_flag(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "run_battery", lambda names, **kw: seen.append((names, kw)) or [])
+        argv = [word for pair in self.FLAG_VALUES.items() for word in pair]
+        code, _, _ = run_cli(capsys, "verify", "all", *argv)
+        [(names, kw)] = seen
+        assert (code, names, kw["q"], kw["tol"], kw["n_max"]) == (0, None, 2, 1e-3, 5)
+        assert (kw["quad"].abs_tol, kw["quad"].rel_tol, kw["quad"].max_nodes) == (1e-9, 1e-9, 1024)
+
+    def test_config_values_are_defaults_never_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-3, "abs_tol": 1e-12, "max_nodes": 1024}))
+        code, out, err = run_cli(capsys, "verify", "value_polys", "--config", str(cfg))
+        assert (code, err) == (0, "") and "PASS value_polys" in out
+
     def test_the_caps_are_in_the_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--help"])

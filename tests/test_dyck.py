@@ -19,7 +19,6 @@ from treezeta.dyck import (
     weight_profile,
     word_weight,
     _cycle_coefficients,
-    _cycle_seeds,
 )
 from treezeta import dyck
 from treezeta.errors import ConsistencyError, DomainError
@@ -179,7 +178,7 @@ class TestWeightPolynomial:
     @pytest.mark.parametrize("n", range(31))
     def test_cycle_coefficients_expand_to_the_weight_polynomial(self, n):
         # a_k from the plain binomial sums in Fractions, not the term ratio
-        a = _cycle_coefficients(n)
+        a = list(_cycle_coefficients(n))[::-1]
         plain = [
             Fraction(comb(n + 1, k), n + 1)
             * sum(comb(k, i) * comb(2 * (n - k), n - k - i) * 2 ** (n - k - i)
@@ -198,20 +197,16 @@ class TestWeightPolynomial:
         assert IntPoly(coeffs) == weight_polynomial(n)
 
     def test_recurrence_equals_term_ratio_sums(self):
-        # the recurrence was fitted, not proved: every n the dp accepts
+        # the recurrence was fitted, not proved: every n the dp accepts, a_n first
         for n in range(DP_CAP + 1):
-            assert _cycle_coefficients(n) == term_ratio_cycle_coefficients(n), n
+            assert list(_cycle_coefficients(n))[::-1] == term_ratio_cycle_coefficients(n), n
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 10, 57, DP_CAP])
-    def test_wrong_first_seed_raises(self, monkeypatch, n):
-        true_seeds = _cycle_seeds
-
-        def off_by_one(k):
-            a0, a1 = true_seeds(k)
-            return [a0, a1 + 1]
-
-        monkeypatch.setattr(dyck, "_cycle_seeds", off_by_one)
-        with pytest.raises(ConsistencyError, match="cycle coefficient"):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10, 57, DP_CAP])
+    def test_wrong_end_value_raises(self, monkeypatch, n):
+        # a_0 must come out as Catalan(n) * 2**n; here that count is off by one
+        true_catalan = catalan
+        monkeypatch.setattr(dyck, "catalan", lambda k: true_catalan(k) + 1)
+        with pytest.raises(ConsistencyError, match=f"cycle coefficient 0 of {n} "):
             weight_polynomial(n, "dp")
 
     def test_caps_and_methods(self):

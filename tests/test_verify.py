@@ -387,3 +387,29 @@ class TestDepthValidation:
 def test_wrong_type_argument_is_a_domain_error_naming_it(call, name):
     with pytest.raises(DomainError, match=rf"^{name} must be "):
         call()
+
+
+_QS_CHECKS = [check_symmetry, check_entire, check_functional_equation, check_integer_agreement,
+              check_laplace, check_two_step, verify.check_moment_oracle]
+
+
+@pytest.mark.parametrize(
+    "call, pattern",
+    [
+        (lambda: special_values.negative_value_table(5, []), r"^unknown method \[\]"),
+        (lambda: special_values.negative_value_table([]), r"^m_max must be an integer"),
+        (lambda: special_values.moment_polynomials({}), r"^n_max must be an integer"),
+        (lambda: check_negative_triple(m_max=[]), r"^m_max must be an integer"),
+        (lambda: run_battery([{}]), r"^unknown checks: \[\{\}\]"),
+        *[((lambda check=check: check(qs=5)), r"^qs must be an iterable") for check in _QS_CHECKS],
+    ],
+    ids=["negative_value_table-method", "negative_value_table-m_max", "moment_polynomials",
+         "check_negative_triple", "run_battery", *[c.__name__ for c in _QS_CHECKS]],
+)
+def test_unhashable_or_non_iterable_argument_is_a_domain_error(call, pattern):
+    # the cache cannot hash the argument, so the builder's own validators refuse it
+    builders = (special_values.negative_value_table, special_values.moment_polynomials)
+    before = [b.cache_info() for b in builders]
+    with pytest.raises(DomainError, match=pattern):
+        call()
+    assert [b.cache_info() for b in builders] == before
