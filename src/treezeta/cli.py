@@ -9,8 +9,9 @@ or Infinity) so that parsing and re-serializing reproduces the bytes.  Exit
 codes: 0 success, 1 a verification check failed, 2 bad usage or invalid input,
 3 quadrature budget exhausted.
 
-poly, values and verify --n-max refuse a depth past their cap before building
-any table, and values refuses a value too long to print before rendering any.
+poly and values refuse a depth past their cap before building any table, as
+run_battery does for verify --n-max, and values refuses a value too long to
+print before rendering any.
 Each subcommand imports the modules it runs when it runs, so a quadrature
 call never loads the exact tables, the Dyck code or the battery.
 """
@@ -40,14 +41,14 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
-from .validate import tolerance
+from .validate import DEPTH_CAP, tolerance
 
 if TYPE_CHECKING:
     from .exact import IntPoly
 
 FORMATS = ("json", "csv", "latex", "text")
 # Literal, so that building the parser imports neither module; a test pins
-# them to verify.ALL_CHECKS and dyck.WEIGHT_POLY_METHODS.
+# them to verify.CHECKS and dyck.WEIGHT_POLY_METHODS.
 VERIFY_SUITES = (
     "all",
     "value_polys",
@@ -64,12 +65,6 @@ VERIFY_SUITES = (
     "residual",
 )
 DYCK_METHODS = ("dp", "bruteforce")
-# Deepest index that poly --n, values --neg/--pos and verify --n-max take (verify
-# twostep, in integers at each q, takes twice it).  The exact tables cost more
-# than linearly in their depth (on a 2-core VM, values --q 3 --neg 1000 took
-# 2.7 s and 124 MB, against 0.5 s at this cap); a refused depth builds none.
-DEPTH_CAP = 256
-
 _CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
 # verify's override flags and the run_battery override each one sets
 _VERIFY_FLAGS = {
@@ -455,24 +450,21 @@ def _status_word(ok: bool, color: bool) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool) -> Report:
-    from .dyck import DP_CAP
     from .special_values import moment_polynomials, negative_value_table
-    from .verify import CHECK_OVERRIDES, run_battery
+    from .verify import CHECKS, run_battery
 
-    cap = {"twostep": 2 * DEPTH_CAP, "dyck": DP_CAP, "all": DP_CAP}.get(args.suite, DEPTH_CAP)
-    if args.n_max is not None and args.n_max > cap:
-        raise DomainError(f"verify {args.suite} --n-max is capped at {cap}")
-    # a named suite refuses an explicit flag that none of its overrides takes
+    # a named suite refuses an explicit flag that it does not take; config values stay defaults
+    takes = set(_VERIFY_FLAGS.values()) if args.suite == "all" else CHECKS[args.suite][1]
     for flag, override in _VERIFY_FLAGS.items():
-        given = getattr(args, flag[2:].replace("-", "_")) is not None
-        if given and args.suite != "all" and override not in CHECK_OVERRIDES[args.suite]:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and override not in takes:
             raise DomainError(f"verify {args.suite} does not take {flag}")
     spec = _quad_spec(args, config)
     tol = args.tol if args.tol is not None else config.get("tol")
+    given = {"q": args.q, "tol": tol, "n_max": args.n_max, "quad": spec}
     names = None if args.suite == "all" else [args.suite]
     builders = (negative_value_table, moment_polynomials)
     before = [b.cache_info() for b in builders]
-    results = run_battery(names, q=args.q, tol=tol, n_max=args.n_max, quad=spec)
+    results = run_battery(names, **{k: v for k, v in given.items() if k in takes})
     checks = []
     for r in results:
         row: dict[str, Any] = {

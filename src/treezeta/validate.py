@@ -31,6 +31,11 @@ from typing import Callable
 from .errors import CutViolationError, DomainError, OutOfRangeError
 
 EPS_CUT = 1e-3
+# Deepest index that poly --n, values --neg/--pos and the battery's exact checks
+# take (twostep, in integers at each q, takes twice it).  The exact tables cost more
+# than linearly in their depth (on a 2-core VM, values --q 3 --neg 1000 took
+# 2.7 s and 124 MB, against 0.5 s at this cap); a refused depth builds none.
+DEPTH_CAP = 256
 
 
 def integer(n, name: str) -> int:

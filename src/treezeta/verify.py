@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyck import catalan, verify_weight_value_identity
+from .dyck import DP_CAP, catalan, verify_weight_value_identity
 from .errors import DomainError
 from .exact import IntPoly, poly_eval, poly_is_palindromic
 from .genfun import (
@@ -53,7 +53,8 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
-from .validate import branching_number, finite_result, integer_at_least, tolerance
+from .validate import DEPTH_CAP, branching_number, finite_result, integer, integer_at_least
+from .validate import tolerance
 
 TREE_QS = (2, 3, 5)
 WALK_QS = (1, 2, 3, 4)
@@ -480,37 +481,26 @@ def check_quadratic_residual(order: int = 28) -> CheckResult:
     return _exact("residual", start, order + 1, detail, bad, "nonzero residual")
 
 
-ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
-    "value_polys": check_value_polynomials,
-    "negvals": check_negative_triple,
-    "moments": check_moment_oracle,
-    "dyck": check_dyck_identity,
-    "symmetry": check_symmetry,
-    "entire": check_entire,
-    "twostep": check_two_step,
-    "fe": check_functional_equation,
-    "integers": check_integer_agreement,
-    "laplace": check_laplace,
-    "boundary": check_boundary,
-    "residual": check_quadratic_residual,
+# Each check once: its function, the run_battery overrides it takes with the
+# keywords that carry them, and the deepest n_max it takes (None: no n_max).
+CHECKS: dict[str, tuple[Callable[..., CheckResult], dict, Optional[int]]] = {
+    "value_polys": (check_value_polynomials, {}, None),
+    "negvals": (check_negative_triple, {"n_max": ("m_max",)}, DEPTH_CAP),
+    "moments": (check_moment_oracle, {}, None),
+    "dyck": (check_dyck_identity, {"n_max": ("n_max",)}, DP_CAP),
+    "symmetry": (check_symmetry, {"q": ("qs",), "tol": ("tol",)}, None),
+    "entire": (check_entire, {"q": ("qs",), "tol": ("tol",)}, None),
+    "twostep": (check_two_step, {"q": ("qs",), "n_max": ("n_abs",)}, 2 * DEPTH_CAP),
+    "fe": (check_functional_equation, {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)}, None),
+    "integers": (
+        check_integer_agreement, {"q": ("qs",), "tol": ("rel_tol",), "quad": ("quad",)}, None
+    ),
+    "laplace": (check_laplace, {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)}, None),
+    "boundary": (check_boundary, {"tol": ("line_tol", "fe_tol", "quad_tol")}, None),
+    "residual": (check_quadratic_residual, {"n_max": ("order",)}, DEPTH_CAP),
 }
-
-
-# The run_battery overrides each check accepts, and the keywords that carry them.
-CHECK_OVERRIDES: dict[str, dict[str, tuple[str, ...]]] = {
-    "value_polys": {},
-    "negvals": {"n_max": ("m_max",)},
-    "moments": {},
-    "dyck": {"n_max": ("n_max",)},
-    "symmetry": {"q": ("qs",), "tol": ("tol",)},
-    "entire": {"q": ("qs",), "tol": ("tol",)},
-    "twostep": {"q": ("qs",), "n_max": ("n_abs",)},
-    "fe": {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)},
-    "integers": {"q": ("qs",), "tol": ("rel_tol",), "quad": ("quad",)},
-    "laplace": {"q": ("qs",), "tol": ("tol",), "quad": ("quad",)},
-    "boundary": {"tol": ("line_tol", "fe_tol", "quad_tol")},
-    "residual": {"n_max": ("order",)},
-}
+# run_battery calls each check through this view, so a caller can wrap one in place
+ALL_CHECKS = {name: check for name, (check, _, _) in CHECKS.items()}
 
 
 def run_battery(
@@ -522,28 +512,39 @@ def run_battery(
 ) -> list[CheckResult]:
     """Run a named subset of the battery (everything by default).
 
-    The overrides reshape the checks that declare them in CHECK_OVERRIDES:
-    q restricts the tree-indexed grids, tol replaces each selected check's
+    The overrides reshape the checks that declare them in CHECKS: q
+    restricts the tree-indexed grids, tol replaces each selected check's
     tolerance, n_max resizes the depth-indexed exact checks, quad sets the
-    quadrature of the numeric checks.
+    quadrature of the numeric checks.  Before any check runs, a named check
+    refuses an override it does not take (with names None a check ignores
+    it), and n_max past the least cap among the selected checks is refused.
     """
     try:
-        selected = list(names if names is not None else ALL_CHECKS)
+        selected = list(names if names is not None else CHECKS)
     except TypeError:
         raise DomainError(
             f"names must be an iterable of check names, got {type(names).__name__}"
         ) from None
-    unknown = [n for n in selected if not isinstance(n, str) or n not in ALL_CHECKS]
+    unknown = [n for n in selected if not isinstance(n, str) or n not in CHECKS]
     if unknown:
-        raise DomainError(f"unknown checks: {unknown}; available: {sorted(ALL_CHECKS)}")
+        raise DomainError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+    given = {"q": (q,) if q is not None else None, "tol": tol, "n_max": n_max, "quad": quad}
+    for name in selected if names is not None else ():
+        for override, value in given.items():
+            if value is not None and override not in CHECKS[name][1]:
+                raise DomainError(f"the {name} check does not take {override}")
+    if n_max is not None:
+        given["n_max"] = integer(n_max, "n_max")
+        capped = [(CHECKS[name][2], name) for name in selected if CHECKS[name][2] is not None]
+        if capped and given["n_max"] > min(capped)[0]:
+            raise DomainError("n_max is capped at {} by the {} check".format(*min(capped)))
     if tol is not None:
         tolerance(tol, "tol")
-    given = {"q": (q,) if q is not None else None, "tol": tol, "n_max": n_max, "quad": quad}
     out = []
     for name in selected:
         kwargs = {
             keyword: given[override]
-            for override, keywords in CHECK_OVERRIDES[name].items()
+            for override, keywords in CHECKS[name][1].items()
             if given[override] is not None
             for keyword in keywords
         }

@@ -375,7 +375,6 @@ class TestVerify:
         [
             ("negvals", DEPTH_CAP),
             ("residual", DEPTH_CAP),
-            ("moments", DEPTH_CAP),
             ("twostep", 2 * DEPTH_CAP),
             ("dyck", dyck.DP_CAP),
             ("all", dyck.DP_CAP),
@@ -384,14 +383,16 @@ class TestVerify:
     def test_depth_past_the_cap_is_input_error_before_any_check(
         self, capsys, monkeypatch, suite, cap
     ):
-        def no_battery(*args, **kwargs):
+        def no_check(*args, **kwargs):
             raise AssertionError("a check ran past the cap")
 
-        monkeypatch.setattr(verify, "run_battery", no_battery)
+        for name in verify.ALL_CHECKS:
+            monkeypatch.setitem(verify.ALL_CHECKS, name, no_check)
+        by = "dyck" if suite == "all" else suite  # all takes the least cap, the dyck check's
         for n_max in (cap + 1, 100000):
             code, out, err = run_cli(capsys, "verify", suite, "--n-max", str(n_max))
             assert (code, out) == (2, "")
-            assert err == f"error: verify {suite} --n-max is capped at {cap}\n"
+            assert err == f"error: n_max is capped at {cap} by the {by} check\n"
 
     @pytest.mark.parametrize(
         "suite, n_max", [("residual", 255), ("negvals", 120), ("twostep", 400), ("dyck", 200)]
@@ -408,7 +409,7 @@ class TestVerify:
                    "--rel-tol": "1e-9", "--max-nodes": "1024"}
     UNDECLARED = [
         (suite, flag)
-        for suite, declared in verify.CHECK_OVERRIDES.items()
+        for suite, (_, declared, _) in verify.CHECKS.items()
         for flag, override in cli._VERIFY_FLAGS.items()
         if override not in declared
     ]
@@ -510,7 +511,7 @@ class TestVerify:
 
 class TestFormatsAndPlumbing:
     def test_parser_choices_match_the_library(self):
-        assert cli.VERIFY_SUITES == ("all", *verify.ALL_CHECKS)
+        assert cli.VERIFY_SUITES == ("all", *verify.CHECKS)
         assert cli.DYCK_METHODS == dyck.WEIGHT_POLY_METHODS
 
     def test_strict_parse_refuses_non_finite_numbers(self):

@@ -209,6 +209,12 @@ class TestWeightPolynomial:
         with pytest.raises(ConsistencyError, match=f"cycle coefficient 0 of {n} "):
             weight_polynomial(n, "dp")
 
+    def test_an_inexact_step_raises(self, monkeypatch):
+        # a module global shadows the builtin, so every division leaves a remainder
+        monkeypatch.setattr(dyck, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ConsistencyError, match="^cycle coefficient 4 of 5 is not an integer$"):
+            weight_polynomial(5, "dp")
+
     def test_caps_and_methods(self):
         assert weight_polynomial(10, "bruteforce") == weight_polynomial(10, "dp")
         with pytest.raises(DomainError):

@@ -15,7 +15,7 @@ RECORDS = {
     "ZetaEval": lambda: zeta_numeric(3, 2.0),
     "QuadratureSpec": lambda: QuadratureSpec(max_nodes=64),
     "SpectrumCut": lambda: spectrum_cut(3),
-    "CheckResult": lambda: run_battery(["moments"], q=2, n_max=3)[0],
+    "CheckResult": lambda: run_battery(["moments"])[0],
     "DyckWord": lambda: DyckWord("UUBRUB"),
     "WeightProfile": lambda: weight_profile("UUBRUB"),
     "IdentityReport": lambda: IdentityReport(

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from treezeta import special_values, spectral, verify
-from treezeta.dyck import DyckWord, verify_weight_value_identity
+from treezeta.dyck import DP_CAP, DyckWord, verify_weight_value_identity
 from treezeta.errors import DomainError
 from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
 from treezeta.genfun import quadratic_residual_series, symmetry_defect
@@ -14,7 +14,7 @@ from treezeta.special_values import two_step_defect, value_polynomials
 from treezeta.spectral import QuadratureSpec
 from treezeta.verify import (
     ALL_CHECKS,
-    CHECK_OVERRIDES,
+    CHECKS,
     _scan,
     check_boundary,
     check_dyck_identity,
@@ -129,6 +129,24 @@ class TestChecksPass:
         assert "bruteforce through n=5 (1619 words)" in r.detail
 
 
+OVERRIDES = {"q": 2, "tol": 1e-3, "n_max": 5, "quad": QuadratureSpec()}
+UNDECLARED = [
+    (name, override)
+    for name, (_, declared, _) in CHECKS.items()
+    for override in OVERRIDES
+    if override not in declared
+]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Stand every check down to a stub; the list of the checks called."""
+    seen = []
+    for name in ALL_CHECKS:
+        monkeypatch.setitem(ALL_CHECKS, name, lambda name=name, **kwargs: seen.append(name))
+    return seen
+
+
 class TestBatteryDriver:
     def test_full_battery_names_and_order(self):
         results = run_battery(["value_polys", "residual"])
@@ -159,19 +177,40 @@ class TestBatteryDriver:
         assert r.elapsed >= 0.0
 
     def test_declared_override_keywords_are_real_parameters(self):
-        assert list(CHECK_OVERRIDES) == list(ALL_CHECKS)
-        for name, overrides in CHECK_OVERRIDES.items():
-            params = inspect.signature(ALL_CHECKS[name]).parameters
-            assert set(overrides) <= {"q", "tol", "n_max", "quad"}, name
+        assert list(ALL_CHECKS) == list(CHECKS)
+        for name, (check, overrides, cap) in CHECKS.items():
+            params = inspect.signature(check).parameters
+            assert set(overrides) <= set(OVERRIDES), name
+            assert (cap is not None) == ("n_max" in overrides), name
             for keywords in overrides.values():
                 for keyword in keywords:
                     assert keyword in params, (name, keyword)
 
-    def test_undeclared_overrides_leave_a_check_alone(self):
+    @pytest.mark.parametrize("name, override", UNDECLARED)
+    def test_a_named_check_refuses_an_override_it_does_not_take(self, calls, name, override):
+        with pytest.raises(DomainError, match=f"^the {name} check does not take {override}$"):
+            run_battery([name], **{override: OVERRIDES[override]})
+        assert calls == []
+
+    def test_all_leaves_a_check_alone_under_overrides_it_does_not_take(self):
         default = run_battery(["moments", "boundary"])
-        overridden = run_battery(["moments", "boundary"], q=2, n_max=3, quad=QuadratureSpec())
-        assert [r.points for r in overridden] == [r.points for r in default]
-        assert [r.tolerance for r in overridden] == [r.tolerance for r in default]
+        overridden = run_battery(None, q=2, n_max=3, quad=QuadratureSpec())
+        rows = {r.name: (r.points, r.tolerance) for r in overridden}
+        assert [rows[r.name] for r in default] == [(r.points, r.tolerance) for r in default]
+
+    @pytest.mark.parametrize(
+        "name, cap",
+        [*[(name, cap) for name, (_, _, cap) in CHECKS.items() if cap is not None], (None, DP_CAP)],
+    )
+    def test_n_max_past_the_cap_is_refused_before_any_check(self, calls, name, cap):
+        # with names None the least cap is the dyck check's
+        names, by = ([name], name) if name else (None, "dyck")
+        for n_max in (cap + 1, 10**6):
+            with pytest.raises(DomainError, match=f"^n_max is capped at {cap} by the {by} check$"):
+                run_battery(names, n_max=n_max)
+        assert calls == []
+        run_battery(names, n_max=cap)
+        assert len(calls) == len(names or CHECKS)
 
     def test_tol_override_reaches_every_boundary_tolerance(self):
         r = run_battery(["boundary"], tol=1e-3)[0]
