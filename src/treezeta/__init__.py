@@ -29,7 +29,6 @@ _MODULES = {
     "spectral": (
         "QuadratureSpec",
         "ZetaEval",
-        "complex_gamma",
         "heat_eval",
         "heat_trace",
         "resolvent_transform",
@@ -48,13 +47,10 @@ _MODULES = {
         "two_step_defect",
         "value_polynomials",
         "zeta_integer",
-        "zeta_neg",
         "zeta_pos",
     ),
     "genfun": (
-        "cut_sqrt",
         "entire_combination",
-        "moment_genfun",
         "neg_value_genfun",
         "pos_value_genfun",
         "quadratic_residual_series",
@@ -63,11 +59,9 @@ _MODULES = {
         "symmetry_defect",
     ),
     "dyck": (
-        "DyckWord",
         "enumerate_dyck",
         "verify_weight_value_identity",
         "weight_polynomial",
-        "weight_profile",
     ),
     "verify": ("CheckResult", "run_battery"),
 }

@@ -7,7 +7,8 @@ and text, and a run builds only the one it prints.  json is canonical (sorted
 keys, two-space indent, big integers and rationals as decimal strings, no NaN
 or Infinity) so that parsing and re-serializing reproduces the bytes.  Exit
 codes: 0 success, 1 a verification check failed, 2 bad usage or invalid input,
-3 quadrature budget exhausted.
+3 quadrature budget exhausted, 4 an internal consistency guard fired outside
+verify (inside verify the guard fails its check's row).
 
 poly and values refuse a depth past their cap before building any table, as
 run_battery does for verify --n-max, and values refuses a value too long to
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .errors import DomainError, NonConvergedError
+from .errors import ConsistencyError, DomainError, NonConvergedError
 from .spectral import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_NODES,
@@ -426,7 +427,7 @@ def _cmd_dyck(args: argparse.Namespace, config: dict[str, float]) -> Report:
     from .dyck import enumerate_dyck, weight_polynomial
 
     if args.list:
-        words = [str(w) for w in enumerate_dyck(args.n)]
+        words = list(enumerate_dyck(args.n))
         return Report(
             command="dyck",
             inputs={"n": args.n, "list": True},
@@ -570,6 +571,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 4
     else:
         if args.timings and report.timings is None:
             report.timings = {"total_s": time.perf_counter() - start}

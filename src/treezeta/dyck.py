@@ -36,16 +36,14 @@ whose last letter is U, B or R, so a down-step sees whether it starts a run
 from the letter before it, which is the definition.  It uses none of the
 closed form's parts: no run sums, no cycle coefficients, not even its slot
 reader.  It takes O(n**2) adds and shifts of packed Python ints, so it runs
-to ``DP_CAP`` as the closed form does.  The string-level definition
-(``enumerate_dyck`` with ``word_weight``) is kept as the walk's own
-reference.
+to ``DP_CAP`` as the closed form does.  Its own reference, the definition
+applied to each word that ``enumerate_dyck`` lists, stays in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -56,85 +54,10 @@ from .validate import integer_at_least
 ENUM_CAP = 9  # caps the word enumeration only
 DP_CAP = 200
 
-_ALPHABET = "UBR"  # also the lexicographic order of enumeration
-
 
 def catalan(n: int) -> int:
     n = integer_at_least(n, 0, "Catalan index")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _validate_letters(letters: str) -> int:
-    """Check the lattice-path invariants; return the half-length."""
-    height = 0
-    ups = 0
-    for ch in letters:
-        if ch == "U":
-            height += 1
-            ups += 1
-        elif ch in ("B", "R"):
-            height -= 1
-            if height < 0:
-                raise DomainError(f"prefix dips below the axis in {letters!r}")
-        else:
-            raise DomainError(f"letter {ch!r} is not one of U, B, R")
-    if height != 0:
-        raise DomainError(f"word {letters!r} does not return to the axis")
-    return ups
-
-
-@dataclass(frozen=True, slots=True)
-class DyckWord:
-    """A validated 2-coloured Dyck word."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not isinstance(self.letters, str):
-            raise DomainError(f"letters must be a string, got {type(self.letters).__name__}")
-        _validate_letters(self.letters)
-
-    @property
-    def half_length(self) -> int:
-        return len(self.letters) // 2
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
-
-
-@dataclass(frozen=True, slots=True)
-class WeightProfile:
-    """Block statistics of one word and the weight they induce."""
-
-    n: int
-    b_blocks: int
-    r_blocks: int
-    weight: int
-
-    def __post_init__(self):
-        if self.weight != self.n + self.b_blocks - self.r_blocks:
-            raise DomainError("inconsistent weight profile")
-        if not 0 <= self.weight <= 2 * self.n:
-            raise DomainError("weight outside its provable range")
-        if self.b_blocks + self.r_blocks > self.n:
-            raise DomainError("more blocks than down-steps")
-
-
-def weight_profile(word) -> WeightProfile:
-    """Block counts and weight of a word, straight from the definition."""
-    letters = word.letters if isinstance(word, DyckWord) else str(word)
-    n = _validate_letters(letters)
-    runs = [ch for ch, _ in groupby(letters)]
-    b = runs.count("B")
-    r = runs.count("R")
-    return WeightProfile(n=n, b_blocks=b, r_blocks=r, weight=n + b - r)
-
-
-def word_weight(word) -> int:
-    return weight_profile(word).weight
 
 
 def _word_strings(n: int) -> Iterator[str]:
@@ -156,16 +79,15 @@ def _word_strings(n: int) -> Iterator[str]:
     return rec([], 0, 0)
 
 
-def enumerate_dyck(n: int) -> Iterator[DyckWord]:
-    """All 2-coloured Dyck words of half-length n, lexicographic in U < B < R."""
+def enumerate_dyck(n: int) -> Iterator[str]:
+    """All 2-coloured Dyck words of half-length n as letter strings, lexicographic in U < B < R."""
     n = integer_at_least(n, 0, "half-length")
     if n > ENUM_CAP:
         raise DomainError(
             f"exhaustive enumeration is capped at n = {ENUM_CAP}; "
             "use the dp route of weight_polynomial instead"
         )
-    for s in _word_strings(n):
-        yield DyckWord(s)
+    yield from _word_strings(n)
 
 
 def _weight_poly_walk(n: int) -> IntPoly:

@@ -1,12 +1,12 @@
 """Generating functions of the special values, with explicit branch handling.
 
-Three closed forms live here: the closed-walk generating function, and the two
-series whose coefficients are the zeta values at negative and at positive
-integers.  Each involves the square root of a quadratic with real zeros, so a
-branch must be pinned.  All radicals are built as products of two principal
-square roots, one per zero of the radicand; this fixes the analytic branch off
-the real cut segment and, because the two value-series share their radical
-factors under z -> 1/z, makes their reflection identity exact by construction.
+Two closed forms live here: the series whose coefficients are the zeta values
+at negative and at positive integers.  Each involves the square root of a
+quadratic with real zeros, so a branch must be pinned.  All radicals are built
+as products of two principal square roots, one per zero of the radicand; this
+fixes the analytic branch off the real cut segment and, because the two
+value-series share their radical factors under z -> 1/z, makes their
+reflection identity exact by construction.
 
 Each series has one formula, the plain closed form rationalised by the
 conjugate of its radical numerator.  Denominator times conjugate is a
@@ -22,7 +22,6 @@ its arguments once and then calls only private helpers.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -63,46 +62,20 @@ def _psqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def _radical(q: int, z: complex) -> complex:  # cut_sqrt over q - 1, so 1 at the origin
-    lo, hi = _edges(q)
-    return _psqrt(1 - z / lo) * _psqrt(1 - z / hi)
-
-
-@finite_result
-def cut_sqrt(q: int, z: complex) -> complex:
-    """The square root of (z - lo)(z - hi) that is q - 1 at the origin.
+def _radical(q: int, z: complex) -> complex:
+    """The square root of (z - lo)(z - hi) that is q - 1 at the origin, over q - 1.
 
     Analytic off the spectral segment; positive real left of it, negative real
     right of it (the sign forced by analyticity, not a convention).  Points on
     the segment itself get the upper-edge limit.
     """
-    q = branching_number(q)
-    return (q - 1) * _radical(q, finite_point(z))
+    lo, hi = _edges(q)
+    return _psqrt(1 - z / lo) * _psqrt(1 - z / hi)
 
 
 def _recip_radical(q: int, w: complex) -> complex:  # the companion radical in w = 1/z, 1 at 0
     lo, hi = _edges(q)
     return _psqrt(1 - w * hi) * _psqrt(1 - w * lo)
-
-
-@finite_result
-def moment_genfun(q: int, z: complex) -> complex:
-    """Generating function of the closed-walk counts at a vertex.
-
-    Meromorphic continuation of sum c_n z^n beyond its radius 1/(2 sqrt(q)),
-    as 2q / ((q+1) sqrt(1 - 4 q z^2) + (q-1)).  The denominator times its
-    conjugate is 4q (1 - (q+1)^2 z^2), and at z = +-1/(q+1) it is 2(q-1), so
-    it never vanishes: the removable points of the plain form give q/(q-1).
-    """
-    q = branching_number(q)
-    z = finite_point(z)
-    half_radius = 1.0 / (2.0 * math.sqrt(q))
-    # branch rays of sqrt(1 - 4 q z^2): the real axis beyond +-1/(2 sqrt q); the rays
-    # close in on the origin like 1/sqrt(q), and their clearance with them
-    for ray in (SpectrumCut(half_radius, math.inf), SpectrumCut(-math.inf, -half_radius)):
-        ray.refuse_near(z, EPS_CUT * half_radius)
-    radical = _psqrt(1 - 2 * math.sqrt(q) * z) * _psqrt(1 + 2 * math.sqrt(q) * z)
-    return 2 * q / (q + 1) / (radical + (q - 1) / (q + 1))
 
 
 def _neg_raw(q: int, w: complex) -> complex:

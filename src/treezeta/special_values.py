@@ -176,12 +176,6 @@ def negative_value_table(m_max: int, method: str = "closed_form") -> tuple[IntPo
     raise DomainError(f"unknown method {method!r}; choose from {NEG_VALUE_METHODS}")
 
 
-def zeta_neg(m: int, method: str = "closed_form") -> IntPoly:
-    """Zeta value at -m as an integer polynomial in the branching number."""
-    m = integer_at_least(m, 0, "m")
-    return negative_value_table(m, method)[m]
-
-
 def _neg_value_closed_form(m: int) -> IntPoly:
     # q^e has coefficient C(m, e) P[m-e] - C(m, e-1) P[m-e-1], where P[k] sums C(m, i)
     # over i <= k, i = k (mod 2): one Pascal row and one same-parity running sum
@@ -323,7 +317,7 @@ def zeta_integer(q: int, k: int) -> Fraction:
     k = integer(k, "k")
     if k >= 1:
         return zeta_pos(q, k)
-    return poly_eval(zeta_neg(-k), q)
+    return poly_eval(negative_value_table(-k, "closed_form")[-k], q)
 
 
 def _two_step_residual(q: int, n: int, pos: list[int], neg) -> Fraction:
@@ -357,5 +351,5 @@ def two_step_defect(q: int, n: int) -> Fraction:
     q = branching_number(q)
     n = integer(n, "n")
     depth = max(n, 1 - n)
-    neg = {m: poly_eval(zeta_neg(m), q) for m in (depth - 1, depth)}
+    neg = {m: poly_eval(negative_value_table(m, "closed_form")[m], q) for m in (depth - 1, depth)}
     return _two_step_residual(q, n, _values_at(q, depth), neg)

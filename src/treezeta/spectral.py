@@ -452,15 +452,6 @@ def _exp_log(log_value: complex, s: complex) -> complex:
 
 
 @finite_result
-def complex_gamma(s: complex) -> complex:
-    """Gamma function on the complex plane, poles reported rather than inf."""
-    s = finite_point(s)
-    if _near_nonpositive_integer(s):
-        raise PoleError(f"gamma pole at {s}")
-    return _exp_log(_log_gamma(s), s)
-
-
-@finite_result
 def zeta_line(s: complex) -> complex:
     """Spectral zeta of the two-regular tree, the integer line, in closed form.
 

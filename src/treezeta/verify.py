@@ -8,7 +8,8 @@ float and the location of the largest defect.  Grids are built from fixed
 radius/angle lattices, so repeated runs see identical points.  Nothing here
 raises on a failed identity; failures are data.  Only genuine input errors,
 a value out of floating-point range or a blown quadrature budget escape as
-exceptions.
+exceptions; an internal consistency guard that fires inside a check fails
+that check's row in ``run_battery``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .dyck import DP_CAP, catalan, verify_weight_value_identity
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .exact import IntPoly, poly_eval, poly_is_palindromic
 from .genfun import (
     entire_combination,
@@ -517,7 +518,9 @@ def run_battery(
     tolerance, n_max resizes the depth-indexed exact checks, quad sets the
     quadrature of the numeric checks.  Before any check runs, a named check
     refuses an override it does not take (with names None a check ignores
-    it), and n_max past the least cap among the selected checks is refused.
+    it), and n_max past the least cap among the selected checks is refused,
+    as is an empty selection.  A check whose consistency guard fires comes
+    back failed, with the guard's message in its detail, and the rest run.
     """
     try:
         selected = list(names if names is not None else CHECKS)
@@ -525,6 +528,8 @@ def run_battery(
         raise DomainError(
             f"names must be an iterable of check names, got {type(names).__name__}"
         ) from None
+    if not selected:
+        raise DomainError("no checks selected; the battery would cover no points")
     unknown = [n for n in selected if not isinstance(n, str) or n not in CHECKS]
     if unknown:
         raise DomainError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
@@ -548,5 +553,11 @@ def run_battery(
             if given[override] is not None
             for keyword in keywords
         }
-        out.append(ALL_CHECKS[name](**kwargs))
+        start = time.perf_counter()
+        try:
+            out.append(ALL_CHECKS[name](**kwargs))
+        except ConsistencyError as exc:
+            elapsed = time.perf_counter() - start
+            detail = f"consistency guard fired: {exc}"
+            out.append(CheckResult(name, False, 0, 0.0, 0.0, detail, elapsed, "guard fired"))
     return out

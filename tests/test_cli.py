@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -509,10 +511,53 @@ class TestVerify:
         assert payload["results"]["checks"][0]["elapsed_s"] >= 0
 
 
+@pytest.fixture
+def seventh_closed_form_off_by_one(monkeypatch):
+    """N_7 + 1 in the closed form, on fresh tables: the two-step guard fires at P_7."""
+    honest = special_values._neg_value_closed_form
+    one, zero = special_values.IntPoly([1]), special_values.IntPoly()
+    monkeypatch.setattr(
+        special_values, "_neg_value_closed_form", lambda m: honest(m) + (one if m == 7 else zero)
+    )
+    monkeypatch.setattr(special_values, "_closed_forms", [])
+    monkeypatch.setattr(special_values, "_value_polys", [one])
+    special_values.negative_value_table.cache_clear()
+    yield
+    special_values.negative_value_table.cache_clear()
+
+
+class TestConsistencyGuard:
+    def test_a_guard_that_fires_in_verify_fails_its_row(self, capsys, seventh_closed_form_off_by_one):
+        code, out, err = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 1 and err == ""
+        rows = strict_loads(out)["results"]["checks"]
+        assert [r["name"] for r in rows] == list(verify.CHECKS)
+        dyck_row = rows[list(verify.CHECKS).index("dyck")]
+        assert not dyck_row["passed"]
+        assert "the two-step relation leaves 2q P_7 a constant term" in dyck_row["detail"]
+
+    @pytest.mark.parametrize("argv", [("poly", "--n", "8"), ("values", "--q", "3", "--pos", "8")])
+    def test_a_guard_that_fires_outside_verify_exits_4(
+        self, capsys, seventh_closed_form_off_by_one, argv
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == (
+            "error: internal consistency check failed: "
+            "the two-step relation leaves 2q P_7 a constant term\n"
+        )
+
+
 class TestFormatsAndPlumbing:
     def test_parser_choices_match_the_library(self):
         assert cli.VERIFY_SUITES == ("all", *verify.CHECKS)
         assert cli.DYCK_METHODS == dyck.WEIGHT_POLY_METHODS
+
+    def test_readme_lists_the_verify_suites_of_the_library(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"The `verify` suites, in battery order: (.*?)\.\n", readme, re.S)
+        assert listed is not None
+        assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == ("all", *verify.CHECKS)
 
     def test_strict_parse_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, groupby
 from math import comb
 from types import ModuleType
 
@@ -10,14 +11,11 @@ import pytest
 
 from treezeta.dyck import (
     DP_CAP,
-    DyckWord,
     IdentityReport,
     catalan,
     enumerate_dyck,
     verify_weight_value_identity,
     weight_polynomial,
-    weight_profile,
-    word_weight,
     _cycle_coefficients,
 )
 from treezeta import dyck
@@ -46,6 +44,12 @@ def term_ratio_cycle_coefficients(n):
     return coeffs
 
 
+def word_weight(letters):
+    """The block weight from its definition: U letters, plus B-runs, minus R-runs."""
+    runs = [ch for ch, _ in groupby(letters)]
+    return letters.count("U") + runs.count("B") - runs.count("R")
+
+
 def string_tally(n):
     """Weight distribution from one word_weight call per enumerated word."""
     tally = Counter(word_weight(w) for w in enumerate_dyck(n))
@@ -66,18 +70,21 @@ class TestCatalan:
 
 
 class TestDyckWord:
+    """What counts as a word: exactly the strings the enumeration lists."""
+
+    WORDS = frozenset(w for n in range(4) for w in enumerate_dyck(n))
+
     def test_valid(self):
-        w = DyckWord("UUBRUB")
-        assert w.half_length == 3
-        assert len(w) == 6
+        assert "UUBRUB" in set(enumerate_dyck(3))
+        assert "UUBRUB" in self.WORDS
 
     @pytest.mark.parametrize("bad", ["BU", "UB R", "UUB", "UBR", "UX"])
     def test_invalid(self, bad):
-        with pytest.raises(DomainError):
-            DyckWord(bad)
+        # a dip below the axis, a foreign letter, no return to the axis
+        assert bad not in self.WORDS
 
     def test_empty_is_valid(self):
-        assert DyckWord("").half_length == 0
+        assert list(enumerate_dyck(0)) == [""]
 
 
 class TestEnumeration:
@@ -85,10 +92,18 @@ class TestEnumeration:
         for n in range(7):
             words = list(enumerate_dyck(n))
             assert len(words) == 2**n * catalan(n)
-            assert len(set(w.letters for w in words)) == len(words)
+            assert len(set(words)) == len(words)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_words_stay_above_the_axis_and_return_to_it(self, n):
+        # each word is built valid: nothing checks it on the way out
+        for w in enumerate_dyck(n):
+            heights = list(accumulate((1 if ch == "U" else -1 for ch in w), initial=0))
+            assert set(w) <= set("UBR") and len(w) == 2 * n
+            assert min(heights) == 0 == heights[-1]
 
     def test_lexicographic_order(self):
-        got = [w.letters for w in enumerate_dyck(2)]
+        got = list(enumerate_dyck(2))
         assert got == ["UUBB", "UUBR", "UURB", "UURR", "UBUB", "UBUR", "URUB", "URUR"]
 
     def test_cap(self):
@@ -107,8 +122,8 @@ class TestWeight:
         assert word_weight("UR") == 0
 
     def test_figure_word(self):
-        p = weight_profile("UUUBUUBRUBRB")
-        assert (p.n, p.b_blocks, p.r_blocks, p.weight) == (6, 4, 2, 8)
+        # six U letters, four B-runs and two R-runs
+        assert word_weight("UUUBUUBRUBRB") == 6 + 4 - 2
 
     def test_empty_word(self):
         assert word_weight("") == 0

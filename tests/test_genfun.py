@@ -1,5 +1,6 @@
 """Branch-pinned generating functions and their identities."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,10 +14,9 @@ from treezeta.exact import IntPoly, poly_eval
 from treezeta.genfun import (
     SpectrumCut,
     _linear_terms,
+    _radical,
     _recip_radical,
-    cut_sqrt,
     entire_combination,
-    moment_genfun,
     neg_value_genfun,
     pos_value_genfun,
     quadratic_residual_series,
@@ -64,6 +64,11 @@ class TestEdgesAndCuts:
             spectral_edges(1)
 
 
+def cut_sqrt(q, z):
+    """The square root of (z - lo)(z - hi) that is q - 1 at the origin."""
+    return (q - 1) * _radical(q, z)
+
+
 class TestCutSqrt:
     def test_value_at_origin(self):
         assert cut_sqrt(2, 0) == pytest.approx(1.0)
@@ -101,53 +106,27 @@ class TestCutSqrt:
 
 
 class TestMomentGenfun:
+    """The closed-walk counts against their generating function, written out here.
+
+    Sum c_n z^n is 2q / ((q+1) sqrt(1 - 4 q z^2) + (q-1)) inside its radius
+    1/(2 sqrt q); the denominator never vanishes there.
+    """
+
+    @staticmethod
+    def closed_form(q, z):
+        return 2 * q / ((q + 1) * cmath.sqrt(1 - 4 * q * z * z) + (q - 1))
+
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("z", [0.05, 0.02 + 0.03j, -0.08, 0.1j])
     def test_matches_walk_series(self, q, z):
         partial = sum(count_closed_walks(q, n) * z**n for n in range(50))
-        assert moment_genfun(q, z) == pytest.approx(partial, rel=1e-12, abs=1e-12)
-
-    def test_value_at_origin(self):
-        assert moment_genfun(7, 0) == pytest.approx(1.0)
+        assert self.closed_form(q, z) == pytest.approx(partial, rel=1e-12, abs=1e-12)
 
     def test_removable_points_evaluate(self):
-        # the plain form is 0/0 at +-1/(q+1); the rationalised one gives q/(q-1)
-        for q in (2, 3, 5):
-            for z in (1 / (q + 1), -1 / (q + 1)):
-                assert moment_genfun(q, z) == pytest.approx(q / (q - 1), rel=1e-13)
+        # the plain form is 0/0 at +-1/(q+1), where the series sums to q/(q-1);
         # inside the radius at q = 5, so the walk series converges to it
         partial = sum(count_closed_walks(5, n) * (1 / 6) ** n for n in range(65))
-        assert moment_genfun(5, 1 / 6) == pytest.approx(partial, rel=1e-9)
-
-    def test_huge_q_keeps_its_small_value(self):
-        # 2q / ((q+1) sqrt(1 + 0.04 q) + (q-1)) is 1e-149, small but not 0
-        assert moment_genfun(10**300, 0.1j) == pytest.approx(1e-149, rel=1e-12)
-
-    def test_branch_rays_refused(self):
-        with pytest.raises(CutViolationError):
-            moment_genfun(2, 0.3536)
-        with pytest.raises(CutViolationError):
-            moment_genfun(2, -5.0)
-
-    @pytest.mark.parametrize("q", [10**6, 10**12])
-    def test_origin_evaluates_however_close_the_rays(self, q):
-        # the rays start at +-1/(2 sqrt q), nearer the origin than a flat clearance
-        assert moment_genfun(q, 0) == 1
-        start = 1 / (2 * math.sqrt(q))
-        assert moment_genfun(q, 0.5j * start) == pytest.approx(2 / (1 + math.sqrt(1.25)), rel=1e-5)
-
-    @pytest.mark.parametrize("q", [2, 10**6, 10**12])
-    def test_clearance_scales_with_the_ray_start(self, q):
-        start = 1 / (2 * math.sqrt(q))
-        for z in (start * (1 - 1e-4), -start * (1 + 1e-4), complex(start, start * 1e-4)):
-            with pytest.raises(CutViolationError):
-                moment_genfun(q, z)
-
-    def test_beyond_radius_via_continuation(self):
-        # just off the ray the continuation is finite and conjugate-symmetric
-        v = moment_genfun(2, 0.5 + 0.01j)
-        w = moment_genfun(2, 0.5 - 0.01j)
-        assert v == pytest.approx(w.conjugate(), rel=1e-12)
+        assert partial == pytest.approx(5 / 4, rel=1e-9)
 
 
 class TestValueGenfuns:
@@ -211,7 +190,7 @@ class TestValueGenfuns:
         with pytest.raises(DomainError):
             symmetry_defect(2, 0)
 
-    @pytest.mark.parametrize("q", [10**3, 10**6])
+    @pytest.mark.parametrize("q", [10**3, 10**6, 10**12])
     def test_reciprocal_cut_clearance_shrinks_with_the_cut(self, q):
         # the cut [1/hi, 1/lo] starts within 1e-3 of the origin here, yet the
         # origin is clear of it and carries zeta(0) = 1
@@ -221,6 +200,24 @@ class TestValueGenfuns:
         assert abs(symmetry_defect(q, 1 / w)) < 1e-12
         with pytest.raises(CutViolationError):
             neg_value_genfun(q, reciprocal_cut(q).hi)
+
+    @pytest.mark.parametrize("q", [2, 10**6, 10**12])
+    def test_clearance_scales_with_the_cut_start(self, q):
+        # the cut [1/hi, 1/lo] starts at about 1/q, and its clearance with it
+        start = reciprocal_cut(q).lo
+        for w in (start * (1 - 1e-4), complex(start, start * 1e-4)):
+            with pytest.raises(CutViolationError):
+                neg_value_genfun(q, w)
+        assert math.isfinite(abs(neg_value_genfun(q, start * (1 - 1e-2))))
+
+    def test_conjugate_symmetric_off_the_cut(self):
+        # just off the cut, and far from it, both series are real on the real axis
+        for q in (2, 3):
+            for z in (0.5 + 0.01j, 7 + 0.02j, -3 + 4j):
+                v, w = pos_value_genfun(q, z), pos_value_genfun(q, z.conjugate())
+                assert w == pytest.approx(v.conjugate(), rel=1e-12)
+                v, w = neg_value_genfun(q, 1 / z), neg_value_genfun(q, 1 / z.conjugate())
+                assert w == pytest.approx(v.conjugate(), rel=1e-12)
 
     @pytest.mark.parametrize("q", [10**100, 12 * 10**153], ids=["1e100", "1.2e154"])
     def test_huge_q_values(self, q):
@@ -527,7 +524,7 @@ class TestArgumentValidation:
         import numpy as np
 
         assert spectral_edges(np.int64(4)) == spectral_edges(4)
-        assert moment_genfun(np.int64(2), 0.1) == moment_genfun(2, 0.1)
+        assert entire_combination(np.int64(2), 0.1) == entire_combination(2, 0.1)
 
     @pytest.mark.parametrize("q", [True, 2.0, 2.5, "2"])
     def test_non_integer_branching_number_refused(self, q):
@@ -536,7 +533,7 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan), math.inf])
     def test_non_finite_points_refused(self, z):
-        for call in (moment_genfun, entire_combination, cut_sqrt, symmetry_defect):
+        for call in (entire_combination, symmetry_defect):
             with pytest.raises(DomainError):
                 call(2, z)
 
@@ -544,8 +541,8 @@ class TestArgumentValidation:
         "call, args",
         [
             (spectral_edges, (10**400,)),
-            (cut_sqrt, (2, 10**400)),
-            (moment_genfun, (10**400, 0.1)),
+            (neg_value_genfun, (10**400, 0.1)),
+            (pos_value_genfun, (10**400, 0.1)),
             (neg_value_genfun, (2, 10**400)),
             (pos_value_genfun, (2, 10**400)),
             (symmetry_defect, (10**155, 1j)),

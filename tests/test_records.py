@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from treezeta.dyck import DyckWord, IdentityReport, weight_profile
+from treezeta.dyck import IdentityReport
 from treezeta.genfun import spectrum_cut
 from treezeta.spectral import QuadratureSpec, zeta_numeric
 from treezeta.verify import run_battery
@@ -16,8 +16,6 @@ RECORDS = {
     "QuadratureSpec": lambda: QuadratureSpec(max_nodes=64),
     "SpectrumCut": lambda: spectrum_cut(3),
     "CheckResult": lambda: run_battery(["moments"])[0],
-    "DyckWord": lambda: DyckWord("UUBRUB"),
-    "WeightProfile": lambda: weight_profile("UUBRUB"),
     "IdentityReport": lambda: IdentityReport(
         ok=False, dp_checked=3, brute_checked=2, brute_words=5,
         mismatches=("dp and bruteforce disagree at n = 1",), mismatch_ns=(1,),

@@ -19,7 +19,6 @@ from treezeta.special_values import (
     two_step_defect,
     value_polynomials,
     zeta_integer,
-    zeta_neg,
     zeta_pos,
 )
 
@@ -68,9 +67,8 @@ class TestWalkCounts:
 
 class TestNegativeValues:
     def test_first_three(self):
-        assert zeta_neg(0) == IntPoly([1])
-        assert zeta_neg(1) == IntPoly([1, 1])
-        assert zeta_neg(2) == IntPoly([2, 3, 1])  # (q+1)(q+2)
+        # 1, q + 1 and (q+1)(q+2)
+        assert negative_value_table(2) == (IntPoly([1]), IntPoly([1, 1]), IntPoly([2, 3, 1]))
 
     def test_three_routes_agree(self):
         tables = [negative_value_table(16, m) for m in NEG_VALUE_METHODS]
@@ -104,11 +102,11 @@ class TestNegativeValues:
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
-            zeta_neg(3, method="quadrature")
+            negative_value_table(3, method="quadrature")
 
     def test_values_are_positive_integers(self):
-        for m in range(12):
-            v = poly_eval(zeta_neg(m), 3)
+        for p in negative_value_table(11):
+            v = poly_eval(p, 3)
             assert v.denominator == 1 and v > 0
 
 
@@ -389,7 +387,7 @@ class TestArgumentValidation:
             lambda: count_closed_walks(2.5, 2),
             lambda: count_closed_walks(2, 2.0),
             lambda: zeta_integer(2, 1.0),
-            lambda: zeta_neg(1.0),
+            lambda: negative_value_table(1.0),
             lambda: two_step_defect(2, 0.5),
         ],
     )

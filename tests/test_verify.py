@@ -6,8 +6,8 @@ import math
 import pytest
 
 from treezeta import special_values, spectral, verify
-from treezeta.dyck import DP_CAP, DyckWord, verify_weight_value_identity
-from treezeta.errors import DomainError
+from treezeta.dyck import DP_CAP, enumerate_dyck, verify_weight_value_identity
+from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
 from treezeta.genfun import quadratic_residual_series, symmetry_defect
 from treezeta.special_values import two_step_defect, value_polynomials
@@ -155,6 +155,23 @@ class TestBatteryDriver:
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
             run_battery(["symmetry", "nonsense"])
+
+    @pytest.mark.parametrize("names", [[], ()])
+    def test_an_empty_selection_is_refused(self, calls, names):
+        # as a check over no points is, whatever the overrides
+        with pytest.raises(DomainError, match="^no checks selected"):
+            run_battery(names, n_max=10**9, q=10**200)
+        assert calls == []
+
+    def test_a_guard_that_fires_fails_its_check_and_the_rest_run(self, monkeypatch):
+        def guard(**kwargs):
+            raise ConsistencyError("cycle coefficient 3 of 7 is not an integer")
+
+        monkeypatch.setitem(ALL_CHECKS, "dyck", guard)
+        before, fired, after = run_battery(["value_polys", "dyck", "residual"])
+        assert before.passed and after.passed
+        assert fired.name == "dyck" and not fired.passed and fired.worst_at is None
+        assert fired.detail == "consistency guard fired: cycle coefficient 3 of 7 is not an integer"
 
     def test_q_restriction_shrinks_grids(self):
         full = run_battery(["symmetry"])[0]
@@ -413,14 +430,14 @@ class TestDepthValidation:
     "call, name",
     [
         (lambda: IntPoly(5), "coeffs"),
-        (lambda: DyckWord(5), "letters"),
+        (lambda: list(enumerate_dyck("5")), "half-length"),
         (lambda: poly_eval([1, 2], 3), "p"),
         (lambda: poly_is_palindromic([1, 2, 1]), "p"),
         (lambda: run_battery(names=5), "names"),
         (lambda: verify_weight_value_identity(3, value_polys=5), "value_polys"),
         (lambda: quadratic_residual_series(3, polys=5), "polys"),
     ],
-    ids=["IntPoly", "DyckWord", "poly_eval", "poly_is_palindromic", "run_battery",
+    ids=["IntPoly", "enumerate_dyck", "poly_eval", "poly_is_palindromic", "run_battery",
          "verify_weight_value_identity", "quadratic_residual_series"],
 )
 def test_wrong_type_argument_is_a_domain_error_naming_it(call, name):
