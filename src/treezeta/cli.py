@@ -42,7 +42,7 @@ from .spectral import (
     zeta_numeric,
     zeta_sato_tate,
 )
-from .validate import DEPTH_CAP, tolerance
+from .validate import DEPTH_CAP
 
 if TYPE_CHECKING:
     from .exact import IntPoly
@@ -66,7 +66,6 @@ VERIFY_SUITES = (
     "residual",
 )
 DYCK_METHODS = ("dp", "bruteforce")
-_CONFIG_KEYS = ("abs_tol", "rel_tol", "max_nodes", "tol")
 # verify's override flags and the run_battery override each one sets
 _VERIFY_FLAGS = {
     "--q": "q",
@@ -211,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text", help="output format")
     common.add_argument("--output", metavar="PATH", help="write the report to a file")
-    common.add_argument("--config", metavar="PATH", help="JSON file with tolerance defaults")
     common.add_argument(
         "--timings", action="store_true", help="include wall-clock timings in the report"
     )
@@ -281,36 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict[str, float]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise DomainError(f"config {path} must be a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
-    if unknown:
-        raise DomainError(
-            f"config {path} has unknown keys {unknown}; allowed: {list(_CONFIG_KEYS)}"
-        )
-    for key, val in data.items():
-        if key != "max_nodes":
-            tolerance(val, f"config key {key}")
-        elif not isinstance(val, int) or isinstance(val, bool):
-            raise DomainError(f"config key {key} must be an integer")
-    return data
-
-
-def _quad_spec(args: argparse.Namespace, config: dict[str, float]) -> QuadratureSpec:
-    abs_tol = args.abs_tol if args.abs_tol is not None else config.get("abs_tol", DEFAULT_ABS_TOL)
-    rel_tol = args.rel_tol if args.rel_tol is not None else config.get("rel_tol", DEFAULT_REL_TOL)
-    max_nodes = (
-        args.max_nodes if args.max_nodes is not None else config.get("max_nodes", DEFAULT_MAX_NODES)
+def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
+    return QuadratureSpec(
+        abs_tol=DEFAULT_ABS_TOL if args.abs_tol is None else args.abs_tol,
+        rel_tol=DEFAULT_REL_TOL if args.rel_tol is None else args.rel_tol,
+        max_nodes=DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes,
     )
-    return QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_nodes=max_nodes)
 
 
 def _quad_tolerances(spec: QuadratureSpec) -> dict[str, Any]:
@@ -331,7 +305,7 @@ def _poly_report(
     )
 
 
-def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
+def _cmd_poly(args: argparse.Namespace) -> Report:
     if args.n < 1:
         raise DomainError("--n must be at least 1")
     if args.n > DEPTH_CAP:
@@ -342,7 +316,7 @@ def _cmd_poly(args: argparse.Namespace, config: dict[str, float]) -> Report:
     return _poly_report("poly", {"n": args.n}, poly, "q", f"P_{args.n}")
 
 
-def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
+def _cmd_values(args: argparse.Namespace) -> Report:
     if args.neg < 0 or args.pos < 0:
         raise DomainError("--neg and --pos must be nonnegative")
     if max(args.neg, args.pos) > DEPTH_CAP:
@@ -370,8 +344,8 @@ def _cmd_values(args: argparse.Namespace, config: dict[str, float]) -> Report:
     )
 
 
-def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
-    spec = _quad_spec(args, config)
+def _cmd_zeta(args: argparse.Namespace) -> Report:
+    spec = _quad_spec(args)
     inputs: dict[str, Any] = {"s": args.s, "xi": args.xi}
     results: dict[str, Any] = {}
     tolerances: dict[str, Any] = {}
@@ -406,10 +380,10 @@ def _cmd_zeta(args: argparse.Namespace, config: dict[str, float]) -> Report:
     )
 
 
-def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
+def _cmd_heat(args: argparse.Namespace) -> Report:
     if math.isinf(args.t):  # JSON has no infinity; the library's heat_trace(q, inf) is 0
         raise DomainError(f"--t must be finite, got {args.t}")
-    spec = _quad_spec(args, config)
+    spec = _quad_spec(args)
     ev = heat_eval(args.q, args.t, spec)
     value = ev.require("heat trace at t={}", args.t)
     return Report(
@@ -423,7 +397,7 @@ def _cmd_heat(args: argparse.Namespace, config: dict[str, float]) -> Report:
     )
 
 
-def _cmd_dyck(args: argparse.Namespace, config: dict[str, float]) -> Report:
+def _cmd_dyck(args: argparse.Namespace) -> Report:
     from .dyck import enumerate_dyck, weight_polynomial
 
     if args.list:
@@ -450,20 +424,20 @@ def _status_word(ok: bool, color: bool) -> str:
     return word
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool) -> Report:
+def _cmd_verify(args: argparse.Namespace) -> Report:
     from .special_values import moment_polynomials, negative_value_table
     from .verify import CHECKS, run_battery
 
-    # a named suite refuses an explicit flag that it does not take; config values stay defaults
+    # a named suite refuses a flag that it does not take
     takes = set(_VERIFY_FLAGS.values()) if args.suite == "all" else CHECKS[args.suite][1]
     for flag, override in _VERIFY_FLAGS.items():
         if getattr(args, flag[2:].replace("-", "_")) is not None and override not in takes:
             raise DomainError(f"verify {args.suite} does not take {flag}")
-    spec = _quad_spec(args, config)
-    tol = args.tol if args.tol is not None else config.get("tol")
-    given = {"q": args.q, "tol": tol, "n_max": args.n_max, "quad": spec}
+    spec = _quad_spec(args)
+    given = {"q": args.q, "tol": args.tol, "n_max": args.n_max, "quad": spec}
     names = None if args.suite == "all" else [args.suite]
-    builders = (negative_value_table, moment_polynomials)
+    # a table builder that a tracer has wrapped has no cache_info; only --timings reads it
+    builders = (negative_value_table, moment_polynomials) if args.timings else ()
     before = [b.cache_info() for b in builders]
     results = run_battery(names, **{k: v for k, v in given.items() if k in takes})
     checks = []
@@ -481,6 +455,12 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
             row["elapsed_s"] = r.elapsed
         checks.append(row)
     all_passed = all(r.passed for r in results)
+    color = (
+        args.format == "text"
+        and args.output is None
+        and sys.stdout.isatty()
+        and "NO_COLOR" not in os.environ
+    )
 
     def text() -> str:
         lines = [
@@ -502,8 +482,8 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
     if args.n_max is not None:
         inputs["n_max"] = args.n_max
     tolerances: dict[str, Any] = _quad_tolerances(spec)
-    if tol is not None:
-        tolerances["tol"] = tol
+    if args.tol is not None:
+        tolerances["tol"] = args.tol
     report = Report(
         command="verify",
         inputs=inputs,
@@ -528,29 +508,21 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, float], color: bool)
     return report
 
 
+_COMMANDS: dict[str, Callable[[argparse.Namespace], Report]] = {
+    "poly": _cmd_poly,
+    "values": _cmd_values,
+    "zeta": _cmd_zeta,
+    "heat": _cmd_heat,
+    "dyck": _cmd_dyck,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    color = (
-        args.format == "text"
-        and args.output is None
-        and sys.stdout.isatty()
-        and "NO_COLOR" not in os.environ
-    )
     start = time.perf_counter()
     try:
-        config = _load_config(args.config) if args.config else {}
-        if args.command == "poly":
-            report = _cmd_poly(args, config)
-        elif args.command == "values":
-            report = _cmd_values(args, config)
-        elif args.command == "zeta":
-            report = _cmd_zeta(args, config)
-        elif args.command == "heat":
-            report = _cmd_heat(args, config)
-        elif args.command == "dyck":
-            report = _cmd_dyck(args, config)
-        else:
-            report = _cmd_verify(args, config, color)
+        report = _COMMANDS[args.command](args)
     except NonConvergedError as exc:
         message = f"non-converged: {exc}"  # exc is unbound once this block ends
         results: dict[str, Any] = {"error": str(exc)}

@@ -151,7 +151,7 @@ def flat(c, n):
     return IntPoly([c] * n)
 
 
-class TestSumOfProducts:
+class TestFirstNonzeroSumTerms:
     """Sums of c * a * b formed by ``first_nonzero_sum``, each held to its schoolbook value."""
 
     def test_empty_sums_and_operands(self):
