@@ -22,9 +22,10 @@ Lukasiewicz code of a plane tree with n + 1 nodes.  Raney's cycle lemma
 psi(t)**(n+1) / (n+1) with psi(t) = 1 + sum of g(l) * t**l =
 (1 + (q-1)**2 * t * (1 - q*t)) / (1 - 2*q*t).  Expanded, W_n is a sum of
 non-negative integers a_k times q**(n-k) * (q-1)**(2k), palindromic by
-construction.  The a_k come from a three-term recurrence in k, run down
-from a_n = 1 with one exact division per step, whose last value must come
-out as a_0 = W_n(1) = Catalan(n) * 2**n.  Each a_k goes straight into a
+construction.  The a_k come from a three-term recurrence in k, proved by
+creative telescoping and run down from a_n = 1 by ``exact.p_recursive``
+with one exact division per step, whose last value must come out as
+a_0 = W_n(1) = Catalan(n) * 2**n.  Each a_k goes straight into a
 signed but exact Horner's rule at a power of two whose slots hold the
 coefficients; a carry between slots lowers their sum below W_n(1), which is
 checked.  That one pass takes O(n) steps on Python ints, and nothing is
@@ -44,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import IntPoly, _poly_table
-from .special_values import value_polynomials
+from .exact import IntPoly, _poly_table, p_recursive
 from .validate import integer_at_least
 
 ENUM_CAP = 9  # caps the word enumeration only
@@ -121,6 +122,13 @@ def _weight_poly_walk(n: int) -> IntPoly:
     return IntPoly([(total >> (k * width)) & mask for k in range(2 * n + 1)])
 
 
+def _cycle_step(n: int, m: int) -> tuple[int, tuple[int, int]]:
+    """(d, (c_1, c_2)) with d a_k = c_1 a_{k+1} + c_2 a_{k+2} at k = n - m: a runner step."""
+    k = n - m
+    middle = 3 * m * m - 6 * k * m - k * k - 13 * m + k + 6
+    return m * m * (m + 1), (-m * middle, 8 * (k + 2) * (m - 1) * (2 * m - 3))
+
+
 def _cycle_coefficients(n: int) -> Iterator[int]:
     """The a_k of W_n(q) = sum over k of a_k * q**(n-k) * (q-1)**(2k), from k = n down to 0.
 
@@ -133,33 +141,29 @@ def _cycle_coefficients(n: int) -> Iterator[int]:
     a polynomial over the integers in y = q + 1/q, and
     q**(n-k) * z**k = q**n * (y - 2)**k.
 
-    The sums are not formed.  The a_k follow a three-term recurrence in k,
-    run downwards from its own boundary values a_{n+1} = 0 and a_n = 1 (at
-    k = n the sum S_n is the single term 1): with m = n - k and
-    0 <= k <= n - 1,
+    The sums are not formed.  ``p_recursive`` runs the three-term
+    recurrence of ``_cycle_step`` in m = n - k, for 0 <= k <= n - 1,
     m**2 (m+1) * a_k
-    = 8(k+2)(m-1)(2m-3) * a_{k+2} - m (3m**2 - 6km - k**2 - 13m + k + 6) * a_{k+1}.
-    Its divisor is nonzero as m >= 1, and at k = n - 1 the a_{n+1} term
-    carries the factor m - 1 = 0.  Every division must be exact: a
-    remainder raises ``ConsistencyError``.  The last value, a_0, is computed
-    and nothing forces it: ``_weight_poly_dp`` holds it to W_n(1), a free end
-    check.  The recurrence was found by fitting a nullspace of polynomial
-    coefficients to the a_k of n <= 40 and is not proved here; run this way
-    it was held equal to the sums for every n <= 400, and the tests hold it
-    to them for every n <= ``DP_CAP``, so raising ``DP_CAP`` means raising
-    that range with it.  That is O(n) small-by-large steps.
+    = 8(k+2)(m-1)(2m-3) * a_{k+2} - m (3m**2 - 6km - k**2 - 13m + k + 6) * a_{k+1},
+    down from its own boundary values a_{n+1} = 0 and a_n = 1.  Its divisor
+    is nonzero as m >= 1.  A remainder raises ``ConsistencyError``.  The
+    last value, a_0, is computed and nothing forces it: ``_weight_poly_dp``
+    holds it to W_n(1), a free end check.
+
+    Proof (creative telescoping).  Substituting t = tau/q,
+    a_k = res at tau = 0 of H_k(tau) =
+    C(n+1, k)/(n+1) * (1-tau)**k * (1-2 tau)**(-n-1) * tau**(-(n-k)-1).
+    With c_0 = m**2 (m+1), c_1 = m (3m**2 - 6km - k**2 - 13m + k + 6),
+    c_2 = -8(k+2)(m-1)(2m-3) and
+    R = -m(m+1)/(k+1) * tau(1-tau)(1-2 tau) * (-4(m-1) tau**2 + (3n-4k-5) tau + k + 1),
+    c_0 H_k + c_1 H_{k+1} + c_2 H_{k+2} = d/dtau (R H_k).  A derivative of
+    a Laurent series has no residue, so the residues obey the recurrence for
+    every n and every 0 <= k <= n - 1, and they take its boundary values.
+    The tests check the certificate exactly against ``_cycle_step``.  The
+    run is O(n) small-by-large steps.
     """
-    above, a = 0, 1  # a_{k+2} and a_{k+1}
-    yield a
-    for k in range(n - 1, -1, -1):
-        m = n - k
-        middle = m * (3 * m * m - 6 * k * m - k * k - 13 * m + k + 6)
-        total = 8 * (k + 2) * (m - 1) * (2 * m - 3) * above - middle * a
-        below, rest = divmod(total, m * m * (m + 1))
-        if rest:
-            raise ConsistencyError(f"cycle coefficient {k} of {n} is not an integer")
-        above, a = a, below
-        yield a
+    name = f"cycle coefficients of {n}, counted down from a_{n}"
+    return islice(p_recursive((1,), lambda m: _cycle_step(n, m), 2, name), n + 1)
 
 
 def _weight_poly_dp(n: int) -> IntPoly:
@@ -254,6 +258,8 @@ def verify_weight_value_identity(
     if n_max > DP_CAP:
         raise DomainError(f"dp route is capped at n = {DP_CAP}")
     if value_polys is None:
+        from .special_values import value_polynomials
+
         value_polys = value_polynomials(n_max + 1)
     value_polys = _poly_table(value_polys, n_max + 1, "value_polys")
     mismatches = []  # (n, message) pairs

@@ -18,13 +18,19 @@ and adds alone.  Each sizes one slot per call from a bound stated in its
 docstring, packs each operand once and keeps nothing between calls.  No other
 module knows the packed layout.
 
+``IntPoly`` divides only by an int, coefficient by coefficient, and
+``p_recursive`` runs a P-recursive sequence, one exact division by an int
+per term, on ints and on ``IntPoly`` alike.
+
 No floating point enters any computation in this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import count
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 from .validate import integer
@@ -173,32 +179,25 @@ class IntPoly:
             n >>= 1
         return result
 
-    def divexact(self, d) -> "IntPoly":
-        """Quotient by a nonzero int or IntPoly known to divide this one.
-
-        Long division over the integers; a remainder, or a leading
-        coefficient that does not divide, means an exactness invariant broke
-        upstream and raises ConsistencyError.
-        """
-        if isinstance(d, int):
-            d = IntPoly.constant(d)
+    def __divmod__(self, d):
+        """Quotients and remainders of the coefficients by a nonzero int, one by one."""
+        if not isinstance(d, int):
+            return NotImplemented
         if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        lead = d.coeffs[-1]
-        k = len(d.coeffs) - 1
-        out = [0] * max(len(rem) - k, 0)
-        for i in range(len(out) - 1, -1, -1):
-            quo, r = divmod(rem[i + k], lead)
-            if r:
-                raise ConsistencyError(f"inexact division by {d!r}")
-            out[i] = quo
-            if quo:
-                for j, dj in enumerate(d.coeffs):
-                    rem[i + j] -= quo * dj
-        if any(rem[:k]):
-            raise ConsistencyError(f"nonzero remainder on division by {d!r}")
-        return _trusted(out)
+            raise ZeroDivisionError("division of a polynomial by zero")
+        pairs = [divmod(c, d) for c in self.coeffs]
+        return _trusted([quo for quo, _ in pairs]), _trusted([r for _, r in pairs])
+
+    def divexact(self, d: int) -> "IntPoly":
+        """Quotient by a nonzero int known to divide every coefficient.
+
+        A remainder means an exactness invariant broke upstream and raises
+        ConsistencyError.
+        """
+        quo, rest = divmod(self, d)
+        if rest:
+            raise ConsistencyError(f"inexact division by {d!r}")
+        return quo
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -240,6 +239,27 @@ def _poly_table(polys, count: int, name: str) -> Sequence[IntPoly]:
     for p in table:
         _intpoly(p, f"{name} entry")
     return table
+
+
+def p_recursive(seeds: Sequence, step, order: int, name: str) -> Iterator:
+    """The seeds, then t_k for k = len(seeds), len(seeds) + 1, ... without end.
+
+    Each t_k solves d t_k = c_1 t_{k-1} + ... + c_order t_{k-order} with
+    (d, (c_1, ..., c_order)) = step(k), a term before the first seed
+    counting as 0.  Only *, + and divmod by the int d are used, so the same
+    code runs on ints and on ``IntPoly``.  A remainder raises
+    ConsistencyError naming the sequence and k.
+    """
+    terms = [0] * order + list(seeds)
+    yield from seeds
+    for k in count(len(seeds)):
+        d, cs = step(k)
+        products = map(mul, cs, reversed(terms))  # the first starts the sum: no int 0 + IntPoly
+        term, rest = divmod(sum(products, next(products)), d)
+        if rest:
+            raise ConsistencyError(f"{name}: term {k} leaves a remainder on division by {d}")
+        terms.append(term)
+        yield term
 
 
 def first_nonzero_sum(sums: Iterable[Iterable[tuple[int, IntPoly, IntPoly]]]) -> int:

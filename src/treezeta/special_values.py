@@ -17,7 +17,8 @@ Negative values come by three independent routes that cross-check each other:
   - (q-1)) / (2 (1 - 2(q+1) z)).
 
 Both radicals are D-finite, so their coefficients follow a three-term
-recurrence, and the divisions by the denominators are two-term recurrences.
+recurrence, run by ``exact.p_recursive``, and the divisions by the
+denominators are two-term recurrences.
 
 The value polynomials come by two routes.  ``value_polynomials`` rearranges
 the two-step functional relation between the values at n and at -n, divided
@@ -54,6 +55,7 @@ from operator import mul
 
 from .errors import ConsistencyError, DomainError
 from .exact import IntPoly, _trusted, binomial_transform, poly_eval, two_step_numerator
+from .exact import p_recursive
 from .validate import branching_number, integer, integer_at_least
 
 MAX_WALK_LENGTH = 64
@@ -88,19 +90,15 @@ def count_closed_walks(q: int, n: int) -> int:
     return ways.get(0, 0)
 
 
-def _radical_coefficients(b: IntPoly, c: IntPoly, order: int) -> list[IntPoly]:
+def _radical_coefficients(b: IntPoly, c: IntPoly, order: int, name: str) -> list[IntPoly]:
     """The first ``order`` coefficients of sqrt(1 + b z + c z^2) over Z[q].
 
     The root f is D-finite: 2 (1 + b z + c z^2) f' = (b + 2 c z) f, which
-    gives 2 (n+1) a_{n+1} = b (1 - 2n) a_n + 2 c (2 - n) a_{n-1} with a_0 = 1.
+    gives 2k a_k = b (3 - 2k) a_{k-1} + 2 c (3 - k) a_{k-2} with a_0 = 1,
+    run by ``p_recursive`` under ``name``.
     """
-    a = [_ONE]
-    before = IntPoly()
-    for n in range(order - 1):
-        step = b * a[n] * (1 - 2 * n) + c * before * (2 * (2 - n))
-        before = a[n]
-        a.append(step.divexact(2 * (n + 1)))
-    return a
+    steps = p_recursive((_ONE,), lambda k: (2 * k, (b * (3 - 2 * k), c * (6 - 2 * k))), 2, name)
+    return list(itertools.islice(steps, order))
 
 
 def _series_quotient(num: list[IntPoly], den: tuple[IntPoly, ...]) -> list[IntPoly]:
@@ -145,7 +143,7 @@ def moment_polynomials(n_max: int) -> tuple[IntPoly, ...]:
     ((q+1) sqrt(1 - 4 q z^2) - (q - 1)) / (2 (1 - (q+1)^2 z^2)).
     """
     n_max = integer_at_least(n_max, 0, "n_max")
-    radical = _radical_coefficients(IntPoly(), IntPoly((0, -4)), n_max + 1)
+    radical = _radical_coefficients(IntPoly(), IntPoly((0, -4)), n_max + 1, "the walk radical")
     num = [_QP1 * r for r in radical]
     num[0] = num[0] - _QM1
     half = [c.divexact(2) for c in num]
@@ -202,7 +200,7 @@ def _closed_form_table(m_max: int) -> list[IntPoly]:
 def _neg_values_series(m_max: int) -> tuple[IntPoly, ...]:
     # coefficient extraction from the closed generating function
     # ((q+1) sqrt(1 - 2(q+1) z + (q-1)^2 z^2) + z (q^2-1) - (q-1)) / (2 (1 - 2(q+1) z))
-    radical = _radical_coefficients(_QP1 * -2, _QM1_SQ, m_max + 1)
+    radical = _radical_coefficients(_QP1 * -2, _QM1_SQ, m_max + 1, "the series radical")
     num = [_QP1 * r for r in radical]
     num[0] = num[0] - _QM1
     if m_max >= 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .dyck import DP_CAP, catalan, verify_weight_value_identity
+from .dyck import DP_CAP, verify_weight_value_identity
 from .errors import ConsistencyError, DomainError
 from .exact import IntPoly, poly_eval, poly_is_palindromic
 from .genfun import (
@@ -422,10 +422,11 @@ def _stirling_log_gamma(z: complex) -> complex:
 
 
 def _boundary_rows(m_max, fe_points, quad_points, line_tol, fe_tol, quad_tol):
+    tree, walks = negative_value_table(m_max), moment_polynomials(2 * m_max + 2)
     for m in range(m_max + 1):
-        want = math.comb(2 * m, m)
+        want = tree[m].evaluate(1)  # N_m(1) = C(2m, m)
         yield ("line", -m), abs(zeta_line(-m) - want) / want, line_tol
-        want = catalan(m + 1)  # the semicircle moments
+        want = walks[2 * m + 2].coeffs[-1]  # Catalan(m + 1), a semicircle moment
         yield ("catalan", -m), abs(zeta_sato_tate(-m) - want) / want, line_tol
     for s in sato_fe_grid(fe_points):
         rel = abs(xi_sato_tate_defect(s)) / max(1.0, abs(xi_sato_tate(s)))
@@ -446,16 +447,17 @@ def check_boundary(
     fe_tol: float = SATO_FE_TOL,
     quad_tol: float = SATO_QUAD_TOL,
 ) -> CheckResult:
-    """The two limiting line functions behave: binomials, moments, symmetry, Stirling.
+    """The two limiting line functions are the tree's limits, and behave: symmetry, Stirling.
 
-    line holds the integer line's values at -m to the central binomials and
-    catalan the semicircle zeta's to Catalan(m + 1), its moments, both to
-    line_tol; reflection holds the semicircle's completed combination to its
-    s -> 1 - s symmetry at fe_points points, to fe_tol.  stirling compares
-    the semicircle closed form at quad_points points with the same gamma
-    quotient from a Stirling log-gamma that shares no code with the Lanczos
-    one, to quad_tol; the two keep the names they had when a second
-    quadrature stood in its place.  Each row is held to its own tolerance;
+    line holds the integer line's values at -m to the tree's closed-form
+    N_m(1), the central binomials, and catalan the semicircle zeta's to the
+    leading coefficient of the tree's walk polynomial W_{2m+2},
+    Catalan(m + 1), both to line_tol; reflection holds the semicircle's
+    completed combination to its s -> 1 - s symmetry at fe_points points, to
+    fe_tol.  stirling compares the semicircle closed form at quad_points
+    points with the same gamma quotient from a Stirling log-gamma that
+    shares no code with the Lanczos one, to quad_tol; the two keep the names
+    they had when a second quadrature stood in its place.  Each row is held to its own tolerance;
     the largest of the three tolerances is the one reported.
     """
     m_max = integer_at_least(m_max, 0, "m_max")
@@ -465,8 +467,8 @@ def check_boundary(
     tolerance(fe_tol, "fe_tol")
     tolerance(quad_tol, "quad_tol")
     detail = (
-        f"central binomials and Catalan moments m<={m_max}, {fe_points} reflection points, "
-        f"{quad_points} Stirling cross-checks"
+        f"closed-form N_m(1) and walk-polynomial leads W_(2m+2) m<={m_max}, "
+        f"{fe_points} reflection points, {quad_points} Stirling cross-checks"
     )
     rows = _boundary_rows(m_max, fe_points, quad_points, line_tol, fe_tol, quad_tol)
     return _scan("boundary", max(line_tol, fe_tol, quad_tol), detail, rows)

@@ -1,8 +1,10 @@
 """Detector matrix: one injected defect per route, and the checks that must catch it.
 
 Each row names a route of the battery, injects one defect into it and names
-the checks that must fail.  The defect is patched in at the name the check
-reads, since ``verify`` imports by name.  A row runs only the checks it
+the checks that must fail.  The routes include the P-recursive runner
+``exact.p_recursive``, read by the radicals of the ``moments`` and
+``series`` routes and by the cycle-lemma dp.  The defect is patched in at
+the name the check reads, since ``verify`` imports by name.  A row runs only the checks it
 names, through ``run_battery(names)``, and fails if any of them passes.
 The defect-free battery must pass every check.
 
@@ -16,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from treezeta import dyck, special_values, verify
+from treezeta import dyck, exact, special_values, verify
 from treezeta.exact import IntPoly
 
 _ZERO, _ONE, _TWO_Q = IntPoly(), IntPoly([1]), IntPoly([0, 2])
@@ -61,6 +63,16 @@ def _dyck_route(name):
         mp.setattr(dyck, name, lambda n: honest(n) + (_ONE if n == 5 else _ZERO))
 
     return inject
+
+
+def _p_recursive(mp):
+    # term 3 of every P-recursive sequence off by two; the terms after it are run from the true one
+    def corrupted(seeds, step, order, name):
+        for k, term in enumerate(exact.p_recursive(seeds, step, order, name)):
+            yield term + 2 if k == 3 else term
+
+    for module in (special_values, dyck):
+        mp.setattr(module, "p_recursive", corrupted)
 
 
 def _walk_counts(mp):
@@ -118,6 +130,7 @@ ROWS = {
     "quadratic recurrence in integers": (_int_recurrence, ("twostep",)),
     "cycle-lemma dp": (_dyck_route("_weight_poly_dp"), ("dyck",)),
     "letter walk": (_dyck_route("_weight_poly_walk"), ("dyck",)),
+    "P-recursive runner": (_p_recursive, ("negvals", "moments", "dyck")),
     "walk-count polynomials": (_walk_counts, ("moments",)),
     "quadrature zeta": (_zeta_numeric, ("integers",)),
     "quadrature xi": (_xi_value, ("fe",)),
@@ -137,8 +150,10 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(special_values, "_closed_forms", [])
     monkeypatch.setattr(special_values, "_value_polys", [_ONE])
     special_values.negative_value_table.cache_clear()
+    special_values.moment_polynomials.cache_clear()
     yield
     special_values.negative_value_table.cache_clear()
+    special_values.moment_polynomials.cache_clear()
 
 
 @pytest.mark.parametrize("route", ROWS)

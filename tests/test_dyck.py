@@ -17,8 +17,9 @@ from treezeta.dyck import (
     verify_weight_value_identity,
     weight_polynomial,
     _cycle_coefficients,
+    _cycle_step,
 )
-from treezeta import dyck
+from treezeta import dyck, exact
 from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_is_palindromic
 from treezeta.special_values import value_polynomials
@@ -212,7 +213,7 @@ class TestWeightPolynomial:
         assert IntPoly(coeffs) == weight_polynomial(n)
 
     def test_recurrence_equals_term_ratio_sums(self):
-        # the recurrence was fitted, not proved: every n the dp accepts, a_n first
+        # an oracle beside the proof below: every n the dp accepts, a_n first
         for n in range(DP_CAP + 1):
             assert list(_cycle_coefficients(n))[::-1] == term_ratio_cycle_coefficients(n), n
 
@@ -225,9 +226,10 @@ class TestWeightPolynomial:
             weight_polynomial(n, "dp")
 
     def test_an_inexact_step_raises(self, monkeypatch):
-        # a module global shadows the builtin, so every division leaves a remainder
-        monkeypatch.setattr(dyck, "divmod", lambda a, b: (a // b, 1), raising=False)
-        with pytest.raises(ConsistencyError, match="^cycle coefficient 4 of 5 is not an integer$"):
+        # a global of the runner's module shadows the builtin, so every division leaves a remainder
+        monkeypatch.setattr(exact, "divmod", lambda a, b: (a // b, 1), raising=False)
+        message = "^cycle coefficients of 5, counted down from a_5: term 1 leaves a remainder"
+        with pytest.raises(ConsistencyError, match=message + " on division by 2$"):
             weight_polynomial(5, "dp")
 
     def test_caps_and_methods(self):
@@ -238,6 +240,86 @@ class TestWeightPolynomial:
             weight_polynomial(201, "dp")
         with pytest.raises(DomainError):
             weight_polynomial(3, "magic")
+
+
+def cleared_certificate(n, k, tau):
+    """The cycle recurrence's certificate, divided by H_k and cleared of denominators.
+
+    With m = n - k, (d, (e_1, e_2)) = _cycle_step(n, m) and c_0, c_1, c_2 =
+    d, -e_1, -e_2, the certificate of ``_cycle_coefficients`` reads
+    c_0 H_k + c_1 H_{k+1} + c_2 H_{k+2} = d/dtau (R H_k) with
+    R = -m(m+1)/(k+1) * T * Q, T = tau(1-tau)(1-2 tau) and
+    Q = -4(m-1) tau^2 + (3n-4k-5) tau + k + 1.  Dividing by H_k uses
+    H_{k+1}/H_k = (n+1-k)/(k+1) tau(1-tau),
+    H_{k+2}/H_k = (n+1-k)(n-k)/((k+1)(k+2)) tau^2 (1-tau)^2 and
+    T H_k'/H_k = -k tau(1-2 tau) + 2(n+1) tau(1-tau) - (n-k+1)(1-tau)(1-2 tau).
+    Returned: (k+1)(k+2) T times (left side - right side), a polynomial in
+    n, k and tau.
+    """
+    m = n - k
+    d, (e_1, e_2) = dyck._cycle_step(n, m)
+    c_0, c_1, c_2 = d, -e_1, -e_2
+    t = tau * (1 - tau)
+    T = t * (1 - 2 * tau)
+    left = T * ((k + 1) * (k + 2) * c_0 + (k + 2) * c_1 * (n + 1 - k) * t
+                + c_2 * (n + 1 - k) * (n - k) * t * t)
+    Q = -4 * (m - 1) * tau**2 + (3 * n - 4 * k - 5) * tau + k + 1
+    dQ = -8 * (m - 1) * tau + 3 * n - 4 * k - 5
+    dT = 1 - 6 * tau + 6 * tau**2
+    log_h = -k * tau * (1 - 2 * tau) + 2 * (n + 1) * t - (n - k + 1) * (1 - tau) * (1 - 2 * tau)
+    # (k+1)(k+2) T (R H_k)'/H_k, with (T Q)' = T' Q + T Q'
+    right = -m * (m + 1) * (k + 2) * (T * (dT * Q + T * dQ) + T * Q * log_h)
+    return left - right
+
+
+class TestCycleRecurrenceProof:
+    """The recurrence ``_cycle_step`` gives the runner holds for every n: a proof.
+
+    Its coefficients are of degree at most 3 in n and in k, so the cleared
+    certificate is of degree at most 4 in n, 5 in k and 7 in tau.  A
+    polynomial of those degrees that vanishes on a grid of 5 x 6 x 8 points
+    is zero, so the certificate holds identically.  Then the residues of
+    H_k, which are the a_k, obey the recurrence for 0 <= k <= n - 1 and take
+    its boundary values a_n = 1 and a_{n+1} = 0, and the runner, whose
+    divisor m**2 (m+1) is nonzero there, yields exactly them.
+    """
+
+    def test_step_coefficients_are_of_degree_three_in_n_and_k(self):
+        # the degree premise: every fourth difference vanishes, in n at each k and in k at each n
+        def fourth_differences(values):
+            for _ in range(4):
+                values = [b - a for a, b in zip(values, values[1:])]
+            return values
+
+        for fixed in range(-3, 4):
+            for along_n in (True, False):
+                steps = [_cycle_step(*((v, v - fixed) if along_n else (fixed, fixed - v)))
+                         for v in range(-4, 5)]
+                for column in zip(*[(d, *cs) for d, cs in steps]):
+                    assert fourth_differences(list(column)) == [0] * 5
+
+    def test_certificate_vanishes_on_the_degree_grid(self):
+        grid = [(n, k, Fraction(tau, 3))
+                for n in range(5) for k in range(6) for tau in range(8)]
+        assert [cleared_certificate(*point) for point in grid] == [0] * len(grid)
+
+    def test_a_wrong_coefficient_breaks_the_certificate(self, monkeypatch):
+        honest = dyck._cycle_step
+        monkeypatch.setattr(
+            dyck, "_cycle_step", lambda n, m: (honest(n, m)[0], (honest(n, m)[1][0] + 1, 0))
+        )
+        assert cleared_certificate(7, 3, Fraction(1, 5)) != 0
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_residues_are_the_runners_terms(self, n):
+        # [tau^(n-k)] (1-tau)^k (1-2 tau)^(-n-1) by the binomial series of both factors
+        def residue(k):
+            j = n - k
+            inner = sum(comb(k, i) * (-1) ** i * comb(n + j - i, n) << (j - i)
+                        for i in range(min(k, j) + 1))
+            return Fraction(comb(n + 1, k), n + 1) * inner
+
+        assert list(_cycle_coefficients(n)) == [residue(k) for k in range(n, -1, -1)]
 
 
 class TestCarryGuard:

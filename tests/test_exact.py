@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from treezeta.exact import (
     _unpack,
     binomial_transform,
     first_nonzero_sum,
+    p_recursive,
     poly_eval,
     poly_is_palindromic,
     two_step_numerator,
@@ -458,27 +460,60 @@ class TestPacking:
 
 class TestDivExact:
     def test_quotients(self):
-        assert IntPoly([0, 2, 2]).divexact(IntPoly([0, 2, 2])) == IntPoly([1])
-        assert (IntPoly([1, 1]) ** 5).divexact(IntPoly([1, 1]) ** 2) == IntPoly([1, 1]) ** 3
         assert IntPoly([4, -6]).divexact(2) == IntPoly([2, -3])
-        assert IntPoly().divexact(IntPoly([1, 1])) == IntPoly()
+        assert IntPoly([0, 6, -9]).divexact(-3) == IntPoly([0, -2, 3])
+        assert IntPoly().divexact(5) == IntPoly()
 
-    @pytest.mark.parametrize(
-        "num, den",
-        [
-            (IntPoly([1, 2]), 2),
-            (IntPoly([1, 1, 1]), IntPoly([1, 1])),
-            (IntPoly([0, 1]), IntPoly([0, 2])),
-            (IntPoly([1]), IntPoly([0, 1])),
-        ],
-    )
-    def test_remainder_raises(self, num, den):
-        with pytest.raises(ConsistencyError):
-            num.divexact(den)
+    def test_remainder_raises(self):
+        with pytest.raises(ConsistencyError, match="^inexact division by 2$"):
+            IntPoly([1, 2]).divexact(2)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             IntPoly([1]).divexact(0)
+        with pytest.raises(ZeroDivisionError):
+            IntPoly().divexact(0)
+
+    def test_divmod_by_an_int_is_coefficientwise(self):
+        assert divmod(IntPoly([7, -7, 6]), 3) == (IntPoly([2, -3, 2]), IntPoly([1, 2]))
+        assert divmod(IntPoly([3, 6]), 3) == (IntPoly([1, 2]), IntPoly())
+
+    def test_polynomial_divisor_refused(self):
+        with pytest.raises(TypeError):
+            divmod(IntPoly([1, 2, 1]), IntPoly([1, 1]))
+        with pytest.raises(TypeError):
+            IntPoly([1, 2, 1]).divexact(IntPoly([1, 1]))
+
+
+class TestPRecursive:
+    def test_ints_from_seeds(self):
+        # (k+1) C_k = 2(2k-1) C_{k-1}: the Catalan numbers, one exact division per term
+        catalans = p_recursive((1,), lambda k: (k + 1, (2 * (2 * k - 1),)), 1, "Catalan")
+        assert list(islice(catalans, 8)) == [1, 1, 2, 5, 14, 42, 132, 429]
+
+    def test_terms_before_the_seeds_count_as_zero(self):
+        # F_k = F_{k-1} + F_{k-2} from the one seed F_1 = 1 gives 1, 1, 2, 3, ...
+        fib = p_recursive((1,), lambda k: (1, (1, 1)), 2, "Fibonacci")
+        assert list(islice(fib, 7)) == [1, 1, 2, 3, 5, 8, 13]
+
+    def test_more_seeds_than_the_order(self):
+        doubles = p_recursive((5, 7, 3), lambda k: (1, (2,)), 1, "doubles")
+        assert list(islice(doubles, 5)) == [5, 7, 3, 6, 12]
+
+    def test_intpoly_terms(self):
+        # 2 t_k = (q + 1) t_{k-1} + (q - 1) t_{k-1} = 2q t_{k-1}: the powers of q
+        powers = p_recursive(
+            (IntPoly([1]),), lambda k: (2, (IntPoly([1, 1]) + IntPoly([-1, 1]),)), 1, "powers"
+        )
+        assert list(islice(powers, 4)) == [IntPoly([0] * k + [1]) for k in range(4)]
+
+    @pytest.mark.parametrize("seed", [1, IntPoly([1, 1])])
+    def test_remainder_names_the_sequence_and_index(self, seed):
+        halves = p_recursive((seed,), lambda k: (2 if k == 3 else 1, (1,)), 1, "halves")
+        assert list(islice(halves, 3)) == [seed] * 3
+        message = "^halves: term 3 leaves a remainder on division by 2$"
+        with pytest.raises(ConsistencyError, match=message):
+            next(halves)
 
 
 class TestPolyEval:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treezeta import special_values as sv
+from treezeta import exact, special_values as sv
 from treezeta.errors import ConsistencyError, DomainError
 from treezeta.exact import IntPoly, poly_eval, poly_is_palindromic
 from treezeta.genfun import quadratic_residual_series
@@ -349,15 +349,27 @@ class TestRadicalRecurrence:
     def test_squares_to_the_radicand(self, b, c):
         # a series with constant term 1 has one square root with constant term 1
         order = 31
-        got = sv._radical_coefficients(b, c, order)
+        got = sv._radical_coefficients(b, c, order, "a radical")
         square = [sum((got[i] * got[k - i] for i in range(k + 1)), IntPoly()) for k in range(order)]
         assert len(got) == order and got[0] == IntPoly([1])
         assert square == [IntPoly([1]), b, c] + [IntPoly()] * (order - 3)
 
     def test_inexact_division_raises(self):
-        # sqrt(1 + z) leaves the integers at its first coefficient
-        with pytest.raises(ConsistencyError):
-            sv._radical_coefficients(IntPoly([1]), IntPoly(), 3)
+        # sqrt(1 + z) leaves the integers at its first coefficient, 1/2
+        message = "^sqrt\\(1 \\+ z\\): term 1 leaves a remainder on division by 2$"
+        with pytest.raises(ConsistencyError, match=message):
+            sv._radical_coefficients(IntPoly([1]), IntPoly(), 3, "sqrt(1 + z)")
+
+    @pytest.mark.parametrize("route", ["moments", "series"])
+    def test_an_inexact_step_in_a_route_names_its_radical(self, monkeypatch, route):
+        # a global of the runner's module shadows the builtin, so every division leaves a remainder
+        monkeypatch.setattr(exact, "divmod", lambda a, b: (a, 1), raising=False)
+        sv.negative_value_table.cache_clear()
+        sv.moment_polynomials.cache_clear()
+        radical = "walk" if route == "moments" else "series"
+        message = f"^the {radical} radical: term 1 leaves a remainder on division by 2$"
+        with pytest.raises(ConsistencyError, match=message):
+            negative_value_table(4, route)
 
     def test_series_route_matches_closed_form_deep(self):
         assert negative_value_table(90, "series") == negative_value_table(90)
